@@ -12,18 +12,16 @@ from .ncpoly import (
     TensorPoly,
     deglex_compare,
     parse_poly,
-    poly_mul,
     prime_field,
-    tensor_mul,
 )
 from .rewrite import (
     CompletionReport,
+    Presentation,
     ReductionSystem,
     RewriteRule,
     complete,
     count_irreducible,
     find_ambiguities,
-    normal_form,
     rank_f2,
 )
 from .rackgroup import (
@@ -37,9 +35,9 @@ from .rackgroup import (
 
 __all__ = [
     "Alphabet", "F2", "NcPoly", "QQ", "TensorPoly", "deglex_compare",
-    "parse_poly", "poly_mul", "prime_field", "tensor_mul",
-    "CompletionReport", "ReductionSystem", "RewriteRule", "complete",
-    "count_irreducible", "find_ambiguities", "normal_form", "rank_f2",
+    "parse_poly", "prime_field",
+    "CompletionReport", "Presentation", "ReductionSystem", "RewriteRule", "complete",
+    "count_irreducible", "find_ambiguities", "rank_f2",
     "GroupTable", "RackData", "conjugation_action", "dihedral_rack",
     "rack_automorphisms", "s3_quotient",
     "__version__",

@@ -67,10 +67,6 @@ def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
     return out
 
 
-def _entries(bits: str) -> list:
-    return matrix_from_bits(bits)
-
-
 def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:
     """First witness (automorphism, shifts) mapping p to q, or None.
 
@@ -83,8 +79,8 @@ def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:
     """
     if p.mode != q.mode:
         raise ValueError("pairs from different modes")
-    lp, mp = _entries(p.lam_bits), _entries(p.mu_bits)
-    lq, mq = _entries(q.lam_bits), _entries(q.mu_bits)
+    lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
+    lq, mq = matrix_from_bits(q.lam_bits), matrix_from_bits(q.mu_bits)
     r = _RACK
     for auto in _AUTOS:
         for s0 in (0, 1):

@@ -10,40 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
-from .ncpoly import Alphabet, F2, QQ, parse_poly, prime_field
 from .rackgroup import s3_quotient
-from .rewrite import ReductionSystem, complete
+from .rewrite import CONFLUENT, Presentation, count_irreducible
 from . import classify as classify_mod
 from . import fk3 as fk3_mod
 from . import jordan as jordan_mod
-
-DEGREE_CAP_ENV = "FULCRUM_DEGREE_CAP"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group_mode: str = "gx"
-    out_path: str | None = None
-    out_format: str = "json"
-    certify: bool = False
-    galois: bool = False
-    jobs: int = 1
-    max_len: int = 6
-    lam_bits: str = ""
-    mu_bits: str = ""
-    presentation: str = ""
-    degree_cap: int | None = None
-
-
-def _degree_cap(default: int = 8) -> int:
-    env = os.environ.get(DEGREE_CAP_ENV)
-    return int(env) if env else default
 
 
 def _dump_json(doc: dict, path: str | None) -> None:
@@ -55,11 +29,9 @@ def _dump_json(doc: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _certify_worker(args) -> tuple:
-    lam_bits, mu_bits, galois = args
-    cert = fk3_mod.certify(lam_bits, mu_bits, group_mode="s3", galois=galois,
-                           degree_cap=_degree_cap())
-    return (lam_bits, mu_bits), cert.to_json()
+def _certify_worker(key: tuple) -> tuple:
+    cert = fk3_mod.certify(*key, group_mode="s3", galois=True)
+    return key, cert.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -90,62 +62,50 @@ def _fk3_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fk3_classify(cfg: RunConfig) -> int:
-    pairs = classify_mod.enumerate_pairs(cfg.group_mode)
+def _fk3_classify(args: argparse.Namespace) -> int:
+    pairs = classify_mod.enumerate_pairs(args.group)
     classes = classify_mod.partition_classes(pairs)
     certificates: dict = {}
-    if cfg.certify:
-        reps = []
-        for cls in classes:
-            rep = next(p for p in cls
-                       if fk3_mod.validate_lambda(
-                           fk3_mod.matrix_from_bits(p.lam_bits), "s3").ok)
-            reps.append((rep.lam_bits, rep.mu_bits, True))
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                for key, doc in pool.map(_certify_worker, reps):
-                    certificates[key] = doc
+    if args.certify:
+        reps = [next(p.key for p in cls
+                     if fk3_mod.validate_lambda(fk3_mod.matrix_from_bits(p.lam_bits), "s3").ok)
+                for cls in classes]
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                certificates = dict(pool.map(_certify_worker, reps))
         else:
-            for args in reps:
-                key, doc = _certify_worker(args)
-                certificates[key] = doc
-    table = classify_mod.emit_table(classes, cfg.out_format, cfg.group_mode, certificates)
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
+            certificates = dict(map(_certify_worker, reps))
+    table = classify_mod.emit_table(classes, args.format, args.group, certificates)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(table)
     else:
         sys.stdout.write(table)
     n_pairs = sum(len(c) for c in classes)
     print(f"pairs: {n_pairs}  classes: {len(classes)}", file=sys.stderr)
-    if cfg.group_mode == "gx" and (n_pairs, len(classes)) != (32, 10):
+    if args.group == "gx" and (n_pairs, len(classes)) != (32, 10):
         return 1
-    if cfg.certify and any(not doc.get("valid") for doc in certificates.values()):
+    if args.certify and any(not doc.get("valid") for doc in certificates.values()):
         return 1
     return 0
 
 
-def _fk3_verify(cfg: RunConfig) -> int:
-    cert = fk3_mod.certify(cfg.lam_bits, cfg.mu_bits, group_mode="s3",
-                           galois=cfg.galois, degree_cap=_degree_cap())
+def _fk3_verify(args: argparse.Namespace) -> int:
+    cert = fk3_mod.certify(args.lam, args.mu, group_mode="s3", galois=args.galois)
     doc = cert.to_json()
     # the finite group backing the run, for reproducibility
     doc["group_table"] = s3_quotient().to_json()
-    _dump_json(doc, cfg.out_path)
+    _dump_json(doc, args.json_out)
     return 0 if cert.valid else 1
 
 
 def fk3_main(argv=None) -> int:
     args = _fk3_parser().parse_args(argv)
     if args.command == "classify":
-        cfg = RunConfig("classify", group_mode=args.group, out_path=args.out,
-                        out_format=args.format, certify=args.certify,
-                        galois=True, jobs=args.jobs)
-        return _fk3_classify(cfg)
+        return _fk3_classify(args)
     if args.command == "verify":
-        cfg = RunConfig("verify", lam_bits=args.lam, mu_bits=args.mu,
-                        galois=args.galois, out_path=args.json_out)
         try:
-            return _fk3_verify(cfg)
+            return _fk3_verify(args)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -173,7 +133,7 @@ def _jordan_parser() -> argparse.ArgumentParser:
 def jordan_main(argv=None) -> int:
     args = _jordan_parser().parse_args(argv)
     max_len = args.max_len
-    reports = [jordan_mod.verify_pbw(jordan_mod.build_jordan(fl, max_len))
+    reports = [jordan_mod.verify_pbw(jordan_mod.build_jordan(fl, max_len), max_len)
                for fl in jordan_mod.FLAVORS]
     coactions = jordan_mod.jordan_coactions(max_len)
     doc = {
@@ -219,43 +179,23 @@ def _fulcrum_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_field(name: str):
-    if name in ("f2", "F2"):
-        return F2
-    if name in ("rational", "qq", "QQ"):
-        return QQ
-    if name.startswith("fp:"):
-        return prime_field(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown field {name!r}")
-
-
-def load_presentation(path: str, degree_cap_override: int | None = None) -> ReductionSystem:
-    """Read the presentation file format:
-    {"alphabet": [{"id": "x0", "sort": "module"}, ...],
-     "relations": ["x0 x1 + x2 x0 + x1 x2", ...],
-     "degree_cap": 8, "field": "f2", "order": "deglex"}.
-    """
+def load_presentation(path: str) -> Presentation:
+    """Read a presentation file; see ``Presentation.from_json`` for the format."""
     with open(path) as fh:
         doc = json.load(fh)
-    alphabet = Alphabet([(g["id"], g["sort"]) for g in doc["alphabet"]])
-    field = _load_field(doc.get("field", "f2"))
-    cap = degree_cap_override or doc.get("degree_cap", _degree_cap())
-    order = doc.get("order", "deglex")
-    relations = [parse_poly(text, alphabet, field) for text in doc["relations"]]
-    return ReductionSystem(alphabet, field, relations, degree_cap=cap, order=order)
+    return Presentation.from_json(doc)
 
 
 def fulcrum_main(argv=None) -> int:
     args = _fulcrum_parser().parse_args(argv)
     try:
-        sys_ = load_presentation(args.presentation)
-    except (OSError, KeyError, ValueError) as exc:
+        pres = load_presentation(args.presentation)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = complete(sys_)
+    report = pres.complete()
     doc = report.to_json()
-    if args.max_len is not None and report.status == "CONFLUENT":
-        from .rewrite import count_irreducible
+    if args.max_len is not None and report.status == CONFLUENT:
         counts = count_irreducible(report.system, args.max_len)
         doc["irreducible"] = {
             "per_length": counts.per_length,
@@ -263,39 +203,4 @@ def fulcrum_main(argv=None) -> int:
             "finite": counts.finite,
         }
     _dump_json(doc, args.json_out)
-    return 0 if report.status == "CONFLUENT" else 1
-
-
-def run(config: RunConfig) -> int:
-    """Programmatic dispatcher mirroring the console scripts."""
-    if config.command == "classify":
-        return _fk3_classify(config)
-    if config.command == "verify":
-        return _fk3_verify(config)
-    if config.command == "nichols-dim":
-        return fk3_main(["nichols-dim"])
-    if config.command == "jordan-verify":
-        args = ["verify", "--max-len", str(config.max_len)]
-        if config.out_path:
-            args += ["--json", config.out_path]
-        return jordan_main(args)
-    if config.command == "complete":
-        args = ["complete", config.presentation]
-        if config.out_path:
-            args += ["--json", config.out_path]
-        return fulcrum_main(args)
-    raise ValueError(f"unknown command {config.command!r}")
-
-
-def main(argv=None) -> int:
-    """Dispatch on the program name so one module backs all three scripts."""
-    prog = os.path.basename(sys.argv[0])
-    if prog.startswith("fk3"):
-        return fk3_main(argv)
-    if prog.startswith("jordan"):
-        return jordan_main(argv)
-    return fulcrum_main(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 0 if report.status == CONFLUENT else 1

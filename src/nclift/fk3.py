@@ -18,8 +18,8 @@ from .rewrite import (
     COLLAPSED_TO_ZERO,
     CONFLUENT,
     CompletionReport,
+    Presentation,
     ReductionSystem,
-    complete,
     count_irreducible,
     irreducible_words,
     rank_f2,
@@ -32,8 +32,9 @@ from .fulcrum import (
     T_PRIME_LAMBDA,
     apply_algebra_map,
     check_skew_primitive,
-    coaction_images,
+    letter_images,
     standard_yd_data,
+    unannihilated_relations,
     validate_lambda,
 )
 
@@ -89,8 +90,7 @@ def fk3_relations(field: Field = F2, prefix: str = "x") -> list[NcPoly]:
 
 @lru_cache(maxsize=None)
 def nichols_report(degree_cap: int = 8) -> CompletionReport:
-    sys_ = ReductionSystem(module_alphabet(), F2, fk3_relations(), degree_cap=degree_cap)
-    return complete(sys_)
+    return Presentation(module_alphabet(), F2, fk3_relations(), degree_cap).complete()
 
 
 def nichols_dimension() -> int:
@@ -243,10 +243,9 @@ def _build_quotient(lam: LambdaMatrix, mu: MuMatrix, flavor: str,
     # exactly what collapses the quotient
     deformed = [deformed_relation(pres, lam, mu, i, j, group_term)
                 for i in range(3) for j in range(3)]
-    relations = pres.relations + deformed
-    sys_ = ReductionSystem(pres.alphabet, lam.field, relations, degree_cap=degree_cap)
-    report = complete(sys_)
-    return AlgebraBuild(flavor, pres, relations, report, deformed)
+    quotient = Presentation(pres.alphabet, lam.field, pres.relations + deformed,
+                            degree_cap, name=flavor)
+    return AlgebraBuild(flavor, pres, quotient.relations, quotient.complete(), deformed)
 
 
 @lru_cache(maxsize=None)
@@ -409,14 +408,9 @@ def resolve_cubic_convention() -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lambda_presentation(lam_bits: str, degree_cap: int = 8) -> FulcrumPresentation:
-    return FulcrumPresentation(T_LAMBDA, standard_yd_data(), lambda_from_bits(lam_bits),
-                               degree_cap)
-
-
-def lambda_presentation(lam: LambdaMatrix) -> FulcrumPresentation:
-    """The (cached) group-term presentation for this cocycle matrix."""
-    return _lambda_presentation(bits_of(lam.entries))
+def group_term_presentation(lam_bits: str) -> FulcrumPresentation:
+    """The (cached) group-term presentation T_lambda for this cocycle matrix."""
+    return FulcrumPresentation(T_LAMBDA, standard_yd_data(), lambda_from_bits(lam_bits))
 
 
 def skew_primitivity(lam: LambdaMatrix, mu: MuMatrix) -> dict:
@@ -424,7 +418,7 @@ def skew_primitivity(lam: LambdaMatrix, mu: MuMatrix) -> dict:
     (1, g_i g_j)-skew-primitive inside T_lambda?  In characteristic 2 the
     constant-plus-group part is itself skew-primitive, so this holds exactly
     when the quadratic-plus-linear core does."""
-    pres = _lambda_presentation(bits_of(lam.entries))
+    pres = group_term_presentation(bits_of(lam.entries))
     G = pres.yd.group
     out = {}
     for i, j in relation_orbit_reps():
@@ -472,7 +466,7 @@ def galois_certificate(lam: LambdaMatrix, mu: MuMatrix, expect_dim: int = 72) ->
     kappa_l: A (x) A -> L (x) A, a (x) b -> a_(-1) (x) a_(0) b, both expanded
     in the frozen irreducible-word bases; bijectivity is rank dim^2.
     """
-    if lam.field is not F2:
+    if lam.field != F2:
         raise ValueError("Galois certificates are computed over F2")
     A = build_cleft(lam, mu)
     L = build_lifting(lam, mu)
@@ -486,15 +480,14 @@ def galois_certificate(lam: LambdaMatrix, mu: MuMatrix, expect_dim: int = 72) ->
     n = expect_dim
     a_sys, l_sys, b_sys = A.system, L.system, B.system
 
-    imgs_r = coaction_images(A.presentation, A.presentation, B.presentation)
-    imgs_l = coaction_images(A.presentation, L.presentation, A.presentation)
-    for rel in A.relations:
-        if apply_algebra_map(rel, imgs_r, A.presentation.alphabet,
-                             B.presentation.alphabet, a_sys, b_sys):
-            raise ValueError(f"right coaction does not descend on: {rel}")
-        if apply_algebra_map(rel, imgs_l, L.presentation.alphabet,
-                             A.presentation.alphabet, l_sys, a_sys):
-            raise ValueError(f"left coaction does not descend on: {rel}")
+    degrees = A.presentation.degree_words()
+    imgs_r = letter_images(a_sys.alphabet, b_sys.alphabet, F2, degrees)
+    imgs_l = letter_images(l_sys.alphabet, a_sys.alphabet, F2, degrees)
+    for side, imgs, left_sys, right_sys in (("right", imgs_r, a_sys, b_sys),
+                                            ("left", imgs_l, l_sys, a_sys)):
+        failed = unannihilated_relations(A.relations, imgs, left_sys, right_sys)
+        if failed:
+            raise ValueError(f"{side} coaction does not descend on: {failed[0]}")
 
     def images_of_basis(imgs, left_sys, right_sys):
         out = []

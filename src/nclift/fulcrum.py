@@ -4,9 +4,11 @@ Three flavors of presentation are generated from a rack, a finite quotient
 group and a 3x3 cocycle matrix: the deformed product T_lambda where group
 letters commute past module letters with a correction supported on group
 terms, its primed companion T'_lambda whose correction is a plain scalar, and
-the undeformed bosonization.  The module also hosts the comultiplication as an
-algebra map into the tensor square, the skew-primitivity test, and the two
-coactions connecting the three flavors.
+the undeformed bosonization.  The module also hosts the letter maps into
+tensor products: one function gives the letter images of the comultiplication
+and of the two coactions connecting the three flavors, one check tells which
+relations a map fails to annihilate, and the skew-primitivity test rests on
+the former.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly, Word
 from .rackgroup import GroupTable, RackData, conjugation_action, dihedral_rack, s3_quotient
-from .rewrite import CONFLUENT, CompletionReport, ReductionSystem, complete, reduce_tensor
+from .rewrite import CONFLUENT, Presentation, ReductionSystem, reduce_tensor
 
 T_LAMBDA = "t_lambda"
 T_PRIME_LAMBDA = "t_prime_lambda"
@@ -157,26 +159,23 @@ def fulcrum_alphabet(group: GroupTable, module_prefix: str = "x") -> Alphabet:
     return Alphabet.from_parts(module_ids, group_ids)
 
 
-class FulcrumPresentation:
-    """One flavor of deformed smash product, as a reduction system.
+class FulcrumPresentation(Presentation):
+    """One flavor of deformed smash product; ``name`` is the flavor.
 
     Rules: identity-letter elimination, the full group multiplication table,
     and one commutation rule per (non-identity group element, module letter).
     """
 
     def __init__(self, flavor: str, yd: PointedYDData, lam: LambdaMatrix,
-                 degree_cap: int = 8, module_prefix: str | None = None):
+                 degree_cap: int = 8):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
         self.yd = yd
         self.lam = lam
-        self.field = lam.field
-        prefix = module_prefix or ("y" if flavor == T_PRIME_LAMBDA else "x")
-        self.alphabet = fulcrum_alphabet(yd.group, prefix)
-        self.degree_cap = degree_cap
+        prefix = "y" if flavor == T_PRIME_LAMBDA else "x"
+        super().__init__(fulcrum_alphabet(yd.group, prefix), lam.field, (),
+                         degree_cap, name=flavor)
         self.relations = self._build_relations()
-        self._completed: CompletionReport | None = None
 
     # ordinals: module letters 0..n-1, then group element e -> n + e
     def module_ordinal(self, i: int) -> int:
@@ -190,6 +189,10 @@ class FulcrumPresentation:
         if e == self.yd.group.identity:
             return ()
         return (self.group_ordinal(e),)
+
+    def degree_words(self) -> list[Word]:
+        """The degree g_i of each module letter x_i, as a one-letter word."""
+        return [(self.group_ordinal(self.yd.degree(i)),) for i in range(self.yd.rack.size)]
 
     def _poly(self, items) -> NcPoly:
         return NcPoly.from_terms(self.alphabet, self.field, items)
@@ -214,35 +217,20 @@ class FulcrumPresentation:
                 lam_val = extend_lambda(self.lam, G.words[g], i, yd.rack)
                 items = [((self.group_ordinal(g), self.module_ordinal(i)), one),
                          ((self.module_ordinal(gi), self.group_ordinal(g)), f.neg(one))]
-                if self.flavor == T_LAMBDA and lam_val != f.zero:
+                if self.name == T_LAMBDA and lam_val != f.zero:
                     # g x_i = x_{g.i} g + lambda(g, x_i) (1 - g_{g.i}) g
                     items.append(((self.group_ordinal(g),), f.neg(lam_val)))
                     u = G.mul(yd.degree(gi), g)
                     items.append((self.group_word(u), lam_val))
-                elif self.flavor == T_PRIME_LAMBDA and lam_val != f.zero:
+                elif self.name == T_PRIME_LAMBDA and lam_val != f.zero:
                     # g y_i = y_{g.i} g + lambda(g, x_i) g
                     items.append(((self.group_ordinal(g),), f.neg(lam_val)))
                 rels.append(self._poly(items))
         return rels
 
-    def system(self) -> ReductionSystem:
-        """A fresh, uncompleted reduction system for the presentation."""
-        return ReductionSystem(self.alphabet, self.field, self.relations,
-                               degree_cap=self.degree_cap)
-
-    def complete(self) -> CompletionReport:
-        if self._completed is None:
-            self._completed = complete(self.system())
-        return self._completed
-
-
-def build_presentation(yd: PointedYDData, lam: LambdaMatrix, flavor: str,
-                       degree_cap: int = 8) -> FulcrumPresentation:
-    return FulcrumPresentation(flavor, yd, lam, degree_cap)
-
 
 # ---------------------------------------------------------------------------
-# comultiplication and skew-primitivity
+# letter maps: comultiplication, coactions, skew-primitivity
 # ---------------------------------------------------------------------------
 
 def apply_algebra_map(p: NcPoly, images: dict, left: Alphabet, right: Alphabet,
@@ -269,18 +257,35 @@ def apply_algebra_map(p: NcPoly, images: dict, left: Alphabet, right: Alphabet,
     return out
 
 
-def comultiplication_images(pres: FulcrumPresentation) -> dict:
-    """Delta on generators: x_i -> x_i (x) 1 + g_i (x) x_i, g -> g (x) g."""
-    a, f = pres.alphabet, pres.field
+def letter_images(left: Alphabet, right: Alphabet, field: Field,
+                  degrees: Sequence[Word]) -> dict:
+    """Letter images of a comultiplication or coaction into left (x) right.
+
+    Module letter m maps to m (x) 1 + degrees[m] (x) m, every other letter to
+    its diagonal.  All flavors share one ordinal layout, so which map this is
+    (Delta, or y -> y (x) 1 + g (x) x, or y -> x (x) 1 + g (x) y) is carried
+    entirely by the target pair (left, right).
+    """
+    one = field.one
     imgs: dict = {}
-    for i in range(pres.yd.rack.size):
-        xi = (pres.module_ordinal(i),)
-        gi = (pres.group_ordinal(pres.yd.degree(i)),)
-        imgs[pres.module_ordinal(i)] = TensorPoly(a, a, f, {(xi, ()): f.one, (gi, xi): f.one})
-    for e in range(pres.yd.group.order):
-        ge = (pres.group_ordinal(e),)
-        imgs[pres.group_ordinal(e)] = TensorPoly(a, a, f, {(ge, ge): f.one})
+    for o in range(len(left)):
+        if left.is_module(o):
+            terms = {((o,), ()): one, (degrees[o], (o,)): one}
+        else:
+            terms = {((o,), (o,)): one}
+        imgs[o] = TensorPoly(left, right, field, terms)
     return imgs
+
+
+def unannihilated_relations(relations: Iterable[NcPoly], images: dict,
+                            left_sys: ReductionSystem,
+                            right_sys: ReductionSystem) -> list[NcPoly]:
+    """The relations whose image under ``images`` is nonzero in the reduced
+    tensor target; empty exactly when the letter map descends to the
+    presented algebra."""
+    return [rel for rel in relations
+            if apply_algebra_map(rel, images, left_sys.alphabet, right_sys.alphabet,
+                                 left_sys, right_sys)]
 
 
 def check_skew_primitive(pres: FulcrumPresentation, rel: NcPoly, grp: int) -> bool:
@@ -291,85 +296,10 @@ def check_skew_primitive(pres: FulcrumPresentation, rel: NcPoly, grp: int) -> bo
     if report.status != CONFLUENT:
         raise ValueError(f"presentation did not complete: {report.status}")
     sys_ = report.system
-    image = apply_algebra_map(rel, comultiplication_images(pres),
-                              pres.alphabet, pres.alphabet, sys_, sys_)
+    delta = letter_images(pres.alphabet, pres.alphabet, pres.field, pres.degree_words())
+    image = apply_algebra_map(rel, delta, pres.alphabet, pres.alphabet, sys_, sys_)
     nf_rel = sys_.normal_form(rel)
     expected = TensorPoly.of(nf_rel, NcPoly.one(pres.alphabet, pres.field))
     gword = NcPoly.term(pres.alphabet, pres.field, pres.group_word(grp))
     expected = expected + reduce_tensor(TensorPoly.of(gword, nf_rel), sys_, sys_)
     return image == expected
-
-
-# ---------------------------------------------------------------------------
-# coactions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CoactionMaps:
-    """The right and left comodule-algebra structures on the primed flavor.
-
-    rho_r lands in T'_lambda (x) bosonization, rho_l in T_lambda (x)
-    T'_lambda; both are verified to send every defining relation of the
-    primed presentation to zero.
-    """
-
-    prime: FulcrumPresentation
-    lifting: FulcrumPresentation
-    bos: FulcrumPresentation
-    rho_r_images: dict
-    rho_l_images: dict
-
-    def apply_r(self, p: NcPoly) -> TensorPoly:
-        return apply_algebra_map(p, self.rho_r_images, self.prime.alphabet,
-                                 self.bos.alphabet, self.prime.complete().system,
-                                 self.bos.complete().system)
-
-    def apply_l(self, p: NcPoly) -> TensorPoly:
-        return apply_algebra_map(p, self.rho_l_images, self.lifting.alphabet,
-                                 self.prime.alphabet, self.lifting.complete().system,
-                                 self.prime.complete().system)
-
-
-def coaction_images(source: FulcrumPresentation, left: FulcrumPresentation,
-                    right: FulcrumPresentation) -> dict:
-    """Letter images shared by both coactions: module letter i maps to
-    (module i) (x) 1 + (degree letter) (x) (module i), group letters to the
-    diagonal.  Which coaction this realizes (y -> y (x) 1 + g (x) x versus
-    y -> x (x) 1 + g (x) y) is carried entirely by the target pair
-    (left, right), since all three flavors share one ordinal layout."""
-    f = source.field
-    imgs: dict = {}
-    for i in range(source.yd.rack.size):
-        mi = (i,)
-        gi_left = (left.group_ordinal(source.yd.degree(i)),)
-        imgs[i] = TensorPoly(left.alphabet, right.alphabet, f,
-                             {(mi, ()): f.one, (gi_left, mi): f.one})
-    for e in range(source.yd.group.order):
-        ge = (source.group_ordinal(e),)
-        imgs[source.group_ordinal(e)] = TensorPoly(left.alphabet, right.alphabet, f,
-                                                   {(ge, ge): f.one})
-    return imgs
-
-
-def coaction_maps(yd: PointedYDData, lam: LambdaMatrix,
-                  degree_cap: int = 8) -> CoactionMaps:
-    """Build and verify the two coactions of the primed flavor.
-
-    Raises ValueError naming the offending rule if either map fails to be an
-    algebra map; for a valid lambda this cannot happen.
-    """
-    prime = FulcrumPresentation(T_PRIME_LAMBDA, yd, lam, degree_cap)
-    lifting = FulcrumPresentation(T_LAMBDA, yd, lam, degree_cap)
-    bos = FulcrumPresentation(BOSONIZATION, yd, lam, degree_cap)
-    maps = CoactionMaps(
-        prime, lifting, bos,
-        rho_r_images=coaction_images(prime, prime, bos),
-        rho_l_images=coaction_images(prime, lifting, prime),
-    )
-    for rel in prime.relations:
-        if maps.apply_r(rel):
-            raise ValueError(f"rho_r is not an algebra map on rule: {rel}")
-        rel_l = NcPoly(lifting.alphabet, lifting.field, rel.terms)
-        if maps.apply_l(rel_l):
-            raise ValueError(f"rho_l is not an algebra map on rule: {rel}")
-    return maps

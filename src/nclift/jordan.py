@@ -12,18 +12,12 @@ relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import Alphabet, NcPoly, QQ, TensorPoly
-from .rewrite import (
-    CONFLUENT,
-    CompletionReport,
-    ReductionSystem,
-    complete,
-    count_irreducible,
-)
-from .fulcrum import apply_algebra_map
+from .ncpoly import Alphabet, NcPoly, QQ
+from .rewrite import CONFLUENT, Presentation, count_irreducible
+from .fulcrum import letter_images, unannihilated_relations
 
 BOSONIZATION = "bosonization"
 U_JORDAN = "u_jordan"
@@ -32,6 +26,8 @@ FLAVORS = (BOSONIZATION, U_JORDAN, U_PRIME)
 
 # ordinals in every flavor's alphabet
 X1, X2, POS, NEG = 0, 1, 2, 3
+#: both module letters have degree g
+DEGREES = ((POS,), (POS,))
 
 
 def jordan_alphabet(flavor: str) -> Alphabet:
@@ -82,23 +78,9 @@ def _inverse_action(matrix, hpart):
     return inv, tuple(kpart)
 
 
-@dataclass
-class JordanPresentation:
-    flavor: str
-    alphabet: Alphabet
-    system: ReductionSystem
-    relations: list
-    max_len: int
-    _completed: CompletionReport | None = dc_field(default=None, repr=False)
-
-    def complete(self) -> CompletionReport:
-        if self._completed is None:
-            self._completed = complete(self.system)
-        return self._completed
-
-
-def build_jordan(flavor: str, max_len: int = 8) -> JordanPresentation:
-    """Assemble one flavor as a reduction system over the rationals.
+def build_jordan(flavor: str, max_len: int) -> Presentation:
+    """Assemble one flavor as a presentation over the rationals, with a
+    degree cap that covers words up to ``max_len``.
 
     The module-degree-refined order is required here: the deformed
     commutation tails carry the group word g g, which plain deglex would rank
@@ -130,8 +112,7 @@ def build_jordan(flavor: str, max_len: int = 8) -> JordanPresentation:
         quad += [((X2,), one), ((X1,), half)]
     rels.append(poly(quad))
 
-    system = ReductionSystem(alpha, QQ, rels, degree_cap=max(max_len, 4), order="xdeglex")
-    return JordanPresentation(flavor, alpha, system, rels, max_len)
+    return Presentation(alpha, QQ, rels, max(max_len, 4), "xdeglex", name=flavor)
 
 
 def pbw_expected_count(length: int) -> int:
@@ -153,21 +134,22 @@ class PbwReport:
     ok: bool
 
 
-def verify_pbw(pres: JordanPresentation) -> PbwReport:
+def verify_pbw(pres: Presentation, max_len: int) -> PbwReport:
     """Complete the presentation and compare irreducible-word counts per
-    length with the closed formula; zero new rules is part of the contract."""
+    length up to ``max_len`` with the closed formula; zero new rules is part
+    of the contract."""
     report = pres.complete()
-    counts = count_irreducible(report.system, pres.max_len) \
+    counts = count_irreducible(report.system, max_len) \
         if report.status == CONFLUENT else None
     per_length = counts.per_length if counts else []
-    expected = [pbw_expected_count(l) for l in range(pres.max_len + 1)]
+    expected = [pbw_expected_count(l) for l in range(max_len + 1)]
     ok = (report.status == CONFLUENT and not report.new_rules
           and per_length == expected)
-    return PbwReport(pres.flavor, report.status, len(report.new_rules),
+    return PbwReport(pres.name, report.status, len(report.new_rules),
                      per_length, expected, sum(per_length), ok)
 
 
-def half_integer_coefficients(pres: JordanPresentation) -> bool:
+def half_integer_coefficients(pres: Presentation) -> bool:
     """Every coefficient in every completed rule has denominator dividing 2."""
     report = pres.complete()
     for rule in report.system.rules():
@@ -192,22 +174,6 @@ class JordanCoactionReport:
         return not self.failures
 
 
-def _coaction_letter_images(left: Alphabet, right: Alphabet) -> dict:
-    """y_i -> (module i) (x) 1 + g (x) (module i); g, G diagonal.
-
-    The same ordinal picture serves both coactions; the target pair decides
-    whether the first factor is read in the deformed or primed algebra."""
-    f = QQ
-    one = Fraction(1)
-    imgs = {
-        X1: TensorPoly(left, right, f, {((X1,), ()): one, ((POS,), (X1,)): one}),
-        X2: TensorPoly(left, right, f, {((X2,), ()): one, ((POS,), (X2,)): one}),
-        POS: TensorPoly(left, right, f, {((POS,), (POS,)): one}),
-        NEG: TensorPoly(left, right, f, {((NEG,), (NEG,)): one}),
-    }
-    return imgs
-
-
 def jordan_coactions(max_len: int = 6) -> JordanCoactionReport:
     """Check that both coactions annihilate every defining relation of the
     primed flavor, in the reduced tensor targets."""
@@ -216,19 +182,11 @@ def jordan_coactions(max_len: int = 6) -> JordanCoactionReport:
     bos = build_jordan(BOSONIZATION, max_len)
     for pres in (prime, deformed, bos):
         if pres.complete().status != CONFLUENT:
-            raise RuntimeError(f"{pres.flavor} did not complete")
-    right_imgs = _coaction_letter_images(prime.alphabet, bos.alphabet)
-    left_imgs = _coaction_letter_images(deformed.alphabet, prime.alphabet)
+            raise RuntimeError(f"{pres.name} did not complete")
     failures = []
-    checked = 0
-    for rel in prime.relations:
-        checked += 1
-        img_r = apply_algebra_map(rel, right_imgs, prime.alphabet, bos.alphabet,
-                                  prime.complete().system, bos.complete().system)
-        if img_r:
-            failures.append(("rho_r", str(rel)))
-        img_l = apply_algebra_map(rel, left_imgs, deformed.alphabet, prime.alphabet,
-                                  deformed.complete().system, prime.complete().system)
-        if img_l:
-            failures.append(("rho_l", str(rel)))
-    return JordanCoactionReport(max_len, checked, failures)
+    for side, left, right in (("rho_r", prime, bos), ("rho_l", deformed, prime)):
+        left_sys, right_sys = left.complete().system, right.complete().system
+        imgs = letter_images(left.alphabet, right.alphabet, QQ, DEGREES)
+        failures += [(side, str(rel)) for rel in
+                     unannihilated_relations(prime.relations, imgs, left_sys, right_sys)]
+    return JordanCoactionReport(max_len, len(prime.relations), failures)

@@ -73,6 +73,12 @@ class Field:
     def format(self, a) -> str:
         return str(a)
 
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self.char == other.char
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.char))
+
     def __repr__(self):
         return self.name
 
@@ -100,7 +106,7 @@ class BinaryField(Field):
 
 
 class PrimeField(Field):
-    """GF(p) for a prime p < 2**16.  One instance per modulus per session."""
+    """GF(p) for a prime p < 2**16.  Instances compare equal by modulus."""
 
     def __init__(self, p: int):
         if not (2 <= p < 2 ** 16):
@@ -335,7 +341,9 @@ class NcPoly:
     # -- basic protocol ------------------------------------------------------
 
     def _check_compatible(self, other: "NcPoly") -> None:
-        if self.alphabet != other.alphabet or self.field is not other.field:
+        # identity first: this runs on every add and multiply
+        if self.alphabet != other.alphabet or (
+                self.field is not other.field and self.field != other.field):
             raise AlphabetMismatchError("operands over different alphabets or fields")
 
     def __bool__(self) -> bool:
@@ -345,12 +353,12 @@ class NcPoly:
         return (
             isinstance(other, NcPoly)
             and self.alphabet == other.alphabet
-            and self.field is other.field
+            and (self.field is other.field or self.field == other.field)
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.alphabet, id(self.field), frozenset(self.terms.items())))
+        return hash((self.alphabet, self.field, frozenset(self.terms.items())))
 
     def __iter__(self) -> Iterator[tuple[Word, object]]:
         return iter(self.sorted_terms())
@@ -421,11 +429,6 @@ class NcPoly:
         return f"NcPoly({format_poly(self)!r})"
 
 
-def poly_mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    """Bilinear extension of word concatenation."""
-    return p * q
-
-
 # ---------------------------------------------------------------------------
 # tensor squares
 # ---------------------------------------------------------------------------
@@ -453,7 +456,7 @@ class TensorPoly:
     @classmethod
     def of(cls, p: NcPoly, q: NcPoly) -> "TensorPoly":
         """The pure tensor p (x) q."""
-        if p.field is not q.field:
+        if p.field is not q.field and p.field != q.field:
             raise AlphabetMismatchError("tensor factors over different fields")
         f = p.field
         acc: dict = {}
@@ -463,7 +466,8 @@ class TensorPoly:
         return cls(p.alphabet, q.alphabet, f, acc)
 
     def _check_compatible(self, other: "TensorPoly") -> None:
-        if self.left != other.left or self.right != other.right or self.field is not other.field:
+        if (self.left != other.left or self.right != other.right
+                or (self.field is not other.field and self.field != other.field)):
             raise AlphabetMismatchError("tensor operands over different alphabets or fields")
 
     def __bool__(self) -> bool:
@@ -474,7 +478,7 @@ class TensorPoly:
             isinstance(other, TensorPoly)
             and self.left == other.left
             and self.right == other.right
-            and self.field is other.field
+            and (self.field is other.field or self.field == other.field)
             and self.terms == other.terms
         )
 
@@ -536,11 +540,6 @@ class TensorPoly:
 
     def __repr__(self) -> str:
         return f"TensorPoly({str(self)!r})"
-
-
-def tensor_mul(s: TensorPoly, t: TensorPoly) -> TensorPoly:
-    """Bilinear extension of (u (x) v)(w (x) z) = uw (x) vz."""
-    return s * t
 
 
 # ---------------------------------------------------------------------------

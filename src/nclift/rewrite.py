@@ -1,4 +1,5 @@
-"""Reduction systems, normal forms, ambiguity analysis and bounded completion.
+"""Presentations, reduction systems, normal forms, ambiguity analysis and
+bounded completion.
 
 The engine implements word rewriting in a free algebra: a rule replaces its
 leading word by a strictly smaller polynomial, smaller in the monomial order
@@ -15,12 +16,16 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Sequence
 
 from .ncpoly import (
+    F2,
+    QQ,
     Alphabet,
     Field,
     NcPoly,
     TensorPoly,
     Word,
     deglex_key,
+    parse_poly,
+    prime_field,
     xdeglex_key,
 )
 
@@ -261,7 +266,8 @@ class ReductionSystem:
 
     def normal_form(self, p: NcPoly) -> NcPoly:
         """Linear, idempotent reduction to a form free of rule leads."""
-        if p.alphabet != self.alphabet or p.field is not self.field:
+        if p.alphabet != self.alphabet or (
+                p.field is not self.field and p.field != self.field):
             raise ValueError("polynomial over a different alphabet or field")
         self._steps = 0
         return NcPoly(self.alphabet, self.field, self._nf_terms(p.terms))
@@ -276,8 +282,80 @@ class ReductionSystem:
         return self._find_redex(word) is None
 
 
-def normal_form(p: NcPoly, sys: ReductionSystem) -> NcPoly:
-    return sys.normal_form(p)
+# ---------------------------------------------------------------------------
+# presentations
+# ---------------------------------------------------------------------------
+
+def _field_from_name(name) -> Field:
+    if name in ("f2", "F2"):
+        return F2
+    if name in ("rational", "qq", "QQ"):
+        return QQ
+    if isinstance(name, str) and name.startswith("fp:"):
+        return prime_field(int(name[3:]))
+    raise ValueError(f"unknown field {name!r}")
+
+
+class Presentation:
+    """Generators, coefficient field and defining relations of an algebra,
+    with the degree cap and monomial order its completion runs under.
+
+    ``name`` labels the presentation (the flavor, for the fk3 and Jordan
+    algebras).  The completion is computed once and cached.
+    """
+
+    def __init__(self, alphabet: Alphabet, field: Field, relations: Iterable[NcPoly],
+                 degree_cap: int = 8, order: str = "deglex", name: str = ""):
+        self.alphabet = alphabet
+        self.field = field
+        self.relations = list(relations)
+        self.degree_cap = degree_cap
+        self.order = order
+        self.name = name
+        self._completed: CompletionReport | None = None
+
+    def system(self) -> ReductionSystem:
+        """A fresh, uncompleted reduction system for the presentation."""
+        return ReductionSystem(self.alphabet, self.field, self.relations,
+                               self.degree_cap, self.order)
+
+    def complete(self) -> CompletionReport:
+        if self._completed is None:
+            self._completed = complete(self.system())
+        return self._completed
+
+    @classmethod
+    def from_json(cls, doc) -> "Presentation":
+        """Read the presentation file format; malformed input raises ValueError.
+
+        {"alphabet": [{"id": "x0", "sort": "module"}, ...],
+         "relations": ["x0 x1 + x2 x0 + x1 x2", ...],
+         "degree_cap": 8, "field": "f2", "order": "deglex"}, the last three
+        optional with those defaults.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("a presentation is a JSON object")
+        gens = doc.get("alphabet")
+        if not isinstance(gens, list) or not all(
+                isinstance(g, dict) and isinstance(g.get("id"), str)
+                and isinstance(g.get("sort"), str) for g in gens):
+            raise ValueError('"alphabet" must be a list of {"id": ..., "sort": ...} objects')
+        texts = doc.get("relations")
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError('"relations" must be a list of strings')
+        cap = doc.get("degree_cap", 8)
+        if type(cap) is not int or cap < 1:
+            raise ValueError('"degree_cap" must be a positive integer')
+        order = doc.get("order", "deglex")
+        if order not in ("deglex", "xdeglex"):
+            raise ValueError(f"unknown order {order!r}")
+        field = _field_from_name(doc.get("field", "f2"))
+        alphabet = Alphabet([(g["id"], g["sort"]) for g in gens])
+        try:
+            relations = [parse_poly(text, alphabet, field) for text in texts]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad coefficient: {exc}") from None
+        return cls(alphabet, field, relations, cap, order)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_criterion_05_skew_primitivity(pairs):
     mu0 = fk3.zero_mu()
     for p in pairs:
         lam = fk3.lambda_from_bits(p.lam_bits)
-        pres = fk3.lambda_presentation(lam)
+        pres = fk3.group_term_presentation(p.lam_bits)
         for i, j in fk3.relation_orbit_reps():
             # the exact displayed identity on the quadratic-plus-linear core
             core = fk3.deformed_relation(pres, lam, mu0, i, j, group_term=True)
@@ -199,11 +199,11 @@ def test_criterion_08_mu_necessity_as_stated():
 def test_criterion_09_jordan_pbw():
     t0 = time.monotonic()
     for flavor in jordan.FLAVORS:
-        report = jordan.verify_pbw(jordan.build_jordan(flavor, 8))
+        report = jordan.verify_pbw(jordan.build_jordan(flavor, 8), 8)
         assert report.status == CONFLUENT
         assert report.new_rule_count == 0
         assert report.ok
-    totals = {n: jordan.verify_pbw(jordan.build_jordan(jordan.U_JORDAN, n)).total
+    totals = {n: jordan.verify_pbw(jordan.build_jordan(jordan.U_JORDAN, n), n).total
               for n in (2, 3)}
     assert totals == {2: 14, 3: 30}
     elapsed = time.monotonic() - t0

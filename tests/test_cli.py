@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from nclift import fk3, jordan
 from nclift.cli import fk3_main, fulcrum_main, jordan_main, load_presentation
+from nclift.ncpoly import F2
+from nclift.rewrite import Presentation
 
 
 PRESENTATION = {
@@ -129,25 +132,79 @@ def test_fulcrum_complete_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_degree_cap_env_override(tmp_path, monkeypatch):
-    doc = dict(PRESENTATION)
-    doc.pop("degree_cap")
-    path = tmp_path / "pres.json"
-    path.write_text(json.dumps(doc))
-    monkeypatch.setenv("FULCRUM_DEGREE_CAP", "2")
-    sys_ = load_presentation(str(path))
-    assert sys_.degree_cap == 2
-
-
-def test_run_config_dispatcher(tmp_path, capsys):
-    from nclift.cli import RunConfig, run
-    assert run(RunConfig("nichols-dim")) == 0
+def test_fk3_main_dispatches_subcommands(tmp_path, capsys):
+    assert fk3_main(["nichols-dim"]) == 0
     assert capsys.readouterr().out.strip() == "12"
     out = tmp_path / "t.json"
-    assert run(RunConfig("classify", group_mode="gx", out_path=str(out))) == 0
+    assert fk3_main(["classify", "--group", "gx", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["pair_count"] == 32
-    with pytest.raises(ValueError):
-        run(RunConfig("bogus"))
+    with pytest.raises(SystemExit):
+        fk3_main(["bogus"])
+
+
+@pytest.mark.parametrize("doc", [
+    {"alphabet": 5},
+    [],
+    {**PRESENTATION, "degree_cap": "3"},
+    {**PRESENTATION, "relations": [5]},
+], ids=["alphabet-not-a-list", "top-level-list", "degree-cap-string", "relation-not-a-string"])
+def test_fulcrum_complete_rejects_malformed_file(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert fulcrum_main(["complete", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _valid_pair():
+    lam = fk3.lambda_from_bits("000101110")
+    return lam, fk3.mu_from_bits("100000000", lam)
+
+
+def _quotient(build):
+    """A deformed quotient as a presentation, with its in-process completion."""
+    pres = build.presentation
+    quotient = Presentation(pres.alphabet, pres.field, build.relations, pres.degree_cap)
+    return quotient, build.report
+
+
+def _nichols():
+    pres = Presentation(fk3.module_alphabet(), F2, fk3.fk3_relations())
+    return pres, pres.complete()
+
+
+def _jordan(flavor):
+    pres = jordan.build_jordan(flavor, 6)
+    return pres, pres.complete()
+
+
+ROUND_TRIP = {
+    "nichols": _nichols,
+    "lifting-L": lambda: _quotient(fk3.build_lifting(*_valid_pair())),
+    "cleft-A": lambda: _quotient(fk3.build_cleft(*_valid_pair())),
+    **{f"jordan-{flavor}": (lambda flavor=flavor: _jordan(flavor))
+       for flavor in jordan.FLAVORS},
+}
+
+
+def _field_name(field):
+    return {"F2": "f2", "QQ": "rational"}.get(field.name, f"fp:{field.char}")
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP))
+def test_presentation_round_trips_through_file(tmp_path, case):
+    pres, report = ROUND_TRIP[case]()
+    alpha = pres.alphabet
+    doc = {
+        "alphabet": [{"id": alpha.ident(o), "sort": alpha.sort(o)} for o in range(len(alpha))],
+        "relations": [str(rel) for rel in pres.relations],
+        "field": _field_name(pres.field),
+        "order": pres.order,
+        "degree_cap": pres.degree_cap,
+    }
+    path, out = tmp_path / "pres.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert fulcrum_main(["complete", str(path), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["rules"] == report.to_json()["rules"]
 
 
 def test_load_presentation_fields(tmp_path):

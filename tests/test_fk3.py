@@ -30,7 +30,7 @@ from nclift.fk3 import (
     zero_lambda,
     zero_mu,
 )
-from nclift.fulcrum import T_LAMBDA, build_presentation, standard_yd_data
+from nclift.fulcrum import T_LAMBDA, FulcrumPresentation, standard_yd_data
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_linear_correction_orbit_symmetry():
     yd = standard_yd_data()
     for bits in ("000101110", "011000110", "111111111"):
         lam = lambda_from_bits(bits)
-        pres = build_presentation(yd, lam, T_LAMBDA)
+        pres = FulcrumPresentation(T_LAMBDA, yd, lam)
         rhd = lambda a, b: (2 * a - b) % 3
         for i in range(3):
             for j in range(3):

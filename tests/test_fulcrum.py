@@ -10,13 +10,14 @@ from nclift.fulcrum import (
     BOSONIZATION,
     T_LAMBDA,
     T_PRIME_LAMBDA,
-    build_presentation,
+    FulcrumPresentation,
+    apply_algebra_map,
     check_skew_primitive,
-    coaction_maps,
-    comultiplication_images,
     extend_lambda,
+    letter_images,
     satisfies_s3_condition,
     standard_yd_data,
+    unannihilated_relations,
     validate_lambda,
 )
 from nclift import fk3
@@ -89,7 +90,7 @@ def test_extend_lambda_well_defined_on_equal_words(yd):
 
 def test_deformed_commutation_rule_example(yd):
     lam = validate_lambda([[1] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     sys_ = pres.complete().system
     g0 = pres.group_ordinal(yd.group.distinguished[0])
     image = NcPoly(pres.alphabet, F2, sys_.nf_word((g0, 1)))
@@ -100,7 +101,7 @@ def test_deformed_commutation_rule_example(yd):
 
 def test_bosonization_commutation_rule(yd):
     lam = validate_lambda([[0] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, BOSONIZATION)
+    pres = FulcrumPresentation(BOSONIZATION, yd, lam)
     sys_ = pres.complete().system
     g0 = pres.group_ordinal(yd.group.distinguished[0])
     assert NcPoly(pres.alphabet, F2, sys_.nf_word((g0, 1))) == \
@@ -111,7 +112,7 @@ def test_zero_lambda_makes_flavors_coincide(yd):
     lam = validate_lambda([[0] * 3] * 3).matrix
     rule_sets = []
     for flavor in (T_LAMBDA, T_PRIME_LAMBDA, BOSONIZATION):
-        pres = build_presentation(yd, lam, flavor)
+        pres = FulcrumPresentation(flavor, yd, lam)
         rule_sets.append({(r.lead, tuple(sorted(r.tail.terms.items())))
                           for r in pres.system().rules()})
     assert rule_sets[0] == rule_sets[1] == rule_sets[2]
@@ -120,14 +121,14 @@ def test_zero_lambda_makes_flavors_coincide(yd):
 def test_all_table_lambdas_complete_with_zero_new_rules(yd):
     for bits in TABLE_LAMBDAS:
         lam = fk3.lambda_from_bits(bits)
-        report = build_presentation(yd, lam, T_LAMBDA).complete()
+        report = FulcrumPresentation(T_LAMBDA, yd, lam).complete()
         assert report.status == CONFLUENT
         assert report.new_rules == []
 
 
 def test_identity_letter_is_eliminated(yd):
     lam = validate_lambda([[0] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     sys_ = pres.complete().system
     e = pres.group_ordinal(yd.group.identity)
     assert sys_.nf_word((e,)) == {(): 1}
@@ -141,7 +142,7 @@ def test_identity_letter_is_eliminated(yd):
 
 def test_generators_are_skew_primitive(yd):
     lam = validate_lambda([[1] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     for i in range(3):
         xi = NcPoly.term(pres.alphabet, F2, (i,))
         assert check_skew_primitive(pres, xi, yd.degree(i))
@@ -150,7 +151,7 @@ def test_generators_are_skew_primitive(yd):
 def test_full_relation_is_skew_primitive_but_bare_word_is_not(yd):
     lam = fk3.lambda_from_bits("000101110")
     mu = fk3.zero_mu()
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     core = fk3.deformed_relation(pres, lam, mu, 0, 1, group_term=True)
     g01 = yd.group.mul(yd.group.distinguished[0], yd.group.distinguished[1])
     assert check_skew_primitive(pres, core, g01)
@@ -160,15 +161,15 @@ def test_full_relation_is_skew_primitive_but_bare_word_is_not(yd):
 
 def test_check_skew_primitive_rejects_bad_group_element(yd):
     lam = validate_lambda([[0] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     with pytest.raises(ValueError):
         check_skew_primitive(pres, NcPoly.term(pres.alphabet, F2, (0,)), 99)
 
 
 def test_comultiplication_coassociative_on_generators(yd):
     lam = validate_lambda([[1] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
-    imgs = comultiplication_images(pres)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
+    imgs = letter_images(pres.alphabet, pres.alphabet, F2, pres.degree_words())
 
     def triple(apply_first):
         # expand (Delta (x) id) Delta(x_i) or (id (x) Delta) Delta(x_i)
@@ -207,15 +208,31 @@ def test_comultiplication_coassociative_on_generators(yd):
 # coactions
 # ---------------------------------------------------------------------------
 
+def _coactions(yd, lam):
+    """The primed, group-term and bosonization flavors with the letter images
+    of rho_r (into T'_lambda (x) bosonization) and rho_l (into T_lambda (x)
+    T'_lambda), after checking that both kill every primed relation."""
+    prime, lifting, bos = (FulcrumPresentation(flavor, yd, lam)
+                           for flavor in (T_PRIME_LAMBDA, T_LAMBDA, BOSONIZATION))
+    p_sys, l_sys, b_sys = (pres.complete().system for pres in (prime, lifting, bos))
+    rho_r = letter_images(prime.alphabet, bos.alphabet, F2, prime.degree_words())
+    rho_l = letter_images(lifting.alphabet, prime.alphabet, F2, prime.degree_words())
+    assert unannihilated_relations(prime.relations, rho_r, p_sys, b_sys) == []
+    assert unannihilated_relations(prime.relations, rho_l, l_sys, p_sys) == []
+    return prime, lifting, bos, rho_r, rho_l
+
+
 def test_coaction_maps_verify_for_all_table_lambdas(yd):
     for bits in TABLE_LAMBDAS:
         lam = fk3.lambda_from_bits(bits)
-        maps = coaction_maps(yd, lam)
+        prime, lifting, bos, rho_r, rho_l = _coactions(yd, lam)
         # spot examples: both coactions kill a commutation rule of the primed
         # presentation and are diagonal on group letters
-        rel = maps.prime.relations[-1]
-        assert not maps.apply_r(rel)
-        assert not maps.apply_l(rel)
+        rel = prime.relations[-1]
+        assert not apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet,
+                                     prime.complete().system, bos.complete().system)
+        assert not apply_algebra_map(rel, rho_l, lifting.alphabet, prime.alphabet,
+                                     lifting.complete().system, prime.complete().system)
 
 
 def test_validate_lambda_odd_characteristic_smoke():
@@ -230,15 +247,15 @@ def test_validate_lambda_odd_characteristic_smoke():
 
 def test_coactions_coincide_at_zero_lambda(yd):
     lam = validate_lambda([[0] * 3] * 3).matrix
-    maps = coaction_maps(yd, lam)
-    g = maps.prime.group_ordinal(yd.group.distinguished[0])
-    diag = maps.rho_r_images[g]
+    prime, _, bos, rho_r, rho_l = _coactions(yd, lam)
+    g = prime.group_ordinal(yd.group.distinguished[0])
+    diag = rho_r[g]
     assert diag.terms == {((g,), (g,)): 1}
-    assert maps.rho_l_images[g].terms == {((g,), (g,)): 1}
+    assert rho_l[g].terms == {((g,), (g,)): 1}
     # at zero lambda the primed rules equal the bosonization rules, so the
     # right coaction is the comultiplication-style map on identical algebras
     prime_rules = {(r.lead, tuple(sorted(r.tail.terms.items())))
-                   for r in maps.prime.complete().system.rules()}
+                   for r in prime.complete().system.rules()}
     bos_rules = {(r.lead, tuple(sorted(r.tail.terms.items())))
-                 for r in maps.bos.complete().system.rules()}
+                 for r in bos.complete().system.rules()}
     assert prime_rules == bos_rules

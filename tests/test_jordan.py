@@ -67,7 +67,7 @@ def test_group_square_is_irreducible():
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_pbw_at_length_eight(flavor):
-    report = verify_pbw(build_jordan(flavor, 8))
+    report = verify_pbw(build_jordan(flavor, 8), 8)
     assert report.status == CONFLUENT
     assert report.new_rule_count == 0
     assert report.ok
@@ -89,8 +89,8 @@ def test_expected_count_closed_form():
 
 
 def test_totals_at_small_truncations():
-    assert verify_pbw(build_jordan(U_JORDAN, 2)).total == 14
-    assert verify_pbw(build_jordan(U_JORDAN, 3)).total == 30
+    assert verify_pbw(build_jordan(U_JORDAN, 2), 2).total == 14
+    assert verify_pbw(build_jordan(U_JORDAN, 3), 3).total == 30
 
 
 def test_irreducible_words_have_sorted_shape():
@@ -141,12 +141,14 @@ def test_coactions_annihilate_defining_relations():
 def test_coaction_failure_reporting_on_wrong_target():
     # applying the primed-flavor coaction images to the bosonization
     # quadratic (missing the deformation terms) must not vanish
-    from nclift.fulcrum import apply_algebra_map
-    from nclift.jordan import _coaction_letter_images
+    from nclift.fulcrum import apply_algebra_map, letter_images, unannihilated_relations
+    from nclift.jordan import DEGREES
     prime = build_jordan(U_PRIME, 4)
     bos = build_jordan(BOSONIZATION, 4)
-    imgs = _coaction_letter_images(prime.alphabet, bos.alphabet)
+    imgs = letter_images(prime.alphabet, bos.alphabet, QQ, DEGREES)
     undeformed = parse_poly("y1 y2 - y2 y1 - 1/2 y1 y1", prime.alphabet, QQ)
+    prime_sys, bos_sys = prime.complete().system, bos.complete().system
     image = apply_algebra_map(undeformed, imgs, prime.alphabet, bos.alphabet,
-                              prime.complete().system, bos.complete().system)
+                              prime_sys, bos_sys)
     assert image
+    assert unannihilated_relations([undeformed], imgs, prime_sys, bos_sys) == [undeformed]

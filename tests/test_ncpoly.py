@@ -12,14 +12,13 @@ from nclift.ncpoly import (
     AlphabetMismatchError,
     F2,
     NcPoly,
+    PrimeField,
     QQ,
     TensorPoly,
     deglex_compare,
     format_poly,
     parse_poly,
-    poly_mul,
     prime_field,
-    tensor_mul,
 )
 
 ALPHA5 = Alphabet.from_parts(["x0", "x1", "x2"], ["g", "h"])
@@ -66,6 +65,18 @@ def test_prime_field_is_cached_per_modulus():
     assert prime_field(101) is prime_field(101)
     with pytest.raises(ValueError):
         prime_field(6)
+
+
+def test_fields_compare_by_value():
+    assert PrimeField(5) == prime_field(5)
+    assert hash(PrimeField(5)) == hash(prime_field(5))
+    assert PrimeField(5) != PrimeField(7)
+    assert PrimeField(2) != F2
+    assert F2 != QQ
+    p = NcPoly.term(ALPHA3, PrimeField(5), (0,), 2)
+    q = NcPoly.term(ALPHA3, prime_field(5), (0,), 2)
+    assert p == q and hash(p) == hash(q)
+    assert p + q == NcPoly.term(ALPHA3, prime_field(5), (0,), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +140,7 @@ def test_poly_mul_examples():
 
 def test_poly_mul_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
-        poly_mul(NcPoly.one(ALPHA3, F2), NcPoly.one(ALPHA5, F2))
+        NcPoly.one(ALPHA3, F2) * NcPoly.one(ALPHA5, F2)
 
 
 @given(small_polys, small_polys, small_polys)
@@ -156,8 +167,8 @@ def test_tensor_mul_examples():
     x1 = NcPoly.term(ALPHA5, f, (1,))
     g = NcPoly.term(ALPHA5, f, (3,))
     one = NcPoly.one(ALPHA5, f)
-    assert tensor_mul(TensorPoly.of(x0, one), TensorPoly.of(one, x1)) == TensorPoly.of(x0, x1)
-    gx0_g = tensor_mul(TensorPoly.of(g, g), TensorPoly.of(x0, one))
+    assert TensorPoly.of(x0, one) * TensorPoly.of(one, x1) == TensorPoly.of(x0, x1)
+    gx0_g = TensorPoly.of(g, g) * TensorPoly.of(x0, one)
     assert gx0_g == TensorPoly(ALPHA5, ALPHA5, f, {((3, 0), (3,)): 1})
 
 
@@ -165,7 +176,7 @@ def test_tensor_mul_alphabet_mismatch():
     t1 = TensorPoly.of(NcPoly.one(ALPHA3, F2), NcPoly.one(ALPHA3, F2))
     t2 = TensorPoly.of(NcPoly.one(ALPHA5, F2), NcPoly.one(ALPHA3, F2))
     with pytest.raises(AlphabetMismatchError):
-        tensor_mul(t1, t2)
+        t1 * t2
 
 
 def test_tensor_square_binomial_over_rationals():

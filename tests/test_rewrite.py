@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nclift.ncpoly import Alphabet, F2, NcPoly, parse_poly
+from nclift.ncpoly import Alphabet, F2, NcPoly, PrimeField, parse_poly, prime_field
 from nclift.rewrite import (
     CAP_EXCEEDED,
     COLLAPSED_TO_ZERO,
     CONFLUENT,
+    Presentation,
     ReductionSystem,
     complete,
     count_irreducible,
@@ -19,7 +22,7 @@ from nclift.rewrite import (
     verify_confluent,
 )
 from nclift import fk3
-from nclift.fulcrum import T_LAMBDA, build_presentation, standard_yd_data, validate_lambda
+from nclift.fulcrum import T_LAMBDA, FulcrumPresentation, standard_yd_data, validate_lambda
 from nclift.rackgroup import s3_quotient
 
 ALPHA = Alphabet.from_parts(["x0", "x1", "x2"])
@@ -46,6 +49,13 @@ def test_normal_form_examples(fk_completed):
     assert sys_.normal_form(_parse("x0 x0")) == _parse("0")
     irreducible = _parse("x0 x1 + x1 x2")
     assert sys_.normal_form(irreducible) == irreducible
+
+
+def test_normal_form_accepts_an_equal_field_instance():
+    a = Alphabet.from_parts(["x0", "x1"])
+    sys_ = ReductionSystem(a, PrimeField(5), [parse_poly("x1 x0 - 2 x0 x1", a, PrimeField(5))])
+    assert sys_.normal_form(parse_poly("x1 x0", a, prime_field(5))) == \
+        parse_poly("2 x0 x1", a, prime_field(5))
 
 
 def test_normal_form_idempotent_and_linear(fk_completed):
@@ -87,7 +97,7 @@ def test_disjoint_single_letter_leads_no_ambiguities():
 def test_fulcrum_system_has_group_module_module_family():
     yd = standard_yd_data()
     lam = validate_lambda([[0] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     quadratics = [fk3.deformed_relation(pres, lam, fk3.zero_mu(), i, j, True)
                   for i, j in fk3.relation_orbit_reps()]
     sys_ = ReductionSystem(pres.alphabet, F2, pres.relations + quadratics)
@@ -187,7 +197,7 @@ def test_lifting_dimension_is_72():
 def test_irreducible_words_are_module_then_one_group_letter():
     yd = standard_yd_data()
     lam = validate_lambda([[1] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     report = pres.complete()
     assert report.status == CONFLUENT
     mc = pres.alphabet.module_count
@@ -201,7 +211,7 @@ def test_irreducible_words_are_module_then_one_group_letter():
 def test_filtration_module_degree_never_increases():
     yd = standard_yd_data()
     lam = validate_lambda([[1] * 3] * 3).matrix
-    pres = build_presentation(yd, lam, T_LAMBDA)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
     sys_ = pres.complete().system
     rng = random.Random(5)
     size = len(pres.alphabet)
@@ -286,3 +296,36 @@ def test_rank_agrees_with_dense_elimination():
                     dense[r] = [(a + b) % 2 for a, b in zip(dense[r], dense[rank])]
             rank += 1
         assert rank_f2(rows, m) == rank
+
+
+# ---------------------------------------------------------------------------
+# presentation files
+# ---------------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+generators = st.fixed_dictionaries({
+    "id": st.sampled_from(["x0", "x1", "g", "1", "x0"]) | json_values,
+    "sort": st.sampled_from(["module", "group", "other"]) | json_values,
+})
+presentation_docs = st.fixed_dictionaries({}, optional={
+    "alphabet": st.lists(generators, max_size=4) | json_values,
+    "relations": st.lists(st.text(" x01g+-*/2", max_size=16), max_size=4) | json_values,
+    "degree_cap": st.integers(-1, 9) | json_values,
+    "field": st.sampled_from(["f2", "fp:5", "fp:4", "fp:", "rational", "qq"]) | json_values,
+    "order": st.sampled_from(["deglex", "xdeglex", "lex"]) | json_values,
+})
+
+
+@given(json_values | presentation_docs)
+@settings(max_examples=300, deadline=None)
+def test_from_json_returns_or_raises_value_error(doc):
+    try:
+        pres = Presentation.from_json(doc)
+    except ValueError:
+        return
+    assert pres.system().degree_cap == doc.get("degree_cap", 8)
