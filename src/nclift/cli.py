@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .rackgroup import s3_quotient
-from .rewrite import CONFLUENT, Presentation, count_irreducible
+from .rewrite import CAP_EXCEEDED, CONFLUENT, Presentation, count_irreducible
 from . import classify as classify_mod
 from . import fk3 as fk3_mod
 from . import jordan as jordan_mod
@@ -194,6 +194,11 @@ def fulcrum_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = pres.complete()
+    if report.status == CAP_EXCEEDED:
+        word_str = pres.alphabet.word_str
+        print(f"cap exceeded: ambiguity {word_str(report.cap_word)} resolves to lead "
+              f"{word_str(report.cap_lead)} of degree {len(report.cap_lead)} "
+              f"> degree_cap {pres.degree_cap}", file=sys.stderr)
     doc = report.to_json()
     if args.max_len is not None and report.status == CONFLUENT:
         counts = count_irreducible(report.system, args.max_len)

@@ -12,6 +12,8 @@ module; every basis and dimension claim downstream rests on these.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Sequence
 
@@ -40,6 +42,11 @@ STEP_BUDGET = 2_000_000
 
 class CapExceededError(RuntimeError):
     """A completion or reduction exceeded its configured bound."""
+
+
+def _too_deep(length: int) -> CapExceededError:
+    return CapExceededError(
+        f"normal form of a word of length {length} exceeds the recursion limit")
 
 
 @dataclass(frozen=True)
@@ -72,9 +79,6 @@ class Ambiguity:
     @property
     def word(self) -> Word:
         return self.a + self.b + self.c
-
-    def key(self):
-        return (self.lead1, self.lead2, self.a, self.b, self.c, self.kind)
 
 
 class ReductionSystem:
@@ -169,6 +173,7 @@ class ReductionSystem:
         Returns True when the rule set changed.  Sets ``collapsed`` when a
         nonzero constant is derived.
         """
+        self._steps = 0
         terms = self._nf_terms(terms)
         if not terms:
             return False
@@ -184,25 +189,38 @@ class ReductionSystem:
         return True
 
     def _interreduce(self) -> None:
-        """Re-reduce every rule against the others until stable."""
+        """Re-reduce every rule against the others until stable.
+
+        A rule whose lead contains another lead is removed and its relation
+        reinserted.  Any other rule keeps its lead and only has its tail
+        reduced in place: a rule never fires on a word below its own lead, so
+        reducing the tail against the whole system is reducing it against the
+        others, and the memo stays valid unless the tail changed.
+        """
         changed = True
         while changed and not self.collapsed:
             changed = False
             for lead in sorted(self._rules, key=self._key):
-                if lead not in self._rules:
+                tail = self._rules.get(lead)
+                if tail is None:
                     continue
-                tail = self._rules[lead]
-                self._remove(lead)
-                f = self.field
-                # relation polynomial is lead - tail
-                poly = {w: f.neg(c) for w, c in tail.items()}
-                poly[lead] = f.one
-                before = (lead, tail)
-                self._insert(poly)
-                if self.collapsed:
-                    return
-                after = self._rules.get(lead)
-                if after != before[1] or lead not in self._rules:
+                # any other lead inside this one lies in lead[1:] or lead[:-1]
+                if self._find_redex(lead[1:]) or self._find_redex(lead[:-1]):
+                    self._remove(lead)
+                    f = self.field
+                    # relation polynomial is lead - tail
+                    poly = {w: f.neg(c) for w, c in tail.items()}
+                    poly[lead] = f.one
+                    self._insert(poly)
+                    changed = True
+                    if self.collapsed:
+                        return
+                    continue
+                self._steps = 0
+                reduced = self._nf_terms(tail)
+                if reduced != tail:
+                    self._rules[lead] = reduced
+                    self._memo.clear()
                     changed = True
 
     # -- reduction -----------------------------------------------------------
@@ -270,13 +288,19 @@ class ReductionSystem:
                 p.field is not self.field and p.field != self.field):
             raise ValueError("polynomial over a different alphabet or field")
         self._steps = 0
-        return NcPoly(self.alphabet, self.field, self._nf_terms(p.terms))
+        try:
+            return NcPoly(self.alphabet, self.field, self._nf_terms(p.terms))
+        except RecursionError:
+            raise _too_deep(max(map(len, p.terms))) from None
 
     def nf_word(self, word: Word) -> dict:
         """Normal form of a single word (shared-cache fast path)."""
         self.alphabet.check_word(word)
         self._steps = 0
-        return self._nf_word(tuple(word))
+        try:
+            return self._nf_word(tuple(word))
+        except RecursionError:
+            raise _too_deep(len(word)) from None
 
     def is_irreducible(self, word: Word) -> bool:
         return self._find_redex(word) is None
@@ -362,6 +386,35 @@ class Presentation:
 # ambiguities and completion
 # ---------------------------------------------------------------------------
 
+def _pair_ambiguities(l1: Word, l2: Word, bound: int) -> Iterable[Ambiguity]:
+    """Overlaps l1 = AB, l2 = BC with nonempty B, and occurrences of l2 in l1."""
+    m = min(len(l1), len(l2))
+    for k in range(1, m):
+        if l1[len(l1) - k:] == l2[:k]:
+            amb = Ambiguity(l1, l2, l1[:len(l1) - k], l2[:k], l2[k:])
+            if len(amb.word) <= bound:
+                yield amb
+    if l1 != l2 and len(l2) < len(l1):
+        for i in range(len(l1) - len(l2) + 1):
+            if l1[i:i + len(l2)] == l2:
+                yield Ambiguity(l1, l2, l1[:i], l2, l1[i + len(l2):], kind="inclusion")
+
+
+def _lead_ambiguities(lead: Word, others: Iterable[Word], bound: int) -> Iterable[Ambiguity]:
+    """The ambiguities of ``lead`` with itself and with each of ``others``."""
+    yield from _pair_ambiguities(lead, lead, bound)
+    for other in others:
+        # l2 overlaps or sits inside l1 only if l1 contains the first letter of l2
+        if other[0] in lead:
+            yield from _pair_ambiguities(lead, other, bound)
+        if lead[0] in other:
+            yield from _pair_ambiguities(other, lead, bound)
+
+
+def _ambiguity_order(sys: ReductionSystem, amb: Ambiguity) -> tuple:
+    return (sys._key(amb.word), amb.lead1, amb.lead2, amb.kind, amb.a)
+
+
 def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
     """All overlap and inclusion ambiguities among the current rules.
 
@@ -372,23 +425,11 @@ def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
     tighter would let completion overlook critical overlaps near the cap and
     report confluence it never checked.
     """
-    leads = sorted(sys._rules, key=sys._key)
+    leads = list(sys._rules)
     bound = 2 * sys.degree_cap
-    out: list[Ambiguity] = []
-    for l1 in leads:
-        for l2 in leads:
-            m = min(len(l1), len(l2))
-            for k in range(1, m):
-                if l1[len(l1) - k:] == l2[:k]:
-                    amb = Ambiguity(l1, l2, l1[:len(l1) - k], l2[:k], l2[k:])
-                    if len(amb.word) <= bound:
-                        out.append(amb)
-            if l1 != l2 and len(l2) < len(l1):
-                for i in range(len(l1) - len(l2) + 1):
-                    if l1[i:i + len(l2)] == l2:
-                        out.append(Ambiguity(l1, l2, l1[:i], l2, l1[i + len(l2):],
-                                             kind="inclusion"))
-    out.sort(key=lambda a: (sys._key(a.word), a.lead1, a.lead2, a.kind))
+    out = [amb for n, lead in enumerate(leads)
+           for amb in _lead_ambiguities(lead, leads[:n], bound)]
+    out.sort(key=lambda amb: _ambiguity_order(sys, amb))
     return out
 
 
@@ -398,6 +439,10 @@ class CompletionReport:
     system: ReductionSystem
     new_rules: list[RewriteRule] = dc_field(default_factory=list)
     ambiguities_checked: int = 0
+    #: on CAP_EXCEEDED, the ambiguity word whose resolution broke the cap and
+    #: the lead it would have adopted; neither is part of ``to_json``
+    cap_word: Word | None = None
+    cap_lead: Word | None = None
 
     def to_json(self) -> dict:
         return {
@@ -445,54 +490,84 @@ def _resolve(sys: ReductionSystem, amb: Ambiguity) -> dict:
 
 
 def complete(sys: ReductionSystem) -> CompletionReport:
-    """Bounded Diamond-Lemma completion.
+    """Bounded Diamond-Lemma completion over one queue of ambiguities.
 
-    Ambiguities are processed smallest overlap word first; a nonzero
-    difference is oriented into a new rule and the system is immediately
-    inter-reduced.  Whenever the rule set changes, every ambiguity of the new
-    system is (re)checked, so a CONFLUENT verdict always rests on a full pass
-    over the final rules.
+    The queue yields the smallest ambiguity word first.  Each entry carries
+    the versions of its two rules; a rule gets a new version when it is
+    adopted or inter-reduction changes it, only the ambiguities of such rules
+    against the current leads are queued, and an entry whose rule was removed
+    or changed is dropped when popped.  A nonzero difference is oriented into
+    a new rule and the system is immediately inter-reduced.  Once the queue
+    runs dry after a rule was adopted, every ambiguity of the final system is
+    resolved again and any that fails goes back on the queue, so a CONFLUENT
+    verdict always rests on a full pass over the final rules.
+    ``ambiguities_checked`` counts every resolution computed.
     """
     work = sys.copy()
-    new_rules: list[RewriteRule] = []
-    checked: set = set()
-    checked_count = 0
+    report = CompletionReport(CONFLUENT, work)
     if work.collapsed:
-        return CompletionReport(COLLAPSED_TO_ZERO, work, new_rules, 0)
+        report.status = COLLAPSED_TO_ZERO
+        return report
+    bound = 2 * work.degree_cap
+    ticks = itertools.count()
+    version: dict = {}      # lead -> version of its current rule
+    queue: list = []
 
+    def push(amb: Ambiguity) -> None:
+        heapq.heappush(queue, (_ambiguity_order(work, amb), next(ticks), amb,
+                               version[amb.lead1], version[amb.lead2]))
+
+    def enqueue(fresh: list) -> None:
+        changed = set(fresh)
+        settled = [lead for lead in work._rules if lead not in changed]
+        for lead in fresh:
+            version[lead] = next(ticks)
+        for lead in fresh:
+            for amb in _lead_ambiguities(lead, settled, bound):
+                push(amb)
+            settled.append(lead)
+
+    enqueue(list(work._rules))
+    passed = True           # the first queue holds every ambiguity of the input
     while True:
-        pending = [a for a in find_ambiguities(work) if a.key() not in checked]
-        if not pending:
-            status = CONFLUENT
-            break
-        restart = False
-        for amb in pending:
-            checked.add(amb.key())
-            checked_count += 1
+        while queue:
+            _, _, amb, v1, v2 = heapq.heappop(queue)
+            if version.get(amb.lead1) != v1 or version.get(amb.lead2) != v2:
+                continue
+            report.ambiguities_checked += 1
             diff = _resolve(work, amb)
             if not diff:
                 continue
             lead = max(diff, key=work._key)
             if not lead:
-                return CompletionReport(COLLAPSED_TO_ZERO, work, new_rules, checked_count)
+                report.status = COLLAPSED_TO_ZERO
+                return report
             if len(lead) > work.degree_cap:
-                return CompletionReport(CAP_EXCEEDED, work, new_rules, checked_count)
+                report.status = CAP_EXCEEDED
+                report.cap_word, report.cap_lead = amb.word, lead
+                return report
+            before = dict(work._rules)
             lead, tail = work._orient(diff)
             work._install(lead, tail)
-            new_rules.append(RewriteRule(lead, NcPoly(work.alphabet, work.field, tail)))
+            report.new_rules.append(RewriteRule(lead, NcPoly(work.alphabet, work.field, tail)))
             work._interreduce()
             if work.collapsed:
-                return CompletionReport(COLLAPSED_TO_ZERO, work, new_rules, checked_count)
-            checked.clear()
-            restart = True
+                report.status = COLLAPSED_TO_ZERO
+                return report
+            for old in before.keys() - work._rules.keys():
+                del version[old]
+            enqueue([lead for lead, tail in work._rules.items() if before.get(lead) != tail])
+            passed = False
+        if passed:
             break
-        if restart:
-            continue
-        status = CONFLUENT
-        break
+        passed = True
+        for amb in find_ambiguities(work):
+            report.ambiguities_checked += 1
+            if _resolve(work, amb):
+                push(amb)
 
     work.freeze()
-    return CompletionReport(status, work, new_rules, checked_count)
+    return report
 
 
 def verify_confluent(sys: ReductionSystem) -> bool:

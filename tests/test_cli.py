@@ -127,6 +127,20 @@ def test_fulcrum_complete_on_presentation_file(tmp_path, capsys):
     assert any(rule["lead"] == "x1*x0*x1" for rule in doc["new_rules"])
 
 
+def test_fulcrum_complete_reports_where_the_cap_broke(tmp_path, capsys):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(dict(PRESENTATION, degree_cap=2)))
+    out = tmp_path / "report.json"
+    assert fulcrum_main(["complete", str(path), "--json", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["cap exceeded: ambiguity x2*x0*x0 resolves to lead x1*x0*x1 "
+                     "of degree 3 > degree_cap 2"]
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "CAP_EXCEEDED"
+    assert sorted(doc) == ["ambiguities_checked", "new_rules", "rule_count", "rules",
+                           "schema", "status"]
+
+
 def test_fulcrum_complete_missing_file(capsys):
     assert fulcrum_main(["complete", "/nonexistent/pres.json"]) == 1
     assert "error" in capsys.readouterr().err

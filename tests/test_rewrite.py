@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclift.ncpoly import Alphabet, F2, NcPoly, PrimeField, parse_poly, prime_field
+from nclift import rewrite
+from nclift.ncpoly import (Alphabet, F2, QQ, NcPoly, PrimeField, deglex_key, parse_poly,
+                           prime_field)
 from nclift.rewrite import (
     CAP_EXCEEDED,
     COLLAPSED_TO_ZERO,
     CONFLUENT,
+    CapExceededError,
     Presentation,
     ReductionSystem,
+    RewriteRule,
+    _resolve,
     complete,
     count_irreducible,
     find_ambiguities,
@@ -21,7 +26,7 @@ from nclift.rewrite import (
     reduce_tensor,
     verify_confluent,
 )
-from nclift import fk3
+from nclift import fk3, jordan
 from nclift.fulcrum import T_LAMBDA, FulcrumPresentation, standard_yd_data, validate_lambda
 from nclift.rackgroup import s3_quotient
 
@@ -71,6 +76,33 @@ def test_normal_form_idempotent_and_linear(fk_completed):
         nf = sys_.normal_form
         assert nf(nf(p)) == nf(p)
         assert nf(p + q) == nf(p) + nf(q)
+
+
+@pytest.mark.parametrize("flavor", [jordan.U_JORDAN, jordan.BOSONIZATION])
+def test_too_deep_normal_form_raises_cap_exceeded(flavor):
+    sys_ = jordan.build_jordan(flavor, 6).complete().system
+    word = (jordan.POS,) * 1000 + (jordan.X1,)
+    short = (jordan.POS, jordan.X1)
+    expected = sys_.nf_word(short)
+    with pytest.raises(CapExceededError, match="length 1001"):
+        sys_.nf_word(word)
+    with pytest.raises(CapExceededError, match="length 1001"):
+        sys_.normal_form(NcPoly.term(sys_.alphabet, sys_.field, word))
+    assert sys_.nf_word(short) == expected
+
+
+def test_step_budget_is_per_insert(monkeypatch):
+    # each relation needs four rewrite steps (x1 x1 -> x0 x0 at every pair),
+    # so a budget of six holds for every insert but not for their sum
+    alpha = Alphabet.from_parts(["x0", "x1", "x2", "x3", "x4"])
+    rels = [parse_poly(text, alpha, F2)
+            for text in ["x1 x1 + x0 x0"] + [f"x1 x1 x1 x1 x1 x1 x1 x1 x{k}" for k in (2, 3, 4)]]
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 6)
+    sys_ = ReductionSystem(alpha, F2, rels)
+    assert [r.lead for r in sys_.rules()] == [(1, 1)] + [(0,) * 8 + (k,) for k in (2, 3, 4)]
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
+    with pytest.raises(CapExceededError):
+        ReductionSystem(alpha, F2, rels)
 
 
 def test_rule_tails_below_leads(fk_completed):
@@ -149,6 +181,144 @@ def test_cap_exceeded_when_new_lead_would_be_too_long():
     sys_ = ReductionSystem(ALPHA, F2, fk3.fk3_relations(), degree_cap=2)
     report = complete(sys_)
     assert report.status == CAP_EXCEEDED
+    # the diagnostics name the ambiguity and the lead that broke the cap
+    assert len(report.cap_lead) > 2
+    assert deglex_key(report.cap_lead) < deglex_key(report.cap_word)
+    assert report.cap_lead in _resolve(report.system, next(
+        a for a in find_ambiguities(report.system) if a.word == report.cap_word))
+    assert not {"cap_word", "cap_lead"} & set(report.to_json())
+
+
+# ---------------------------------------------------------------------------
+# the queue engine against the restart engine it replaced
+# ---------------------------------------------------------------------------
+
+def _restart_interreduce(work):
+    """Remove and reinsert every rule, in lead order, until nothing changes."""
+    changed = True
+    while changed and not work.collapsed:
+        changed = False
+        for lead in sorted(work._rules, key=work._key):
+            if lead not in work._rules:
+                continue
+            tail = work._rules[lead]
+            work._remove(lead)
+            f = work.field
+            poly = {w: f.neg(c) for w, c in tail.items()}
+            poly[lead] = f.one
+            work._insert(poly)
+            if work.collapsed:
+                return
+            if work._rules.get(lead) != tail:
+                changed = True
+
+
+def restart_complete(sys_):
+    """Reference completion: re-resolve every ambiguity after each new rule.
+
+    Returns (status, system, new rules, resolutions computed).
+    """
+    work = sys_.copy()
+    new_rules = []
+    checked = 0
+    if work.collapsed:
+        return COLLAPSED_TO_ZERO, work, new_rules, checked
+    while True:
+        for amb in find_ambiguities(work):
+            checked += 1
+            diff = _resolve(work, amb)
+            if not diff:
+                continue
+            lead = max(diff, key=work._key)
+            if not lead:
+                return COLLAPSED_TO_ZERO, work, new_rules, checked
+            if len(lead) > work.degree_cap:
+                return CAP_EXCEEDED, work, new_rules, checked
+            lead, tail = work._orient(diff)
+            work._install(lead, tail)
+            new_rules.append(RewriteRule(lead, NcPoly(work.alphabet, work.field, tail)))
+            _restart_interreduce(work)
+            if work.collapsed:
+                return COLLAPSED_TO_ZERO, work, new_rules, checked
+            break
+        else:
+            return CONFLUENT, work, new_rules, checked
+
+
+@st.composite
+def small_systems(draw):
+    field = draw(st.sampled_from([F2, prime_field(5), QQ]))
+    size = draw(st.integers(2, 3))
+    alpha = Alphabet.from_parts([f"x{i}" for i in range(size)])
+    letters = st.integers(0, size - 1)
+    coeffs = st.integers(-2, 2).filter(bool).map(field.from_int)
+    # one term of degree 2 or 3 per relation, so that most systems overlap
+    heads = st.tuples(st.lists(letters, min_size=2, max_size=3).map(tuple), coeffs)
+    terms = st.tuples(st.lists(letters, max_size=3).map(tuple), coeffs)
+    relations = draw(st.lists(st.tuples(heads, st.lists(terms, max_size=2)),
+                              min_size=1, max_size=4))
+    cap = draw(st.integers(3, 5))
+    return ReductionSystem(alpha, field, [NcPoly.from_terms(alpha, field, [head] + rest)
+                                          for head, rest in relations], degree_cap=cap)
+
+
+@given(small_systems())
+@settings(max_examples=200, deadline=None)
+def test_queue_completion_matches_restart_completion(sys_):
+    report = complete(sys_)
+    status, ref_sys, ref_new, _ = restart_complete(sys_)
+    if CAP_EXCEEDED in (status, report.status):
+        return
+    assert report.status == status
+    assert report.system.rules() == ref_sys.rules()
+    assert report.new_rules == ref_new
+    if status == CONFLUENT:
+        assert verify_confluent(report.system)
+
+
+def fomin_kirillov(n, field, cap):
+    """E_n: generators x_ij (i < j, x_ji = -x_ij), squares, commuting disjoint
+    pairs, and the three-term relations."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    alpha = Alphabet.from_parts([f"x{i}{j}" for i, j in pairs])
+    gens = {p: NcPoly.term(alpha, field, (k,)) for k, p in enumerate(pairs)}
+
+    def x(a, b):
+        return gens[(a, b)] if a < b else -gens[(b, a)]
+
+    rels = [gens[p] * gens[p] for p in pairs]
+    rels += [gens[p] * gens[q] - gens[q] * gens[p] for m, p in enumerate(pairs)
+             for q in pairs[m + 1:] if not set(p) & set(q)]
+    for i, j, k in ((i, j, k) for i in range(n) for j in range(i + 1, n)
+                    for k in range(j + 1, n)):
+        for a, b, c in ((i, j, k), (i, k, j)):
+            rels.append(x(a, b) * x(b, c) + x(b, c) * x(c, a) + x(c, a) * x(a, b))
+    return ReductionSystem(alpha, field, rels, degree_cap=cap)
+
+
+E4_PER_LENGTH = [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
+
+
+@pytest.mark.parametrize("field", [F2, prime_field(32003), QQ], ids=["f2", "fp", "qq"])
+def test_fomin_kirillov_e4_completes(field):
+    report = complete(fomin_kirillov(4, field, 6))
+    assert report.status == CONFLUENT
+    assert (report.system.rule_count(), len(report.new_rules)) == (25, 8)
+    counts = count_irreducible(report.system, 13)
+    assert counts.per_length[:13] == E4_PER_LENGTH and counts.finite
+    assert counts.total == 576
+    # the restart engine resolved 398 ambiguities here
+    assert report.ambiguities_checked < 398
+    assert verify_confluent(report.system)
+
+
+def test_fomin_kirillov_e5_breaks_cap_7():
+    report = complete(fomin_kirillov(5, F2, 7))
+    assert report.status == CAP_EXCEEDED
+    assert (report.system.rule_count(), len(report.new_rules)) == (102, 57)
+    assert len(report.cap_lead) == 8
+    # the restart engine resolved 17,111 ambiguities here
+    assert report.ambiguities_checked < 17_111
 
 
 # ---------------------------------------------------------------------------
