@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .rackgroup import s3_quotient
-from .rewrite import CAP_EXCEEDED, CONFLUENT, Presentation, count_irreducible
+from .rewrite import CAP_EXCEEDED, CONFLUENT, CapExceededError, Presentation, count_irreducible
 from . import classify as classify_mod
 from . import fk3 as fk3_mod
 from . import jordan as jordan_mod
@@ -131,8 +131,11 @@ def _jordan_parser() -> argparse.ArgumentParser:
 
 
 def jordan_main(argv=None) -> int:
-    args = _jordan_parser().parse_args(argv)
+    parser = _jordan_parser()
+    args = parser.parse_args(argv)
     max_len = args.max_len
+    if max_len < 0:
+        parser.error("--max-len must be >= 0")
     reports = [jordan_mod.verify_pbw(jordan_mod.build_jordan(fl, max_len), max_len)
                for fl in jordan_mod.FLAVORS]
     coactions = jordan_mod.jordan_coactions(max_len)
@@ -187,13 +190,16 @@ def load_presentation(path: str) -> Presentation:
 
 
 def fulcrum_main(argv=None) -> int:
-    args = _fulcrum_parser().parse_args(argv)
+    parser = _fulcrum_parser()
+    args = parser.parse_args(argv)
+    if args.max_len is not None and args.max_len < 0:
+        parser.error("--max-len must be >= 0")
     try:
         pres = load_presentation(args.presentation)
-    except (OSError, ValueError) as exc:
+        report = pres.complete()
+    except (OSError, ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = pres.complete()
     if report.status == CAP_EXCEEDED:
         word_str = pres.alphabet.word_str
         print(f"cap exceeded: ambiguity {word_str(report.cap_word)} resolves to lead "

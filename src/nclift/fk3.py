@@ -126,10 +126,6 @@ class MuMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(c == z for row in self.entries for c in row)
-
 
 @dataclass
 class MuCheck:

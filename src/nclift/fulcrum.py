@@ -78,10 +78,6 @@ class LambdaMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(c == z for row in self.entries for c in row)
-
 
 @dataclass
 class LambdaCheck:
@@ -178,9 +174,6 @@ class FulcrumPresentation(Presentation):
         self.relations = self._build_relations()
 
     # ordinals: module letters 0..n-1, then group element e -> n + e
-    def module_ordinal(self, i: int) -> int:
-        return i
-
     def group_ordinal(self, e: int) -> int:
         return self.yd.group.rack.size + e
 
@@ -215,8 +208,8 @@ class FulcrumPresentation(Presentation):
             for i in range(yd.rack.size):
                 gi = yd.act(g, i)
                 lam_val = extend_lambda(self.lam, G.words[g], i, yd.rack)
-                items = [((self.group_ordinal(g), self.module_ordinal(i)), one),
-                         ((self.module_ordinal(gi), self.group_ordinal(g)), f.neg(one))]
+                items = [((self.group_ordinal(g), i), one),
+                         ((gi, self.group_ordinal(g)), f.neg(one))]
                 if self.name == T_LAMBDA and lam_val != f.zero:
                     # g x_i = x_{g.i} g + lambda(g, x_i) (1 - g_{g.i}) g
                     items.append(((self.group_ordinal(g),), f.neg(lam_val)))

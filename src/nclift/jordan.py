@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import Alphabet, NcPoly, QQ
+from .ncpoly import Alphabet, NcPoly, QQ, add_scaled
 from .rewrite import CONFLUENT, Presentation, count_irreducible
 from .fulcrum import letter_images, unannihilated_relations
 
@@ -68,12 +68,7 @@ def _inverse_action(matrix, hpart):
     for i in range(2):
         acc: dict = {}
         for j in range(2):
-            for w, coeff in hpart[j].items():
-                val = acc.get(w, Fraction(0)) - inv[i][j] * coeff
-                if val:
-                    acc[w] = val
-                else:
-                    acc.pop(w, None)
+            add_scaled(acc, hpart[j], -inv[i][j], QQ)
         kpart.append(acc)
     return inv, tuple(kpart)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
 
@@ -33,11 +33,12 @@ class Field:
     char: int
     name: str
 
-    @property
+    # computed once per field: every add_scaled call reads ``zero``
+    @cached_property
     def zero(self):
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.from_int(1)
 
@@ -49,9 +50,6 @@ class Field:
 
     def neg(self, a):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -159,9 +157,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in QQ")
         return 1 / Fraction(a)
-
-    def format(self, a) -> str:
-        return str(a)
 
 
 F2 = BinaryField()
@@ -293,6 +288,23 @@ def xdeglex_key(word: Word, alphabet: Alphabet):
 # noncommutative polynomials
 # ---------------------------------------------------------------------------
 
+def add_scaled(acc: dict, terms: Mapping, coeff, field: Field) -> dict:
+    """``acc += coeff * terms`` in place, never storing a zero; returns ``acc``.
+
+    The one accumulation kernel behind sums and normal forms: keys are words
+    or word pairs, values field elements.
+    """
+    z = field.zero
+    add, mul = field.add, field.mul
+    for k, c in terms.items():
+        s = add(acc.get(k, z), mul(coeff, c))
+        if s == z:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
 class NcPoly:
     """Sparse element of the free algebra on an alphabet.
 
@@ -372,15 +384,7 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         self._check_compatible(other)
         f = self.field
-        z = f.zero
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            s = f.add(acc.get(w, z), c)
-            if s == z:
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-        return NcPoly(self.alphabet, f, acc)
+        return NcPoly(self.alphabet, f, add_scaled(dict(self.terms), other.terms, f.one, f))
 
     def __neg__(self) -> "NcPoly":
         f = self.field
@@ -409,16 +413,6 @@ class NcPoly:
                 else:
                     acc[w] = s
         return NcPoly(self.alphabet, f, acc)
-
-    def lead_word(self, key=deglex_key) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=key)
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
 
     # -- text ----------------------------------------------------------------
 
@@ -485,15 +479,8 @@ class TensorPoly:
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
         self._check_compatible(other)
         f = self.field
-        z = f.zero
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            s = f.add(acc.get(k, z), c)
-            if s == z:
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return TensorPoly(self.left, self.right, f, acc)
+        return TensorPoly(self.left, self.right, f,
+                          add_scaled(dict(self.terms), other.terms, f.one, f))
 
     def __neg__(self) -> "TensorPoly":
         f = self.field

@@ -25,6 +25,7 @@ from .ncpoly import (
     NcPoly,
     TensorPoly,
     Word,
+    add_scaled,
     deglex_key,
     parse_poly,
     prime_field,
@@ -131,10 +132,6 @@ class ReductionSystem:
         self._frozen = True
         return self
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def rules(self) -> list[RewriteRule]:
         out = []
         for lead in sorted(self._rules, key=self._key):
@@ -173,7 +170,6 @@ class ReductionSystem:
         Returns True when the rule set changed.  Sets ``collapsed`` when a
         nonzero constant is derived.
         """
-        self._steps = 0
         terms = self._nf_terms(terms)
         if not terms:
             return False
@@ -216,7 +212,6 @@ class ReductionSystem:
                     if self.collapsed:
                         return
                     continue
-                self._steps = 0
                 reduced = self._nf_terms(tail)
                 if reduced != tail:
                     self._rules[lead] = reduced
@@ -256,42 +251,14 @@ class ReductionSystem:
             raise CapExceededError("rewrite step budget exhausted")
         i, lead = redex
         pre, suf = word[:i], word[i + len(lead):]
-        f = self.field
-        z = f.zero
         acc: dict = {}
         for tw, tc in self._rules[lead].items():
-            for sw, sc in self._nf_word(pre + tw + suf).items():
-                s = f.add(acc.get(sw, z), f.mul(tc, sc))
-                if s == z:
-                    acc.pop(sw, None)
-                else:
-                    acc[sw] = s
+            add_scaled(acc, self._nf_word(pre + tw + suf), tc, self.field)
         memo[word] = acc
         return acc
 
-    def _nf_terms(self, terms: dict) -> dict:
-        f = self.field
-        z = f.zero
-        acc: dict = {}
-        for w, c in terms.items():
-            for sw, sc in self._nf_word(w).items():
-                s = f.add(acc.get(sw, z), f.mul(c, sc))
-                if s == z:
-                    acc.pop(sw, None)
-                else:
-                    acc[sw] = s
-        return acc
-
-    def normal_form(self, p: NcPoly) -> NcPoly:
-        """Linear, idempotent reduction to a form free of rule leads."""
-        if p.alphabet != self.alphabet or (
-                p.field is not self.field and p.field != self.field):
-            raise ValueError("polynomial over a different alphabet or field")
-        self._steps = 0
-        try:
-            return NcPoly(self.alphabet, self.field, self._nf_terms(p.terms))
-        except RecursionError:
-            raise _too_deep(max(map(len, p.terms))) from None
+    # nf_word and _nf_terms are the two entries into _nf_word: each starts its
+    # own step budget and reports a recursion too deep as CapExceededError
 
     def nf_word(self, word: Word) -> dict:
         """Normal form of a single word (shared-cache fast path)."""
@@ -302,8 +269,23 @@ class ReductionSystem:
         except RecursionError:
             raise _too_deep(len(word)) from None
 
-    def is_irreducible(self, word: Word) -> bool:
-        return self._find_redex(word) is None
+    def _nf_terms(self, terms: dict) -> dict:
+        """Normal form of a coefficient dict, as a fresh coefficient dict."""
+        self._steps = 0
+        acc: dict = {}
+        try:
+            for w, c in terms.items():
+                add_scaled(acc, self._nf_word(w), c, self.field)
+        except RecursionError:
+            raise _too_deep(max(map(len, terms))) from None
+        return acc
+
+    def normal_form(self, p: NcPoly) -> NcPoly:
+        """Linear, idempotent reduction to a form free of rule leads."""
+        if p.alphabet != self.alphabet or (
+                p.field is not self.field and p.field != self.field):
+            raise ValueError("polynomial over a different alphabet or field")
+        return NcPoly(self.alphabet, self.field, self._nf_terms(p.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +441,6 @@ class CompletionReport:
 
 def _resolve(sys: ReductionSystem, amb: Ambiguity) -> dict:
     """Difference of the two one-step resolutions of an ambiguity, reduced."""
-    f = sys.field
-    z = f.zero
-    acc: dict = {}
-
-    def accumulate(terms: dict, sign) -> None:
-        for w, c in terms.items():
-            for sw, sc in sys._nf_word(w).items():
-                s = f.add(acc.get(sw, z), f.mul(f.mul(sign, c), sc))
-                if s == z:
-                    acc.pop(sw, None)
-                else:
-                    acc[sw] = s
-
     if amb.kind == "overlap":
         # lead1 applied at the left of ABC versus lead2 at the right
         left = {tw + amb.c: tc for tw, tc in sys._rules[amb.lead1].items()}
@@ -479,14 +448,9 @@ def _resolve(sys: ReductionSystem, amb: Ambiguity) -> dict:
     else:
         # lead1 = A lead2 C as a whole versus lead2 inside it
         left = dict(sys._rules[amb.lead1])
-        right = {}
-        for tw, tc in sys._rules[amb.lead2].items():
-            w = amb.a + tw + amb.c
-            right[w] = f.add(right.get(w, z), tc)
-    sys._steps = 0
-    accumulate(left, f.one)
-    accumulate(right, f.neg(f.one))
-    return acc
+        right = {amb.a + tw + amb.c: tc for tw, tc in sys._rules[amb.lead2].items()}
+    f = sys.field
+    return sys._nf_terms(add_scaled(left, right, f.neg(f.one), f))
 
 
 def complete(sys: ReductionSystem) -> CompletionReport:
@@ -592,6 +556,8 @@ def irreducible_words_by_length(sys: ReductionSystem, max_len: int) -> list[list
     Stops early once a length yields nothing (every longer word then contains
     a lead too, since prefixes of irreducible words are irreducible).
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if sys.collapsed:
         return [[]]
     by_last = sys._by_last

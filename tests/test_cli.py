@@ -1,5 +1,6 @@
 """Console entry points: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,54 @@ def test_fulcrum_complete_reports_where_the_cap_broke(tmp_path, capsys):
     assert doc["status"] == "CAP_EXCEEDED"
     assert sorted(doc) == ["ambiguities_checked", "new_rules", "rule_count", "rules",
                            "schema", "status"]
+
+
+def test_fulcrum_complete_rejects_a_relation_too_deep_to_reduce(tmp_path, capsys):
+    pres = jordan.build_jordan(jordan.U_JORDAN, 6)
+    alpha = pres.alphabet
+    doc = {
+        "alphabet": [{"id": alpha.ident(o), "sort": alpha.sort(o)} for o in range(len(alpha))],
+        "relations": [str(rel) for rel in pres.relations] + ["g " * 1000 + "x1 - x2"],
+        "field": "rational",
+        "order": "xdeglex",
+    }
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(doc))
+    assert fulcrum_main(["complete", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: normal form of a word of length 1001 exceeds the recursion limit\n")
+
+
+@pytest.mark.parametrize("main, argv", [
+    (fulcrum_main, ["complete", "pres.json", "--max-len", "-1"]),
+    (jordan_main, ["verify", "--max-len", "-1"]),
+], ids=["fulcrum", "jordan"])
+def test_negative_max_len_is_a_usage_error(capsys, main, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--max-len must be >= 0" in capsys.readouterr().err
+
+
+#: sha256 of four artifacts as the engine wrote them before its reduction
+#: code was restructured; a change to any byte of them must be deliberate
+@pytest.mark.parametrize("argv, digest", [
+    (["fulcrum", "complete", "{pres}", "--max-len", "6", "--json", "{out}"],
+     "f01f43b5602eecf8f69117c3c1c65babaca4422339c43b7f6c0204d0b60c1158"),
+    (["fk3", "verify", "--lambda", "000101110", "--mu", "100000000", "--galois",
+      "--json", "{out}"],
+     "bca2115e97e255ef6a9969bc3d62ebe6fd383d3d1f9603583de1de12fe2552d7"),
+    (["jordan", "verify", "--max-len", "6", "--json", "{out}"],
+     "e390312315a555d5ff126712bb233e9ddde851bf390f253dd4d36bb4bdae7972"),
+    (["fk3", "classify", "--group", "gx", "--out", "{out}"],
+     "79dec00cb19b7845e0a5328a253c67d3f27aa85f1a8e2f2e52f8fd373111ebf1"),
+], ids=["fulcrum-complete", "fk3-verify", "jordan-verify", "fk3-classify"])
+def test_artifacts_match_pinned_digests(tmp_path, argv, digest):
+    pres, out = tmp_path / "pres.json", tmp_path / "artifact"
+    pres.write_text(json.dumps(PRESENTATION))
+    main = {"fk3": fk3_main, "jordan": jordan_main, "fulcrum": fulcrum_main}[argv[0]]
+    assert main([arg.format(pres=pres, out=out) for arg in argv[1:]]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_fulcrum_complete_missing_file(capsys):

@@ -15,6 +15,7 @@ from nclift.ncpoly import (
     PrimeField,
     QQ,
     TensorPoly,
+    add_scaled,
     deglex_compare,
     format_poly,
     parse_poly,
@@ -155,6 +156,12 @@ def test_no_zero_coefficients_stored():
     assert not p.terms
     q = NcPoly.from_terms(ALPHA3, QQ, [((0,), Fraction(1, 2)), ((0,), Fraction(-1, 2))])
     assert not q
+    x0 = parse_poly("x0", ALPHA3, F2)
+    assert not (x0 + x0).terms
+    assert not (TensorPoly.of(x0, x0) + TensorPoly.of(x0, x0)).terms
+    acc = {(0,): Fraction(1), (1,): Fraction(2)}
+    assert add_scaled(acc, {(0,): Fraction(1, 2), (2,): Fraction(3)}, Fraction(-2), QQ) is acc
+    assert acc == {(1,): Fraction(2), (2,): Fraction(-6)}
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,8 @@ def test_normal_form_idempotent_and_linear(fk_completed):
 
 @pytest.mark.parametrize("flavor", [jordan.U_JORDAN, jordan.BOSONIZATION])
 def test_too_deep_normal_form_raises_cap_exceeded(flavor):
-    sys_ = jordan.build_jordan(flavor, 6).complete().system
+    pres = jordan.build_jordan(flavor, 6)
+    sys_ = pres.complete().system
     word = (jordan.POS,) * 1000 + (jordan.X1,)
     short = (jordan.POS, jordan.X1)
     expected = sys_.nf_word(short)
@@ -89,6 +90,11 @@ def test_too_deep_normal_form_raises_cap_exceeded(flavor):
     with pytest.raises(CapExceededError, match="length 1001"):
         sys_.normal_form(NcPoly.term(sys_.alphabet, sys_.field, word))
     assert sys_.nf_word(short) == expected
+    # building a system reduces each relation against the ones before it
+    alpha, field = sys_.alphabet, sys_.field
+    long_rel = NcPoly.term(alpha, field, word) - NcPoly.term(alpha, field, (jordan.X2,))
+    with pytest.raises(CapExceededError, match="length 1001"):
+        ReductionSystem(alpha, field, pres.relations + [long_rel], pres.degree_cap, pres.order)
 
 
 def test_step_budget_is_per_insert(monkeypatch):
@@ -353,6 +359,8 @@ def test_irreducible_counts_free_algebra():
     counts = count_irreducible(sys_, 2)
     assert counts.per_length == [1, 3, 9]
     assert not counts.finite
+    with pytest.raises(ValueError, match="max_len"):
+        count_irreducible(sys_, -1)
 
 
 def test_lifting_dimension_is_72():
