@@ -202,9 +202,10 @@ def fulcrum_main(argv=None) -> int:
         return 1
     if report.status == CAP_EXCEEDED:
         word_str = pres.alphabet.word_str
-        print(f"cap exceeded: ambiguity {word_str(report.cap_word)} resolves to lead "
-              f"{word_str(report.cap_lead)} of degree {len(report.cap_lead)} "
-              f"> degree_cap {pres.degree_cap}", file=sys.stderr)
+        source = ("" if report.cap_word is None
+                  else f"ambiguity {word_str(report.cap_word)} resolves to ")
+        print(f"cap exceeded: {source}lead {word_str(report.cap_lead)} of degree "
+              f"{len(report.cap_lead)} > degree_cap {pres.degree_cap}", file=sys.stderr)
     doc = report.to_json()
     if args.max_len is not None and report.status == CONFLUENT:
         counts = count_irreducible(report.system, args.max_len)

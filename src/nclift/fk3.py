@@ -455,12 +455,32 @@ def _verified_basis(build: AlgebraBuild, expect: int) -> list:
     return words
 
 
+def product_table(system: ReductionSystem, basis: list) -> list:
+    """Structure constants of an algebra over F2 in an irreducible-word basis.
+
+    Entry [i][j] is the normal form of basis[i] basis[j] as a bitset over
+    basis positions (bit k set when basis[k] occurs): one ``nf_word`` call
+    per product, len(basis)**2 in all.
+    """
+    if system.field != F2:
+        raise ValueError("product tables are bitsets over F2")
+    idx = {w: k for k, w in enumerate(basis)}
+    return [[sum(1 << idx[w] for w in system.nf_word(u + v)) for v in basis]
+            for u in basis]
+
+
 def galois_certificate(lam: LambdaMatrix, mu: MuMatrix, expect_dim: int = 72) -> GaloisCertificate:
     """Ranks of the two Galois maps on the constant-deformed quotient.
 
     kappa_r: A (x) A -> A (x) B, a (x) b -> a b_(0) (x) b_(1) and
     kappa_l: A (x) A -> L (x) A, a (x) b -> a_(-1) (x) a_(0) b, both expanded
     in the frozen irreducible-word bases; bijectivity is rank dim^2.
+
+    Every product in A comes from one ``product_table`` of ``basis_a``, so a
+    row is one shifted XOR of a table entry per term of a coaction image.
+    kappa_r's columns are ordered (B word, A word), which puts each product
+    a b_(0) in one dim-bit block; kappa_l's are (L word, A word).  Ordering
+    the columns differently does not change the rank.
     """
     if lam.field != F2:
         raise ValueError("Galois certificates are computed over F2")
@@ -493,29 +513,28 @@ def galois_certificate(lam: LambdaMatrix, mu: MuMatrix, expect_dim: int = 72) ->
                                          right_sys.alphabet, left_sys, right_sys))
         return out
 
-    rho_r = images_of_basis(imgs_r, a_sys, b_sys)
-    rho_l = images_of_basis(imgs_l, l_sys, a_sys)
+    prod = product_table(a_sys, basis_a)
+    # each image term as (A basis position, shift of its block of n columns)
+    rho_r = [[(idx_a[aw], idx_b[bw] * n) for aw, bw in rho.terms]
+             for rho in images_of_basis(imgs_r, a_sys, b_sys)]
+    rho_l = [[(idx_a[aw], idx_l[lw] * n) for lw, aw in rho.terms]
+             for rho in images_of_basis(imgs_l, l_sys, a_sys)]
 
     rows_r = []
-    for u in basis_a:
-        for w_idx in range(n):
+    for prod_u in prod:
+        for rho_w in rho_r:
             bits = 0
-            for (aw, bw) in rho_r[w_idx].terms:
-                col_b = idx_b[bw]
-                for aw2 in a_sys.nf_word(u + aw):
-                    bits ^= 1 << (idx_a[aw2] * n + col_b)
+            for a, shift in rho_w:
+                bits ^= prod_u[a] << shift
             rows_r.append(bits)
     rank_r = rank_f2(rows_r, n * n)
 
     rows_l = []
-    for u_idx in range(n):
-        rho_u = rho_l[u_idx]
-        for w in basis_a:
+    for rho_u in rho_l:
+        for w in range(n):
             bits = 0
-            for (lw, aw) in rho_u.terms:
-                row_l = idx_l[lw]
-                for aw2 in a_sys.nf_word(aw + w):
-                    bits ^= 1 << (row_l * n + idx_a[aw2])
+            for a, shift in rho_u:
+                bits ^= prod[a][w] << shift
             rows_l.append(bits)
     rank_l = rank_f2(rows_l, n * n)
 

@@ -368,29 +368,27 @@ class Presentation:
 # ambiguities and completion
 # ---------------------------------------------------------------------------
 
-def _pair_ambiguities(l1: Word, l2: Word, bound: int) -> Iterable[Ambiguity]:
+def _pair_ambiguities(l1: Word, l2: Word) -> Iterable[Ambiguity]:
     """Overlaps l1 = AB, l2 = BC with nonempty B, and occurrences of l2 in l1."""
     m = min(len(l1), len(l2))
     for k in range(1, m):
         if l1[len(l1) - k:] == l2[:k]:
-            amb = Ambiguity(l1, l2, l1[:len(l1) - k], l2[:k], l2[k:])
-            if len(amb.word) <= bound:
-                yield amb
+            yield Ambiguity(l1, l2, l1[:len(l1) - k], l2[:k], l2[k:])
     if l1 != l2 and len(l2) < len(l1):
         for i in range(len(l1) - len(l2) + 1):
             if l1[i:i + len(l2)] == l2:
                 yield Ambiguity(l1, l2, l1[:i], l2, l1[i + len(l2):], kind="inclusion")
 
 
-def _lead_ambiguities(lead: Word, others: Iterable[Word], bound: int) -> Iterable[Ambiguity]:
+def _lead_ambiguities(lead: Word, others: Iterable[Word]) -> Iterable[Ambiguity]:
     """The ambiguities of ``lead`` with itself and with each of ``others``."""
-    yield from _pair_ambiguities(lead, lead, bound)
+    yield from _pair_ambiguities(lead, lead)
     for other in others:
         # l2 overlaps or sits inside l1 only if l1 contains the first letter of l2
         if other[0] in lead:
-            yield from _pair_ambiguities(lead, other, bound)
+            yield from _pair_ambiguities(lead, other)
         if lead[0] in other:
-            yield from _pair_ambiguities(other, lead, bound)
+            yield from _pair_ambiguities(other, lead)
 
 
 def _ambiguity_order(sys: ReductionSystem, amb: Ambiguity) -> tuple:
@@ -402,15 +400,12 @@ def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
 
     Overlaps pair lead1 = A+B with lead2 = B+C for nonempty B; inclusions
     (one lead inside another) cannot occur in an inter-reduced system but are
-    reported for raw input.  Ambiguity words are bounded by 2*degree_cap - 1
-    automatically since rule leads never exceed the cap; filtering any
-    tighter would let completion overlook critical overlaps near the cap and
-    report confluence it never checked.
+    reported for raw input.  No ambiguity is filtered out: every ambiguity
+    word is shorter than twice the longest lead, whatever the degree cap.
     """
     leads = list(sys._rules)
-    bound = 2 * sys.degree_cap
     out = [amb for n, lead in enumerate(leads)
-           for amb in _lead_ambiguities(lead, leads[:n], bound)]
+           for amb in _lead_ambiguities(lead, leads[:n])]
     out.sort(key=lambda amb: _ambiguity_order(sys, amb))
     return out
 
@@ -421,8 +416,9 @@ class CompletionReport:
     system: ReductionSystem
     new_rules: list[RewriteRule] = dc_field(default_factory=list)
     ambiguities_checked: int = 0
-    #: on CAP_EXCEEDED, the ambiguity word whose resolution broke the cap and
-    #: the lead it would have adopted; neither is part of ``to_json``
+    #: on CAP_EXCEEDED, the lead longer than the cap and the ambiguity word
+    #: whose resolution produced it (None when the lead came from the input
+    #: or from inter-reduction); neither is part of ``to_json``
     cap_word: Word | None = None
     cap_lead: Word | None = None
 
@@ -464,15 +460,17 @@ def complete(sys: ReductionSystem) -> CompletionReport:
     a new rule and the system is immediately inter-reduced.  Once the queue
     runs dry after a rule was adopted, every ambiguity of the final system is
     resolved again and any that fails goes back on the queue, so a CONFLUENT
-    verdict always rests on a full pass over the final rules.
-    ``ambiguities_checked`` counts every resolution computed.
+    verdict always rests on a full pass over the final rules.  Any lead
+    longer than the degree cap, from the input, a resolution or
+    inter-reduction, stops the completion with CAP_EXCEEDED, so a CONFLUENT
+    system never has one.  ``ambiguities_checked`` counts every resolution
+    computed.
     """
     work = sys.copy()
     report = CompletionReport(CONFLUENT, work)
     if work.collapsed:
         report.status = COLLAPSED_TO_ZERO
         return report
-    bound = 2 * work.degree_cap
     ticks = itertools.count()
     version: dict = {}      # lead -> version of its current rule
     queue: list = []
@@ -481,16 +479,25 @@ def complete(sys: ReductionSystem) -> CompletionReport:
         heapq.heappush(queue, (_ambiguity_order(work, amb), next(ticks), amb,
                                version[amb.lead1], version[amb.lead2]))
 
+    def over_cap(fresh: list) -> bool:
+        over = [lead for lead in fresh if len(lead) > work.degree_cap]
+        if over:
+            report.status = CAP_EXCEEDED
+            report.cap_lead = min(over, key=work._key)
+        return bool(over)
+
     def enqueue(fresh: list) -> None:
         changed = set(fresh)
         settled = [lead for lead in work._rules if lead not in changed]
         for lead in fresh:
             version[lead] = next(ticks)
         for lead in fresh:
-            for amb in _lead_ambiguities(lead, settled, bound):
+            for amb in _lead_ambiguities(lead, settled):
                 push(amb)
             settled.append(lead)
 
+    if over_cap(list(work._rules)):
+        return report
     enqueue(list(work._rules))
     passed = True           # the first queue holds every ambiguity of the input
     while True:
@@ -520,7 +527,10 @@ def complete(sys: ReductionSystem) -> CompletionReport:
                 return report
             for old in before.keys() - work._rules.keys():
                 del version[old]
-            enqueue([lead for lead, tail in work._rules.items() if before.get(lead) != tail])
+            fresh = [lead for lead, tail in work._rules.items() if before.get(lead) != tail]
+            if over_cap(fresh):
+                return report
+            enqueue(fresh)
             passed = False
         if passed:
             break
@@ -535,7 +545,11 @@ def complete(sys: ReductionSystem) -> CompletionReport:
 
 
 def verify_confluent(sys: ReductionSystem) -> bool:
-    """Independent post-check: every ambiguity's two resolutions agree."""
+    """Independent post-check: every ambiguity's two resolutions agree.
+
+    Ambiguities are taken among the actual leads, whatever their length, so
+    the verdict does not depend on the degree cap.
+    """
     return all(not _resolve(sys, amb) for amb in find_ambiguities(sys))
 
 

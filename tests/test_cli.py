@@ -142,6 +142,21 @@ def test_fulcrum_complete_reports_where_the_cap_broke(tmp_path, capsys):
                            "schema", "status"]
 
 
+def test_fulcrum_complete_reports_an_input_lead_above_the_cap(tmp_path, capsys):
+    doc = {
+        "alphabet": [{"id": "x1", "sort": "module"}, {"id": "x2", "sort": "module"},
+                     {"id": "g", "sort": "group"}],
+        "relations": ["g " * 1000 + "x1 - x2"],
+    }
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert fulcrum_main(["complete", str(path), "--json", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"cap exceeded: lead {'g*' * 1000}x1 of degree 1001 > degree_cap 8\n")
+    assert json.loads(out.read_text())["status"] == "CAP_EXCEEDED"
+
+
 def test_fulcrum_complete_rejects_a_relation_too_deep_to_reduce(tmp_path, capsys):
     pres = jordan.build_jordan(jordan.U_JORDAN, 6)
     alpha = pres.alphabet

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from nclift.ncpoly import F2, parse_poly
-from nclift.rewrite import COLLAPSED_TO_ZERO, CONFLUENT
+from nclift.ncpoly import F2, NcPoly, parse_poly
+from nclift.rewrite import COLLAPSED_TO_ZERO, CONFLUENT, rank_f2
 from nclift import fk3
 from nclift.fk3 import (
     ONE_BASED,
@@ -30,7 +30,13 @@ from nclift.fk3 import (
     zero_lambda,
     zero_mu,
 )
-from nclift.fulcrum import T_LAMBDA, FulcrumPresentation, standard_yd_data
+from nclift.fulcrum import (
+    T_LAMBDA,
+    FulcrumPresentation,
+    apply_algebra_map,
+    letter_images,
+    standard_yd_data,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +264,103 @@ def test_galois_certificate_deformed_pair():
     mu = mu_from_bits("100000000", lam)
     cert = galois_certificate(lam, mu)
     assert cert.bijective
+
+
+def per_term_galois_rows(lam, mu):
+    """kappa_r and kappa_l rows built term by term with one nf_word call per
+    product, the construction before the product table; kappa_r's columns
+    are in (A word, B word) order here."""
+    A, L, B = build_cleft(lam, mu), build_lifting(lam, mu), bosonization_build()
+    basis_a, basis_l, basis_b = A.basis(), L.basis(), B.basis()
+    idx_a = {w: k for k, w in enumerate(basis_a)}
+    idx_l = {w: k for k, w in enumerate(basis_l)}
+    idx_b = {w: k for k, w in enumerate(basis_b)}
+    n = len(basis_a)
+    a_sys, l_sys, b_sys = A.system, L.system, B.system
+    degrees = A.presentation.degree_words()
+    imgs_r = letter_images(a_sys.alphabet, b_sys.alphabet, F2, degrees)
+    imgs_l = letter_images(l_sys.alphabet, a_sys.alphabet, F2, degrees)
+
+    def images_of_basis(imgs, left_sys, right_sys):
+        return [apply_algebra_map(NcPoly.term(a_sys.alphabet, F2, w), imgs, left_sys.alphabet,
+                                  right_sys.alphabet, left_sys, right_sys)
+                for w in basis_a]
+
+    rho_r = images_of_basis(imgs_r, a_sys, b_sys)
+    rho_l = images_of_basis(imgs_l, l_sys, a_sys)
+    rows_r = []
+    for u in basis_a:
+        for w_idx in range(n):
+            bits = 0
+            for (aw, bw) in rho_r[w_idx].terms:
+                for aw2 in a_sys.nf_word(u + aw):
+                    bits ^= 1 << (idx_a[aw2] * n + idx_b[bw])
+            rows_r.append(bits)
+    rows_l = []
+    for u_idx in range(n):
+        for w in basis_a:
+            bits = 0
+            for (lw, aw) in rho_l[u_idx].terms:
+                for aw2 in a_sys.nf_word(aw + w):
+                    bits ^= 1 << (idx_l[lw] * n + idx_a[aw2])
+            rows_l.append(bits)
+    return rows_r, rows_l
+
+
+def swap_column_blocks(row, n):
+    """Move the bit of column a*n + b to column b*n + a."""
+    out = 0
+    while row:
+        low = row & -row
+        a, b = divmod(low.bit_length() - 1, n)
+        out |= 1 << (b * n + a)
+        row ^= low
+    return out
+
+
+@pytest.mark.parametrize("lam_bits, mu_bits", [("000000000", "000000000"),
+                                               ("000101110", "100000000")])
+def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_bits):
+    lam = lambda_from_bits(lam_bits)
+    mu = mu_from_bits(mu_bits, lam)
+    passed = []
+
+    def recording_rank(rows, width=None):
+        passed.append(list(rows))
+        return rank_f2(rows, width)
+
+    monkeypatch.setattr(fk3, "rank_f2", recording_rank)
+    cert = galois_certificate(lam, mu)
+    rows_r, rows_l = passed
+    old_r, old_l = per_term_galois_rows(lam, mu)
+    assert [swap_column_blocks(row, 72) for row in old_r] == rows_r
+    assert old_l == rows_l
+    assert rank_f2(old_r, 5184) == rank_f2(old_l, 5184) == 5184
+    assert (cert.rank_right, cert.rank_left) == (5184, 5184)
+
+
+def test_product_table_is_associative_and_unital():
+    lam = lambda_from_bits("000101110")
+    A = build_cleft(lam, mu_from_bits("100000000", lam))
+    basis = A.basis()
+    n = len(basis)
+    prod = fk3.product_table(A.system, basis)
+    assert n == 72 and basis[0] == ()
+    for v in range(n):
+        assert prod[0][v] == prod[v][0] == 1 << v
+    support = [[[k for k in range(n) if bits >> k & 1] for bits in row] for row in prod]
+    for u in range(n):
+        prod_u = prod[u]
+        for v in range(n):
+            uv = support[u][v]
+            support_v = support[v]
+            for w in range(n):
+                left = right = 0
+                for k in uv:
+                    left ^= prod[k][w]
+                for k in support_v[w]:
+                    right ^= prod_u[k]
+                assert left == right, (basis[u], basis[v], basis[w])
 
 
 def test_rank_of_zero_map_is_zero():

@@ -195,6 +195,32 @@ def test_cap_exceeded_when_new_lead_would_be_too_long():
     assert not {"cap_word", "cap_lead"} & set(report.to_json())
 
 
+def test_input_lead_longer_than_the_cap_is_cap_exceeded():
+    relation = [_parse("x0 x1 x0 + x2")]
+    report = complete(ReductionSystem(ALPHA, F2, relation, degree_cap=1))
+    assert report.status == CAP_EXCEEDED
+    assert (report.cap_word, report.cap_lead) == (None, (0, 1, 0))
+    assert report.ambiguities_checked == 0
+    # the overlap x0 x1 x0 x1 x0 the cap-1 run never resolved is not confluent
+    assert not verify_confluent(ReductionSystem(ALPHA, F2, relation, degree_cap=1))
+    report = complete(ReductionSystem(ALPHA, F2, relation, degree_cap=8))
+    assert report.status == CONFLUENT
+    assert [str(rule) for rule in report.new_rules] == ["x2*x1*x0 -> x0*x1*x2"]
+
+
+def test_lead_from_inter_reduction_longer_than_the_cap_is_cap_exceeded():
+    # xdeglex: adopting x1 -> g g g + 1 rewrites x1 g -> g + x1 into g^4 -> g^3 + 1
+    alpha = Alphabet.from_parts(["x0", "x1"], ["g"])
+    relations = [parse_poly(text, alpha, F2)
+                 for text in ("x0 x1 g x0 + g + x1", "x1 g x1 g + x1 g x0 + 1", "x0 + 1")]
+    sys_ = ReductionSystem(alpha, F2, relations, degree_cap=3, order="xdeglex")
+    assert all(len(rule.lead) <= 3 for rule in sys_.rules())
+    report = complete(sys_)
+    assert report.status == CAP_EXCEEDED
+    assert (report.cap_word, report.cap_lead) == (None, (2, 2, 2, 2))
+    assert [str(rule) for rule in report.new_rules] == ["x1 -> g*g*g + 1"]
+
+
 # ---------------------------------------------------------------------------
 # the queue engine against the restart engine it replaced
 # ---------------------------------------------------------------------------
@@ -252,7 +278,7 @@ def restart_complete(sys_):
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, caps=st.integers(3, 5)):
     field = draw(st.sampled_from([F2, prime_field(5), QQ]))
     size = draw(st.integers(2, 3))
     alpha = Alphabet.from_parts([f"x{i}" for i in range(size)])
@@ -263,7 +289,7 @@ def small_systems(draw):
     terms = st.tuples(st.lists(letters, max_size=3).map(tuple), coeffs)
     relations = draw(st.lists(st.tuples(heads, st.lists(terms, max_size=2)),
                               min_size=1, max_size=4))
-    cap = draw(st.integers(3, 5))
+    cap = draw(caps)
     return ReductionSystem(alpha, field, [NcPoly.from_terms(alpha, field, [head] + rest)
                                           for head, rest in relations], degree_cap=cap)
 
@@ -280,6 +306,17 @@ def test_queue_completion_matches_restart_completion(sys_):
     assert report.new_rules == ref_new
     if status == CONFLUENT:
         assert verify_confluent(report.system)
+
+
+@given(small_systems(caps=st.integers(1, 4)))
+@settings(max_examples=200, deadline=None)
+def test_confluent_systems_have_no_lead_above_the_cap(sys_):
+    report = complete(sys_)
+    if report.status == CONFLUENT:
+        assert all(len(rule.lead) <= sys_.degree_cap for rule in report.system.rules())
+        assert verify_confluent(report.system)
+    elif report.status == CAP_EXCEEDED:
+        assert len(report.cap_lead) > sys_.degree_cap
 
 
 def fomin_kirillov(n, field, cap):
