@@ -3,7 +3,8 @@
 Three console scripts are installed: ``fk3`` (classification and per-pair
 verification over GF(2)), ``jordan`` (the characteristic-zero example), and
 ``fulcrum`` (the raw completion engine on a presentation file).  All JSON
-artifacts carry ``"schema": 1`` and are byte-stable across runs.
+artifacts carry ``"schema": 1`` and are byte-stable across runs.  An output
+path that cannot be written prints ``error: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -20,13 +21,26 @@ from . import fk3 as fk3_mod
 from . import jordan as jordan_mod
 
 
-def _dump_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
+def _write(text: str, path: str | None) -> bool:
+    """Write an artifact to ``path``, or to stdout when there is none.
+
+    Returns False, after an ``error:`` line on stderr, when the path cannot
+    be written.
+    """
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _dump_json(doc: dict, path: str | None) -> bool:
+    return _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
 def _certify_worker(key: tuple) -> tuple:
@@ -76,11 +90,8 @@ def _fk3_classify(args: argparse.Namespace) -> int:
         else:
             certificates = dict(map(_certify_worker, reps))
     table = classify_mod.emit_table(classes, args.format, args.group, certificates)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table)
-    else:
-        sys.stdout.write(table)
+    if not _write(table, args.out):
+        return 1
     n_pairs = sum(len(c) for c in classes)
     print(f"pairs: {n_pairs}  classes: {len(classes)}", file=sys.stderr)
     if args.group == "gx" and (n_pairs, len(classes)) != (32, 10):
@@ -95,8 +106,7 @@ def _fk3_verify(args: argparse.Namespace) -> int:
     doc = cert.to_json()
     # the finite group backing the run, for reproducibility
     doc["group_table"] = s3_quotient().to_json()
-    _dump_json(doc, args.json_out)
-    return 0 if cert.valid else 1
+    return 0 if _dump_json(doc, args.json_out) and cert.valid else 1
 
 
 def fk3_main(argv=None) -> int:
@@ -159,7 +169,8 @@ def jordan_main(argv=None) -> int:
             "ok": coactions.ok,
         },
     }
-    _dump_json(doc, args.json_out)
+    if not _dump_json(doc, args.json_out):
+        return 1
     total = reports[0].total
     print(f"irreducible words up to length {max_len}: {total}", file=sys.stderr)
     ok = all(rep.ok for rep in reports) and coactions.ok
@@ -214,5 +225,4 @@ def fulcrum_main(argv=None) -> int:
             "total": counts.total,
             "finite": counts.finite,
         }
-    _dump_json(doc, args.json_out)
-    return 0 if report.status == CONFLUENT else 1
+    return 0 if _dump_json(doc, args.json_out) and report.status == CONFLUENT else 1

@@ -27,12 +27,15 @@ from .rewrite import (
 from .fulcrum import (
     BOSONIZATION,
     FulcrumPresentation,
+    LambdaCheck,
     LambdaMatrix,
     T_LAMBDA,
     T_PRIME_LAMBDA,
     apply_algebra_map,
+    as_entries,
     check_skew_primitive,
     letter_images,
+    satisfies_s3_condition,
     standard_yd_data,
     unannihilated_relations,
     validate_lambda,
@@ -44,9 +47,9 @@ ONE_BASED = "one_based"          # source indices 1,2,3 read as 0,1,2
 THREE_AS_ZERO = "three_as_zero"  # source index 3 read as 0, indices 1,2 kept
 CONVENTIONS = (ONE_BASED, THREE_AS_ZERO)
 
-
-def _rhd(i: int, j: int) -> int:
-    return _RACK.act(i, j)
+#: irreducible words are enumerated up to this length; the 72-dimensional
+#: quotients have none longer than 5
+BASIS_LEN = 12
 
 
 def relation_orbit_reps() -> tuple:
@@ -61,14 +64,14 @@ def relation_orbit_reps() -> tuple:
             a, b = i, j
             for _ in range(3):
                 seen.add((a, b))
-                a, b = _rhd(a, b), a
+                a, b = _RACK.act(a, b), a
     return tuple(reps)
 
 
 def quadratic_relation_terms(i: int, j: int) -> list:
     """Word list of x_i x_j + x_{i|>j} x_i + x_{(i|>j)|>i} x_{i|>j}."""
-    k = _rhd(i, j)
-    return [(i, j), (k, i), (_rhd(k, i), k)]
+    k = _RACK.act(i, j)
+    return [(i, j), (k, i), (_RACK.act(k, i), k)]
 
 
 def module_alphabet(prefix: str = "x") -> Alphabet:
@@ -89,8 +92,8 @@ def fk3_relations(field: Field = F2, prefix: str = "x") -> list[NcPoly]:
 
 
 @lru_cache(maxsize=None)
-def nichols_report(degree_cap: int = 8) -> CompletionReport:
-    return Presentation(module_alphabet(), F2, fk3_relations(), degree_cap).complete()
+def nichols_report() -> CompletionReport:
+    return Presentation(module_alphabet(), F2, fk3_relations()).complete()
 
 
 def nichols_dimension() -> int:
@@ -117,42 +120,23 @@ def nichols_length_counts() -> list[int]:
 # mu matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MuMatrix:
-    entries: tuple
-    field: Field
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-
-@dataclass
-class MuCheck:
-    ok: bool
-    matrix: MuMatrix | None
-    violations: list
-
-
-def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> MuCheck:
+def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
     """Accept m iff the orbit identities mu_{i,j} = mu_{i|>j,i} = mu_{j,i|>j}
     and all 27 instances of the joint constraint with lambda hold."""
     f = lam.field
-    e = tuple(tuple(f.from_int(c) if isinstance(c, int) else c for c in row) for row in m)
-    if len(e) != 3 or any(len(r) != 3 for r in e):
-        raise ValueError("expected a 3x3 matrix")
+    e = as_entries(m, f)
     violations = []
     for i in range(3):
         for j in range(3):
-            k = _rhd(i, j)
+            k = _RACK.act(i, j)
             if not (e[i][j] == e[k][i] == e[j][k]):
                 violations.append(("orbit", i, j))
     lamv = lam.entries
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                ij = _rhd(i, j)
-                lhs = f.add(e[i][j], e[_rhd(k, i)][_rhd(k, j)])
+                ij = _RACK.act(i, j)
+                lhs = f.add(e[i][j], e[_RACK.act(k, i)][_RACK.act(k, j)])
                 rhs = f.add(
                     f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
                     f.add(
@@ -163,8 +147,8 @@ def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> MuCheck:
                 if lhs != rhs:
                     violations.append(("joint", i, j, k))
     if violations:
-        return MuCheck(False, None, violations)
-    return MuCheck(True, MuMatrix(e, f), [])
+        return LambdaCheck(False, None, violations)
+    return LambdaCheck(True, LambdaMatrix(e, f), [])
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +158,12 @@ def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> MuCheck:
 def linear_correction(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int) -> NcPoly:
     """r_{i,j} = lambda_{i,j} x_i + lambda_{i|>j,i} x_{i|>j} + lambda_{j,i|>j} x_j."""
     f = lam.field
-    k = _rhd(i, j)
+    k = _RACK.act(i, j)
     items = [((i,), lam[i, j]), ((k,), lam[k, i]), ((j,), lam[j, k])]
     return NcPoly.from_terms(pres.alphabet, f, items)
 
 
-def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: MuMatrix,
+def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: LambdaMatrix,
                       i: int, j: int, group_term: bool) -> NcPoly:
     """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term only."""
     f = lam.field
@@ -201,14 +185,10 @@ def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: MuMatrix
 
 @dataclass
 class AlgebraBuild:
-    """A deformed quotient: its presentation, full input relations and the
-    completion report."""
+    """A deformed quotient: its presentation and the completion report."""
 
-    flavor: str
     presentation: FulcrumPresentation
-    relations: list
     report: CompletionReport
-    deformed: list = dc_field(default_factory=list)
 
     @property
     def status(self) -> str:
@@ -218,66 +198,51 @@ class AlgebraBuild:
     def system(self) -> ReductionSystem:
         return self.report.system
 
-    def dimension(self, max_len: int = 12) -> int | None:
-        """Total irreducible words, or None when not finite below max_len."""
+    def dimension(self) -> int | None:
+        """Total irreducible words, or None when not finite below BASIS_LEN."""
         if self.report.status != CONFLUENT:
             return 0 if self.report.status == COLLAPSED_TO_ZERO else None
-        counts = count_irreducible(self.system, max_len)
+        counts = count_irreducible(self.system, BASIS_LEN)
         return counts.total if counts.finite else None
 
-    def basis(self, max_len: int = 12) -> list:
-        return irreducible_words(self.system, max_len)
+    def basis(self) -> list:
+        return irreducible_words(self.system, BASIS_LEN)
 
 
-def _build_quotient(lam: LambdaMatrix, mu: MuMatrix, flavor: str,
-                    degree_cap: int) -> AlgebraBuild:
-    yd = standard_yd_data()
-    pres = FulcrumPresentation(flavor, yd, lam, degree_cap)
+@lru_cache(maxsize=None)
+def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> AlgebraBuild:
+    """The flavor's presentation followed by the nine deformed relations,
+    completed.  lambda must be valid for the presentation to exist at all;
+    mu is taken as-is, so that invalid choices can be seen to collapse the
+    quotient."""
+    pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
     group_term = flavor == T_LAMBDA
     # all nine index pairs generate the ideal; for valid mu the three
     # relations of an orbit coincide, for invalid mu their differences are
     # exactly what collapses the quotient
-    deformed = [deformed_relation(pres, lam, mu, i, j, group_term)
-                for i in range(3) for j in range(3)]
-    quotient = Presentation(pres.alphabet, lam.field, pres.relations + deformed,
-                            degree_cap, name=flavor)
-    return AlgebraBuild(flavor, pres, quotient.relations, quotient.complete(), deformed)
+    pres.relations += [deformed_relation(pres, lam, mu, i, j, group_term)
+                       for i in range(3) for j in range(3)]
+    return AlgebraBuild(pres, pres.complete())
 
 
-@lru_cache(maxsize=None)
-def _cached_build(lam_bits: str, mu_bits: str, flavor: str, degree_cap: int) -> AlgebraBuild:
-    # lambda must be valid for the presentation to exist at all; mu is taken
-    # as-is so that invalid choices can be observed to collapse the quotient
-    lam = lambda_from_bits(lam_bits)
-    mu = mu_unchecked(matrix_from_bits(mu_bits))
-    return _build_quotient(lam, mu, flavor, degree_cap)
-
-
-def build_lifting(lam: LambdaMatrix, mu: MuMatrix, degree_cap: int = 8) -> AlgebraBuild:
+def build_lifting(lam: LambdaMatrix, mu: LambdaMatrix) -> AlgebraBuild:
     """The quotient of T_lambda by the five deformed relations, completed."""
-    return _cached_build(bits_of(lam.entries), bits_of(mu.entries), T_LAMBDA, degree_cap)
+    return _build_quotient(lam, mu, T_LAMBDA)
 
 
-def build_cleft(lam: LambdaMatrix, mu: MuMatrix, degree_cap: int = 8) -> AlgebraBuild:
+def build_cleft(lam: LambdaMatrix, mu: LambdaMatrix) -> AlgebraBuild:
     """The quotient of T'_lambda by the constant-deformed relations, completed."""
-    return _cached_build(bits_of(lam.entries), bits_of(mu.entries), T_PRIME_LAMBDA, degree_cap)
+    return _build_quotient(lam, mu, T_PRIME_LAMBDA)
 
 
-@lru_cache(maxsize=None)
-def bosonization_build(degree_cap: int = 8) -> AlgebraBuild:
+def bosonization_build() -> AlgebraBuild:
     """The undeformed quotient (zero lambda and mu over the bosonization rules)."""
-    lam = zero_lambda()
-    mu = zero_mu()
-    return _build_quotient(lam, mu, BOSONIZATION, degree_cap)
+    return _build_quotient(zero_lambda(), zero_mu(), BOSONIZATION)
 
 
 # ---------------------------------------------------------------------------
 # bitstring codecs (row-major, 0/1 characters)
 # ---------------------------------------------------------------------------
-
-def bits_of(entries) -> str:
-    return "".join(str(int(c) & 1) for row in entries for c in row)
-
 
 def matrix_from_bits(bits: str) -> list:
     if len(bits) != 9 or any(c not in "01" for c in bits):
@@ -286,31 +251,30 @@ def matrix_from_bits(bits: str) -> list:
     return [vals[0:3], vals[3:6], vals[6:9]]
 
 
-def lambda_from_bits(bits: str, mode: str = "gx") -> LambdaMatrix:
-    check = validate_lambda(matrix_from_bits(bits), mode)
+def lambda_from_bits(bits: str) -> LambdaMatrix:
+    check = validate_lambda(matrix_from_bits(bits))
     if not check.ok:
         raise ValueError(f"invalid lambda bits {bits}: violations {check.violations[:3]}")
     return check.matrix
 
 
-def mu_from_bits(bits: str, lam: LambdaMatrix) -> MuMatrix:
+def mu_from_bits(bits: str, lam: LambdaMatrix) -> LambdaMatrix:
     check = validate_mu(matrix_from_bits(bits), lam)
     if not check.ok:
         raise ValueError(f"invalid mu bits {bits}: violations {check.violations[:3]}")
     return check.matrix
 
 
-def mu_unchecked(entries: Sequence[Sequence], field: Field = F2) -> MuMatrix:
-    """A MuMatrix without constraint checking, for collapse experiments."""
-    return MuMatrix(tuple(tuple(field.from_int(int(c)) for c in row) for row in entries),
-                    field)
+def mu_unchecked(entries: Sequence[Sequence]) -> LambdaMatrix:
+    """A mu matrix over F2 without constraint checking, for collapse experiments."""
+    return LambdaMatrix(as_entries(entries, F2), F2)
 
 
-def zero_lambda(mode: str = "gx") -> LambdaMatrix:
-    return validate_lambda([[0] * 3] * 3, mode).matrix
+def zero_lambda() -> LambdaMatrix:
+    return validate_lambda([[0] * 3] * 3).matrix
 
 
-def zero_mu() -> MuMatrix:
+def zero_mu() -> LambdaMatrix:
     return validate_mu([[0] * 3] * 3, zero_lambda()).matrix
 
 
@@ -318,7 +282,7 @@ def zero_mu() -> MuMatrix:
 # the derived cubic rule
 # ---------------------------------------------------------------------------
 
-def derived_cubic_relation(lam: LambdaMatrix, mu: MuMatrix) -> NcPoly:
+def derived_cubic_relation(lam: LambdaMatrix, mu: LambdaMatrix) -> NcPoly:
     """The degree-3 rule produced by completing the constant-deformed quotient,
     as a monic relation polynomial."""
     build = build_cleft(lam, mu)
@@ -330,7 +294,7 @@ def derived_cubic_relation(lam: LambdaMatrix, mu: MuMatrix) -> NcPoly:
     return cubic[0].as_poly()
 
 
-def cubic_formula(lam: LambdaMatrix, mu: MuMatrix, convention: str = ONE_BASED) -> NcPoly:
+def cubic_formula(lam: LambdaMatrix, mu: LambdaMatrix, convention: str = ONE_BASED) -> NcPoly:
     """Closed form of the degree-3 relation in the deformation parameters.
 
     The closed form is stated with generators indexed 1, 2, 3 while
@@ -404,17 +368,17 @@ def resolve_cubic_convention() -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def group_term_presentation(lam_bits: str) -> FulcrumPresentation:
+def group_term_presentation(lam: LambdaMatrix) -> FulcrumPresentation:
     """The (cached) group-term presentation T_lambda for this cocycle matrix."""
-    return FulcrumPresentation(T_LAMBDA, standard_yd_data(), lambda_from_bits(lam_bits))
+    return FulcrumPresentation(T_LAMBDA, standard_yd_data(), lam)
 
 
-def skew_primitivity(lam: LambdaMatrix, mu: MuMatrix) -> dict:
+def skew_primitivity(lam: LambdaMatrix, mu: LambdaMatrix) -> dict:
     """For each representative (i,j): is the full deformed relation
     (1, g_i g_j)-skew-primitive inside T_lambda?  In characteristic 2 the
     constant-plus-group part is itself skew-primitive, so this holds exactly
     when the quadratic-plus-linear core does."""
-    pres = group_term_presentation(bits_of(lam.entries))
+    pres = group_term_presentation(lam)
     G = pres.yd.group
     out = {}
     for i, j in relation_orbit_reps():
@@ -469,7 +433,8 @@ def product_table(system: ReductionSystem, basis: list) -> list:
             for u in basis]
 
 
-def galois_certificate(lam: LambdaMatrix, mu: MuMatrix, expect_dim: int = 72) -> GaloisCertificate:
+def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix,
+                       expect_dim: int = 72) -> GaloisCertificate:
     """Ranks of the two Galois maps on the constant-deformed quotient.
 
     kappa_r: A (x) A -> A (x) B, a (x) b -> a b_(0) (x) b_(1) and
@@ -501,7 +466,7 @@ def galois_certificate(lam: LambdaMatrix, mu: MuMatrix, expect_dim: int = 72) ->
     imgs_l = letter_images(l_sys.alphabet, a_sys.alphabet, F2, degrees)
     for side, imgs, left_sys, right_sys in (("right", imgs_r, a_sys, b_sys),
                                             ("left", imgs_l, l_sys, a_sys)):
-        failed = unannihilated_relations(A.relations, imgs, left_sys, right_sys)
+        failed = unannihilated_relations(A.presentation.relations, imgs, left_sys, right_sys)
         if failed:
             raise ValueError(f"{side} coaction does not descend on: {failed[0]}")
 
@@ -605,16 +570,16 @@ class LiftingCertificate:
 
 
 def certify(lam_bits: str, mu_bits: str, group_mode: str = "s3",
-            galois: bool = False, degree_cap: int = 8) -> LiftingCertificate:
+            galois: bool = False) -> LiftingCertificate:
     """Full verification pipeline for one parameter pair over the finite group."""
     if group_mode != "s3":
         raise ValueError("dimension verification always runs over the finite quotient")
-    lam = lambda_from_bits(lam_bits, mode="gx")
+    lam = lambda_from_bits(lam_bits)
     mu = mu_from_bits(mu_bits, lam)
-    if not validate_lambda(matrix_from_bits(lam_bits), "s3").ok:
+    if not satisfies_s3_condition(lam):
         raise ValueError("lambda does not satisfy the finite-quotient condition")
-    L = build_lifting(lam, mu, degree_cap)
-    A = build_cleft(lam, mu, degree_cap)
+    L = build_lifting(lam, mu)
+    A = build_cleft(lam, mu)
     cert = LiftingCertificate(
         lam_bits=lam_bits, mu_bits=mu_bits, group_mode=group_mode, valid=True,
         dim_lifting=L.dimension(), dim_cleft=A.dimension(),

@@ -28,6 +28,8 @@ FLAVORS = (T_LAMBDA, T_PRIME_LAMBDA, BOSONIZATION)
 GX_MODE = "gx"
 S3_MODE = "s3"
 
+_RACK = dihedral_rack()
+
 
 @dataclass(frozen=True)
 class PointedYDData:
@@ -58,7 +60,7 @@ class PointedYDData:
 
 
 def standard_yd_data() -> PointedYDData:
-    return PointedYDData(dihedral_rack(), s3_quotient())
+    return PointedYDData(_RACK, s3_quotient())
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +69,12 @@ def standard_yd_data() -> PointedYDData:
 
 @dataclass(frozen=True)
 class LambdaMatrix:
-    """A 3x3 matrix of scalars lambda_{i,j} = lambda(g_i, x_j) satisfying the
-    cocycle compatibility with the rack relations."""
+    """A 3x3 matrix of scalars: the cocycle lambda_{i,j} = lambda(g_i, x_j),
+    or the constant terms mu_{i,j} of the deformed relations.  Frozen and
+    hashable, so it can key a cache."""
 
     entries: tuple
     field: Field
-    mode: str
 
     def __getitem__(self, ij) -> object:
         i, j = ij
@@ -86,7 +88,7 @@ class LambdaCheck:
     violations: list
 
 
-def _as_entries(m: Sequence[Sequence], field: Field) -> tuple:
+def as_entries(m: Sequence[Sequence], field: Field) -> tuple:
     rows = tuple(tuple(field.from_int(c) if isinstance(c, int) else c for c in row)
                  for row in m)
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
@@ -95,52 +97,48 @@ def _as_entries(m: Sequence[Sequence], field: Field) -> tuple:
 
 
 def validate_lambda(m: Sequence[Sequence], mode: str = GX_MODE,
-                    field: Field = F2, rack: RackData | None = None) -> LambdaCheck:
+                    field: Field = F2) -> LambdaCheck:
     """Accept m iff lambda_{i,j|>k} + lambda_{j,k} = lambda_{i|>j,i|>k} + lambda_{i,k}
     for all index triples; in S3 mode additionally lambda_{i,j} = lambda_{i,i|>j}."""
-    r = rack if rack is not None else dihedral_rack()
-    e = _as_entries(m, field)
+    e = as_entries(m, field)
     f = field
     violations = []
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                lhs = f.add(e[i][r.act(j, k)], e[j][k])
-                rhs = f.add(e[r.act(i, j)][r.act(i, k)], e[i][k])
+                lhs = f.add(e[i][_RACK.act(j, k)], e[j][k])
+                rhs = f.add(e[_RACK.act(i, j)][_RACK.act(i, k)], e[i][k])
                 if lhs != rhs:
                     violations.append((i, j, k))
     if mode == S3_MODE:
         for i in range(3):
             for j in range(3):
-                if e[i][j] != e[i][r.act(i, j)]:
+                if e[i][j] != e[i][_RACK.act(i, j)]:
                     violations.append(("s3", i, j))
     elif mode != GX_MODE:
         raise ValueError(f"unknown mode {mode!r}")
     if violations:
         return LambdaCheck(False, None, violations)
-    return LambdaCheck(True, LambdaMatrix(e, field, mode), [])
+    return LambdaCheck(True, LambdaMatrix(e, field), [])
 
 
-def satisfies_s3_condition(lam: LambdaMatrix, rack: RackData | None = None) -> bool:
-    r = rack if rack is not None else dihedral_rack()
-    return all(lam[i, j] == lam[i, r.act(i, j)] for i in range(3) for j in range(3))
+def satisfies_s3_condition(lam: LambdaMatrix) -> bool:
+    return all(lam[i, j] == lam[i, _RACK.act(i, j)] for i in range(3) for j in range(3))
 
 
-def extend_lambda(lam: LambdaMatrix, word: Iterable[int], j: int,
-                  rack: RackData | None = None):
+def extend_lambda(lam: LambdaMatrix, word: Iterable[int], j: int):
     """lambda(g, x_j) for g given as a word in the rack generators.
 
     Folds the cocycle law lambda(gh, x) = lambda(g, h . x) + lambda(h, x);
     the value is independent of the chosen word for a fixed group element
     whenever the matrix is valid.
     """
-    r = rack if rack is not None else dihedral_rack()
     f = lam.field
     total = f.zero
     target = j
     for i in reversed(tuple(word)):
         total = f.add(total, lam[i, target])
-        target = r.act(i, target)
+        target = _RACK.act(i, target)
     return total
 
 
@@ -160,17 +158,16 @@ class FulcrumPresentation(Presentation):
 
     Rules: identity-letter elimination, the full group multiplication table,
     and one commutation rule per (non-identity group element, module letter).
+    A deformed quotient in ``fk3`` appends its deformed relations after these.
     """
 
-    def __init__(self, flavor: str, yd: PointedYDData, lam: LambdaMatrix,
-                 degree_cap: int = 8):
+    def __init__(self, flavor: str, yd: PointedYDData, lam: LambdaMatrix):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         self.yd = yd
         self.lam = lam
         prefix = "y" if flavor == T_PRIME_LAMBDA else "x"
-        super().__init__(fulcrum_alphabet(yd.group, prefix), lam.field, (),
-                         degree_cap, name=flavor)
+        super().__init__(fulcrum_alphabet(yd.group, prefix), lam.field, (), name=flavor)
         self.relations = self._build_relations()
 
     # ordinals: module letters 0..n-1, then group element e -> n + e
@@ -207,7 +204,7 @@ class FulcrumPresentation(Presentation):
         for g in nonid:
             for i in range(yd.rack.size):
                 gi = yd.act(g, i)
-                lam_val = extend_lambda(self.lam, G.words[g], i, yd.rack)
+                lam_val = extend_lambda(self.lam, G.words[g], i)
                 items = [((self.group_ordinal(g), i), one),
                          ((gi, self.group_ordinal(g)), f.neg(one))]
                 if self.name == T_LAMBDA and lam_val != f.zero:

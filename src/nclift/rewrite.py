@@ -68,14 +68,17 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class Ambiguity:
-    """Overlap (lead1 = AB, lead2 = BC, B nonempty) or inclusion of leads."""
+    """Overlap of leads: lead1 = AB, lead2 = BC, B nonempty.
+
+    Rules are kept inter-reduced, so no lead contains another and there are
+    no inclusion ambiguities.
+    """
 
     lead1: Word
     lead2: Word
     a: Word
     b: Word
     c: Word
-    kind: str = "overlap"
 
     @property
     def word(self) -> Word:
@@ -369,22 +372,18 @@ class Presentation:
 # ---------------------------------------------------------------------------
 
 def _pair_ambiguities(l1: Word, l2: Word) -> Iterable[Ambiguity]:
-    """Overlaps l1 = AB, l2 = BC with nonempty B, and occurrences of l2 in l1."""
+    """Overlaps l1 = AB, l2 = BC with nonempty B."""
     m = min(len(l1), len(l2))
     for k in range(1, m):
         if l1[len(l1) - k:] == l2[:k]:
             yield Ambiguity(l1, l2, l1[:len(l1) - k], l2[:k], l2[k:])
-    if l1 != l2 and len(l2) < len(l1):
-        for i in range(len(l1) - len(l2) + 1):
-            if l1[i:i + len(l2)] == l2:
-                yield Ambiguity(l1, l2, l1[:i], l2, l1[i + len(l2):], kind="inclusion")
 
 
 def _lead_ambiguities(lead: Word, others: Iterable[Word]) -> Iterable[Ambiguity]:
     """The ambiguities of ``lead`` with itself and with each of ``others``."""
     yield from _pair_ambiguities(lead, lead)
     for other in others:
-        # l2 overlaps or sits inside l1 only if l1 contains the first letter of l2
+        # l1 = AB overlaps l2 = BC only if l1 contains the first letter of l2
         if other[0] in lead:
             yield from _pair_ambiguities(lead, other)
         if lead[0] in other:
@@ -392,16 +391,15 @@ def _lead_ambiguities(lead: Word, others: Iterable[Word]) -> Iterable[Ambiguity]
 
 
 def _ambiguity_order(sys: ReductionSystem, amb: Ambiguity) -> tuple:
-    return (sys._key(amb.word), amb.lead1, amb.lead2, amb.kind, amb.a)
+    return (sys._key(amb.word), amb.lead1, amb.lead2, amb.a)
 
 
 def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
-    """All overlap and inclusion ambiguities among the current rules.
+    """All overlap ambiguities among the current rules.
 
-    Overlaps pair lead1 = A+B with lead2 = B+C for nonempty B; inclusions
-    (one lead inside another) cannot occur in an inter-reduced system but are
-    reported for raw input.  No ambiguity is filtered out: every ambiguity
-    word is shorter than twice the longest lead, whatever the degree cap.
+    Overlaps pair lead1 = A+B with lead2 = B+C for nonempty B.  No ambiguity
+    is filtered out: every ambiguity word is shorter than twice the longest
+    lead, whatever the degree cap.
     """
     leads = list(sys._rules)
     out = [amb for n, lead in enumerate(leads)
@@ -436,15 +434,10 @@ class CompletionReport:
 
 
 def _resolve(sys: ReductionSystem, amb: Ambiguity) -> dict:
-    """Difference of the two one-step resolutions of an ambiguity, reduced."""
-    if amb.kind == "overlap":
-        # lead1 applied at the left of ABC versus lead2 at the right
-        left = {tw + amb.c: tc for tw, tc in sys._rules[amb.lead1].items()}
-        right = {amb.a + tw: tc for tw, tc in sys._rules[amb.lead2].items()}
-    else:
-        # lead1 = A lead2 C as a whole versus lead2 inside it
-        left = dict(sys._rules[amb.lead1])
-        right = {amb.a + tw + amb.c: tc for tw, tc in sys._rules[amb.lead2].items()}
+    """Difference of the two one-step resolutions of an ambiguity, reduced:
+    lead1 applied at the left of ABC versus lead2 at the right."""
+    left = {tw + amb.c: tc for tw, tc in sys._rules[amb.lead1].items()}
+    right = {amb.a + tw: tc for tw, tc in sys._rules[amb.lead2].items()}
     f = sys.field
     return sys._nf_terms(add_scaled(left, right, f.neg(f.one), f))
 

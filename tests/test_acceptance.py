@@ -113,7 +113,7 @@ def test_criterion_05_skew_primitivity(pairs):
     mu0 = fk3.zero_mu()
     for p in pairs:
         lam = fk3.lambda_from_bits(p.lam_bits)
-        pres = fk3.group_term_presentation(p.lam_bits)
+        pres = fk3.group_term_presentation(lam)
         for i, j in fk3.relation_orbit_reps():
             # the exact displayed identity on the quadratic-plus-linear core
             core = fk3.deformed_relation(pres, lam, mu0, i, j, group_term=True)

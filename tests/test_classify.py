@@ -211,7 +211,7 @@ def test_witness_realizes_an_algebra_isomorphism(pairs):
             out = out + acc.scale(coeff)
         return dst.system.normal_form(out)
 
-    for rel in src.relations:
+    for rel in src.presentation.relations:
         assert not apply_map(rel), f"relation not killed: {rel}"
 
     basis_src = src.basis()

@@ -101,6 +101,15 @@ def test_classify_certify_annotates_class_representatives(tmp_path):
     assert all(r["galois_r"] == 5184 and r["galois_l"] == 5184 for r in certified)
 
 
+def test_classify_certify_table_is_the_same_with_two_jobs(tmp_path):
+    # --jobs 2 certifies the class representatives in two worker processes
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert fk3_main(["classify", "--group", "gx", "--certify", "--out", str(one)]) == 0
+    assert fk3_main(["classify", "--group", "gx", "--certify", "--jobs", "2",
+                     "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         fk3_main(["classify", "--group", "bogus"])
@@ -205,6 +214,20 @@ def test_artifacts_match_pinned_digests(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("main, argv", [
+    (fk3_main, ["verify", "--lambda", "000000000", "--mu", "111111111", "--json", "{out}"]),
+    (fk3_main, ["classify", "--group", "gx", "--out", "{out}"]),
+    (jordan_main, ["verify", "--max-len", "2", "--json", "{out}"]),
+    (fulcrum_main, ["complete", "{pres}", "--json", "{out}"]),
+], ids=["fk3-verify", "fk3-classify", "jordan-verify", "fulcrum-complete"])
+def test_unwritable_output_path_is_an_error(tmp_path, capsys, main, argv):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(PRESENTATION))
+    out = "/nonexistent/x.json"
+    assert main([arg.format(pres=pres, out=out) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def test_fulcrum_complete_missing_file(capsys):
     assert fulcrum_main(["complete", "/nonexistent/pres.json"]) == 1
     assert "error" in capsys.readouterr().err
@@ -240,9 +263,7 @@ def _valid_pair():
 
 def _quotient(build):
     """A deformed quotient as a presentation, with its in-process completion."""
-    pres = build.presentation
-    quotient = Presentation(pres.alphabet, pres.field, build.relations, pres.degree_cap)
-    return quotient, build.report
+    return build.presentation, build.report
 
 
 def _nichols():

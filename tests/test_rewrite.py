@@ -319,6 +319,21 @@ def test_confluent_systems_have_no_lead_above_the_cap(sys_):
         assert len(report.cap_lead) > sys_.degree_cap
 
 
+def _nested_leads(sys_):
+    """Pairs of distinct leads (l1, l2) with l2 occurring inside l1."""
+    leads = [rule.lead for rule in sys_.rules()]
+    return [(l1, l2) for l1 in leads for l2 in leads
+            if l1 != l2 and any(l1[i:i + len(l2)] == l2 for i in range(len(l1)))]
+
+
+@given(small_systems(caps=st.integers(1, 5)))
+@settings(max_examples=200, deadline=None)
+def test_no_lead_contains_another_lead(sys_):
+    # which is why every ambiguity the engine lists is an overlap
+    assert _nested_leads(sys_) == []
+    assert _nested_leads(complete(sys_).system) == []
+
+
 def fomin_kirillov(n, field, cap):
     """E_n: generators x_ij (i < j, x_ji = -x_ij), squares, commuting disjoint
     pairs, and the three-term relations."""
