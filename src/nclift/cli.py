@@ -80,6 +80,9 @@ def _fk3_classify(args: argparse.Namespace) -> int:
     pairs = classify_mod.enumerate_pairs(args.group)
     classes = classify_mod.partition_classes(pairs)
     certificates: dict = {}
+    # a path that cannot be written fails before any certificate is computed
+    if args.out and not _write("", args.out):
+        return 1
     if args.certify:
         reps = [next(p.key for p in cls
                      if fk3_mod.validate_lambda(fk3_mod.matrix_from_bits(p.lam_bits), "s3").ok)

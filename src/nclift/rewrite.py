@@ -45,11 +45,6 @@ class CapExceededError(RuntimeError):
     """A completion or reduction exceeded its configured bound."""
 
 
-def _too_deep(length: int) -> CapExceededError:
-    return CapExceededError(
-        f"normal form of a word of length {length} exceeds the recursion limit")
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     """An oriented rule lead -> tail with every tail word below the lead."""
@@ -225,16 +220,23 @@ class ReductionSystem:
 
     def _find_redex(self, word: Word):
         """Leftmost position and lead of the first rule occurrence, if any."""
-        n = len(word)
-        for i in range(n):
-            leads = self._by_first.get(word[i])
-            if not leads:
-                continue
-            for lead in leads:
-                ll = len(lead)
-                if i + ll <= n and word[i:i + ll] == lead:
-                    return i, lead
+        by_first = self._by_first
+        for i, letter in enumerate(word):
+            leads = by_first.get(letter)
+            if leads:
+                for lead in leads:
+                    # a lead running past the end slices shorter, so unequal
+                    if word[i:i + len(lead)] == lead:
+                        return i, lead
         return None
+
+    # Reduction is a left fold: NF(w a) = sum of c NF(u a) over the terms c u
+    # of NF(w).  Each u is normal, so only a lead that ends u a can fire, and
+    # NF(u a) is memoized under the word u a.  For inter-reduced rules this
+    # fires the same redexes as leftmost-first rewriting.  The fold runs as
+    # generators on an explicit stack, never as Python recursion, so no word
+    # is too long to reduce; STEP_BUDGET, counted per rule application, is
+    # the one guard.
 
     def _nf_word(self, word: Word) -> dict:
         """Normal form of a single word, as a coefficient dict (memoized)."""
@@ -249,38 +251,87 @@ class ReductionSystem:
             result = {word: self.field.one}
             memo[word] = result
             return result
+        # the prefix before the leftmost redex is normal: fold on from there
+        i, lead = redex
+        stack = [self._rewrite(word, word[:i], lead, word[i + len(lead):])]
+        while stack:
+            sub = next(stack[-1], None)
+            if sub is None:
+                stack.pop()
+            else:
+                stack.append(sub)
+        return memo[word]
+
+    def _rewrite(self, word: Word, pre: Word, lead: Word, suf: Word):
+        """Generator that memoizes NF(word) for word = pre lead suf, pre normal.
+
+        Applies the rule of ``lead`` and folds each tail word t, then ``suf``,
+        onto ``pre`` one letter at a time.  An NF(u a) the memo lacks is u a
+        itself when no lead ends it; otherwise this generator yields the
+        ``_rewrite`` of u a to the stack in ``_nf_word`` and, resumed, reads
+        the result from the memo.  Products of basis words share their rests,
+        so NF(pre t suf) is memoized too when ``suf`` is not empty.
+        """
         self._steps += 1
         if self._steps > STEP_BUDGET:
             raise CapExceededError("rewrite step budget exhausted")
-        i, lead = redex
-        pre, suf = word[:i], word[i + len(lead):]
-        acc: dict = {}
-        for tw, tc in self._rules[lead].items():
-            add_scaled(acc, self._nf_word(pre + tw + suf), tc, self.field)
-        memo[word] = acc
-        return acc
+        memo, f = self._memo, self.field
+        one = f.one
+        by_last = self._by_last
+        tail = self._rules[lead]
+        result: dict = {}
+        for tw, tc in tail.items():
+            whole = pre + tw + suf
+            acc = memo.get(whole)
+            if acc is None:
+                acc = {pre: one}
+                for a in tw + suf:
+                    nxt: dict = {}
+                    for u, c in acc.items():
+                        key = u + (a,)
+                        nf = memo.get(key)
+                        if nf is None:
+                            # the longest lead ending u a (inter-reduced
+                            # rules leave at most one), as leftmost-first
+                            # rewriting would pick
+                            last = None
+                            for cand in by_last.get(a, ()):
+                                if key[-len(cand):] == cand and (
+                                        last is None or len(cand) > len(last)):
+                                    last = cand
+                            if last is None:
+                                nf = memo[key] = {key: one}
+                            else:
+                                yield self._rewrite(key, key[:-len(last)], last, ())
+                                nf = memo[key]
+                        if len(acc) == 1 and c == one:
+                            nxt = nf        # shared with the memo, and only ever read
+                        else:
+                            add_scaled(nxt, nf, c, f)
+                    acc = nxt
+                if suf:
+                    memo[whole] = acc
+            if len(tail) == 1 and tc == one:
+                result = acc
+            else:
+                add_scaled(result, acc, tc, f)
+        memo[word] = result
 
     # nf_word and _nf_terms are the two entries into _nf_word: each starts its
-    # own step budget and reports a recursion too deep as CapExceededError
+    # own step budget
 
     def nf_word(self, word: Word) -> dict:
         """Normal form of a single word (shared-cache fast path)."""
         self.alphabet.check_word(word)
         self._steps = 0
-        try:
-            return self._nf_word(tuple(word))
-        except RecursionError:
-            raise _too_deep(len(word)) from None
+        return self._nf_word(tuple(word))
 
     def _nf_terms(self, terms: dict) -> dict:
         """Normal form of a coefficient dict, as a fresh coefficient dict."""
         self._steps = 0
         acc: dict = {}
-        try:
-            for w, c in terms.items():
-                add_scaled(acc, self._nf_word(w), c, self.field)
-        except RecursionError:
-            raise _too_deep(max(map(len, terms))) from None
+        for w, c in terms.items():
+            add_scaled(acc, self._nf_word(w), c, self.field)
         return acc
 
     def normal_form(self, p: NcPoly) -> NcPoly:

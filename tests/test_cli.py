@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nclift import fk3, jordan
+from nclift import cli, fk3, jordan
 from nclift.cli import fk3_main, fulcrum_main, jordan_main, load_presentation
 from nclift.ncpoly import F2
 from nclift.rewrite import Presentation
@@ -166,7 +166,9 @@ def test_fulcrum_complete_reports_an_input_lead_above_the_cap(tmp_path, capsys):
     assert json.loads(out.read_text())["status"] == "CAP_EXCEEDED"
 
 
-def test_fulcrum_complete_rejects_a_relation_too_deep_to_reduce(tmp_path, capsys):
+def test_fulcrum_complete_reports_a_long_reduced_input_lead_above_the_cap(tmp_path, capsys):
+    # g^1000 x1 reduces to x1 g^1000 + 1000 g^1000 - 1000 g^1001, a thousand
+    # rewrites deep, and x1 g^1000 then leads the new rule
     pres = jordan.build_jordan(jordan.U_JORDAN, 6)
     alpha = pres.alphabet
     doc = {
@@ -179,7 +181,7 @@ def test_fulcrum_complete_rejects_a_relation_too_deep_to_reduce(tmp_path, capsys
     path.write_text(json.dumps(doc))
     assert fulcrum_main(["complete", str(path)]) == 1
     assert capsys.readouterr().err == (
-        "error: normal form of a word of length 1001 exceeds the recursion limit\n")
+        f"cap exceeded: lead x1{'*g' * 1000} of degree 1001 > degree_cap 8\n")
 
 
 @pytest.mark.parametrize("main, argv", [
@@ -225,6 +227,18 @@ def test_unwritable_output_path_is_an_error(tmp_path, capsys, main, argv):
     pres.write_text(json.dumps(PRESENTATION))
     out = "/nonexistent/x.json"
     assert main([arg.format(pres=pres, out=out) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_classify_certify_checks_the_output_path_before_certifying(monkeypatch, capsys, jobs):
+    def certify_worker(key):
+        raise AssertionError("a certificate was computed")
+
+    monkeypatch.setattr(cli, "_certify_worker", certify_worker)
+    out = "/nonexistent/x.json"
+    assert fk3_main(["classify", "--group", "gx", "--certify", "--jobs", jobs,
+                     "--out", out]) == 1
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 

@@ -1,14 +1,15 @@
 """Normal forms, ambiguities, completion, irreducible words, GF(2) rank."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclift import rewrite
-from nclift.ncpoly import (Alphabet, F2, QQ, NcPoly, PrimeField, deglex_key, parse_poly,
-                           prime_field)
+from nclift.ncpoly import (Alphabet, F2, QQ, NcPoly, PrimeField, add_scaled, deglex_key,
+                           parse_poly, prime_field)
 from nclift.rewrite import (
     CAP_EXCEEDED,
     COLLAPSED_TO_ZERO,
@@ -79,22 +80,33 @@ def test_normal_form_idempotent_and_linear(fk_completed):
 
 
 @pytest.mark.parametrize("flavor", [jordan.U_JORDAN, jordan.BOSONIZATION])
-def test_too_deep_normal_form_raises_cap_exceeded(flavor):
+def test_group_power_normal_form_needs_no_recursion(flavor):
     pres = jordan.build_jordan(flavor, 6)
     sys_ = pres.complete().system
-    word = (jordan.POS,) * 1000 + (jordan.X1,)
-    short = (jordan.POS, jordan.X1)
-    expected = sys_.nf_word(short)
-    with pytest.raises(CapExceededError, match="length 1001"):
-        sys_.nf_word(word)
-    with pytest.raises(CapExceededError, match="length 1001"):
-        sys_.normal_form(NcPoly.term(sys_.alphabet, sys_.field, word))
-    assert sys_.nf_word(short) == expected
-    # building a system reduces each relation against the ones before it
     alpha, field = sys_.alphabet, sys_.field
+
+    def power_times_x1(k):
+        g_k = (jordan.POS,) * k
+        nf = NcPoly.term(alpha, field, (jordan.X1,) + g_k)
+        if flavor == jordan.U_JORDAN:
+            nf = nf + NcPoly.term(alpha, field, g_k, field.from_int(k)) \
+                - NcPoly.term(alpha, field, g_k + (jordan.POS,), field.from_int(k))
+        return nf
+
+    # a thousand rewrites deep, far past the interpreter's recursion limit
+    word = (jordan.POS,) * 1000 + (jordan.X1,)
+    expected = power_times_x1(1000)
+    assert NcPoly(alpha, field, sys_.nf_word(word)) == expected
+    assert sys_.normal_form(NcPoly.term(alpha, field, word)) == expected
+    for k in range(51):
+        assert NcPoly(alpha, field, sys_.nf_word((jordan.POS,) * k + (jordan.X1,))) == \
+            power_times_x1(k)
+    # a system built with g^1000 x1 - x2 stops its completion at the cap
     long_rel = NcPoly.term(alpha, field, word) - NcPoly.term(alpha, field, (jordan.X2,))
-    with pytest.raises(CapExceededError, match="length 1001"):
-        ReductionSystem(alpha, field, pres.relations + [long_rel], pres.degree_cap, pres.order)
+    report = complete(ReductionSystem(alpha, field, pres.relations + [long_rel],
+                                      pres.degree_cap, pres.order))
+    assert report.status == CAP_EXCEEDED
+    assert (report.cap_word, report.cap_lead) == (None, (jordan.X1,) + (jordan.POS,) * 1000)
 
 
 def test_step_budget_is_per_insert(monkeypatch):
@@ -332,6 +344,73 @@ def test_no_lead_contains_another_lead(sys_):
     # which is why every ambiguity the engine lists is an overlap
     assert _nested_leads(sys_) == []
     assert _nested_leads(complete(sys_).system) == []
+
+
+# ---------------------------------------------------------------------------
+# the letter-at-a-time fold against the recursive engine it replaced
+# ---------------------------------------------------------------------------
+
+def recursive_nf_word(sys_, word, memo):
+    """Reference normal form: rewrite the leftmost lead occurrence, recurse on
+    each resulting word, memoize whole words."""
+    hit = memo.get(word)
+    if hit is not None:
+        return hit
+    f = sys_.field
+    for i in range(len(word)):
+        lead = next((lead for lead in sys_._rules if word[i:i + len(lead)] == lead), None)
+        if lead is not None:
+            break
+    else:
+        memo[word] = {word: f.one}
+        return memo[word]
+    acc = {}
+    for tw, tc in sys_._rules[lead].items():
+        add_scaled(acc, recursive_nf_word(sys_, word[:i] + tw + word[i + len(lead):], memo),
+                   tc, f)
+    memo[word] = acc
+    return acc
+
+
+@given(small_systems(caps=st.integers(1, 4)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fold_matches_recursive_normal_forms(sys_, data):
+    words = st.lists(st.integers(0, len(sys_.alphabet) - 1), max_size=8).map(tuple)
+    for system in (sys_, complete(sys_).system):
+        memo = {}
+        for word in data.draw(st.lists(words, min_size=1, max_size=6)):
+            expected = {} if system.collapsed else recursive_nf_word(system, word, memo)
+            assert system.nf_word(word) == expected
+
+
+def _act(word, k):
+    """x1 -> t, x2 -> -1/2 t^2 d/dt applied to t^k, as (exponent, coefficient)."""
+    coeff, exp = Fraction(1), k
+    for letter in reversed(word):
+        if letter == jordan.X2:
+            coeff *= Fraction(-exp, 2)
+        exp += 1
+    return exp, coeff
+
+
+def test_long_jordan_word_normal_form():
+    sys_ = jordan.build_jordan(jordan.BOSONIZATION, 6).complete().system.copy()
+    k = 20
+    word = (jordan.X2,) * k + (jordan.X1,) * k
+    nf = sys_.nf_word(word)
+    # x2^k x1^k = sum over a + b = 2k, b <= k, of c_ab x1^a x2^b
+    assert sorted(nf) == sorted((jordan.X1,) * (2 * k - b) + (jordan.X2,) * b
+                                for b in range(k + 1))
+    # the faithful action on t^0..t^2k separates those normal words
+    for n in range(2 * k + 1):
+        image = {}
+        for w, c in nf.items():
+            exp, coeff = _act(w, n)
+            image[exp] = image.get(exp, 0) + c * coeff
+        exp, coeff = _act(word, n)
+        assert {e: c for e, c in image.items() if c} == ({exp: coeff} if coeff else {})
+    # the recursive engine memoized 53,236 words already at k = 12
+    assert len(sys_._memo) < 2000
 
 
 def fomin_kirillov(n, field, cap):
