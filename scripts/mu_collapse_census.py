@@ -13,6 +13,10 @@ group and tabulate (status, dimension).  The headline facts this reproduces:
     entry of mu.
 
 Usage: python scripts/mu_collapse_census.py [--lambda BITS]
+
+Exits 1, naming each fact that fails and for which lambda, when the census
+contradicts one of these facts or valid mu does not give dimension 72 for
+both quotients.
 """
 
 import argparse
@@ -38,6 +42,19 @@ def census(lam_bits: str) -> tuple[Counter, Counter]:
     return res_l, res_a
 
 
+def failed_facts(res_l: Counter, res_a: Counter) -> list[str]:
+    """The facts of the module docstring that a census contradicts."""
+    out = []
+    if any(valid and (status, dim) != (fk3.CONFLUENT, 72)
+           for res in (res_l, res_a) for valid, status, dim in res):
+        out.append("valid mu gives dimension 72 for both L and A")
+    if any(not valid and dim == 0 for valid, _, dim in res_l):
+        out.append("invalid mu never zeroes L")
+    if any(not valid and dim != 0 for valid, _, dim in res_a):
+        out.append("invalid mu always zeroes A")
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--lambda", dest="lam", default=None,
@@ -49,6 +66,7 @@ def main() -> int:
     else:
         lambdas = sorted({p.lam_bits for p in classify.enumerate_pairs("gx")})
 
+    failures = []
     for lam_bits in lambdas:
         t0 = time.time()
         res_l, res_a = census(lam_bits)
@@ -57,7 +75,10 @@ def main() -> int:
             for (valid, status, dim), count in sorted(res.items()):
                 tag = "valid" if valid else "invalid"
                 print(f"  {label} {tag:7s} -> {status:18s} dim {dim}: {count}")
-    return 0
+        failures += [f"lambda {lam_bits}: {fact}" for fact in failed_facts(res_l, res_a)]
+    for line in failures:
+        print(f"FAILED {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

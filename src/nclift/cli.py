@@ -88,7 +88,8 @@ def _fk3_classify(args: argparse.Namespace) -> int:
                      if fk3_mod.validate_lambda(fk3_mod.matrix_from_bits(p.lam_bits), "s3").ok)
                 for cls in classes]
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # a forking pool starts all its workers at once, used or not
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(reps))) as pool:
                 certificates = dict(pool.map(_certify_worker, reps))
         else:
             certificates = dict(map(_certify_worker, reps))
@@ -113,8 +114,11 @@ def _fk3_verify(args: argparse.Namespace) -> int:
 
 
 def fk3_main(argv=None) -> int:
-    args = _fk3_parser().parse_args(argv)
+    parser = _fk3_parser()
+    args = parser.parse_args(argv)
     if args.command == "classify":
+        if args.jobs < 1:
+            parser.error("--jobs must be >= 1")
         return _fk3_classify(args)
     if args.command == "verify":
         try:

@@ -20,6 +20,7 @@ from .rewrite import (
     CompletionReport,
     Presentation,
     ReductionSystem,
+    complete,
     count_irreducible,
     irreducible_words,
     rank_f2,
@@ -210,19 +211,36 @@ class AlgebraBuild:
 
 
 @lru_cache(maxsize=None)
+def _flavor_base(lam: LambdaMatrix, flavor: str) -> tuple[FulcrumPresentation, ReductionSystem]:
+    """The flavor's presentation for lambda and its inter-reduced, frozen
+    rules: the algebra every deformed quotient of that flavor is taken of."""
+    pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
+    return pres, pres.system().freeze()
+
+
+@lru_cache(maxsize=None)
 def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> AlgebraBuild:
     """The flavor's presentation followed by the nine deformed relations,
     completed.  lambda must be valid for the presentation to exist at all;
     mu is taken as-is, so that invalid choices can be seen to collapse the
-    quotient."""
-    pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
+    quotient.
+
+    The deformed relations are inserted into a copy of the cached base
+    rules.  That is exactly the system of all the relations at once, since
+    inter-reducing a flavor's rules changes none of them (tests/test_fk3.py
+    checks this for every base).
+    """
+    base, rules = _flavor_base(lam, flavor)
     group_term = flavor == T_LAMBDA
     # all nine index pairs generate the ideal; for valid mu the three
     # relations of an orbit coincide, for invalid mu their differences are
     # exactly what collapses the quotient
-    pres.relations += [deformed_relation(pres, lam, mu, i, j, group_term)
-                       for i in range(3) for j in range(3)]
-    return AlgebraBuild(pres, pres.complete())
+    deformed = [deformed_relation(base, lam, mu, i, j, group_term)
+                for i in range(3) for j in range(3)]
+    system = rules.copy()
+    system.extend(deformed)
+    report = complete(system)
+    return AlgebraBuild(base.quotient(deformed, report), report)
 
 
 def build_lifting(lam: LambdaMatrix, mu: LambdaMatrix) -> AlgebraBuild:
@@ -367,10 +385,9 @@ def resolve_cubic_convention() -> str:
 # skew-primitivity
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def group_term_presentation(lam: LambdaMatrix) -> FulcrumPresentation:
     """The (cached) group-term presentation T_lambda for this cocycle matrix."""
-    return FulcrumPresentation(T_LAMBDA, standard_yd_data(), lam)
+    return _flavor_base(lam, T_LAMBDA)[0]
 
 
 def skew_primitivity(lam: LambdaMatrix, mu: LambdaMatrix) -> dict:

@@ -12,6 +12,7 @@ module; every basis and dimension claim downstream rests on these.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
@@ -113,6 +114,13 @@ class ReductionSystem:
         self._memo: dict = {}
         self._frozen = False
         self._steps = 0
+        self.extend(relations)
+
+    def extend(self, relations: Iterable[NcPoly]) -> None:
+        """Insert each relation, reduced against the rules so far, then
+        inter-reduce."""
+        if self._frozen:
+            raise RuntimeError("cannot modify a frozen system")
         for rel in relations:
             self._insert(dict(rel.terms))
         self._interreduce()
@@ -120,10 +128,14 @@ class ReductionSystem:
     # -- bookkeeping ---------------------------------------------------------
 
     def copy(self) -> "ReductionSystem":
+        """An unfrozen copy with the same rules and lead indexes, in the same
+        order, and an empty memo.  Tails are shared: a tail dict is only ever
+        replaced, never changed in place."""
         dup = ReductionSystem(self.alphabet, self.field, (), self.degree_cap, self.order)
         dup.collapsed = self.collapsed
-        for lead, tail in self._rules.items():
-            dup._install(lead, dict(tail))
+        dup._rules = dict(self._rules)
+        dup._by_first = {a: list(leads) for a, leads in self._by_first.items()}
+        dup._by_last = {a: list(leads) for a, leads in self._by_last.items()}
         return dup
 
     def freeze(self) -> "ReductionSystem":
@@ -383,6 +395,16 @@ class Presentation:
         if self._completed is None:
             self._completed = complete(self.system())
         return self._completed
+
+    def quotient(self, relations: Sequence[NcPoly],
+                 report: CompletionReport) -> "Presentation":
+        """A copy with ``relations`` appended and ``report`` as its completion,
+        for a caller that completed them on a copy of this presentation's
+        rules."""
+        dup = copy.copy(self)
+        dup.relations = self.relations + list(relations)
+        dup._completed = report
+        return dup
 
     @classmethod
     def from_json(cls, doc) -> "Presentation":

@@ -195,6 +195,42 @@ def test_negative_max_len_is_a_usage_error(capsys, main, argv):
     assert "--max-len must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_classify_jobs_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate or worker pool was started")
+
+    monkeypatch.setattr(cli, "_certify_worker", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    with pytest.raises(SystemExit) as exc:
+        fk3_main(["classify", "--certify", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_classify_starts_no_more_workers_than_certificates(monkeypatch, tmp_path):
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, keys):
+            return map(fn, keys)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "_certify_worker", lambda key: (key, {"valid": True}))
+    assert fk3_main(["classify", "--group", "gx", "--certify", "--jobs", "64",
+                     "--out", str(tmp_path / "table.json")]) == 0
+    assert started == [10]
+
+
 #: sha256 of four artifacts as the engine wrote them before its reduction
 #: code was restructured; a change to any byte of them must be deliberate
 @pytest.mark.parametrize("argv, digest", [

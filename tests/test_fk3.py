@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nclift.ncpoly import F2, NcPoly, parse_poly
-from nclift.rewrite import COLLAPSED_TO_ZERO, CONFLUENT, rank_f2
+from nclift.rewrite import COLLAPSED_TO_ZERO, CONFLUENT, ReductionSystem, complete, rank_f2
 from nclift import fk3
 from nclift.fk3 import (
     ONE_BASED,
@@ -31,12 +31,19 @@ from nclift.fk3 import (
     zero_mu,
 )
 from nclift.fulcrum import (
+    BOSONIZATION,
+    FLAVORS,
     T_LAMBDA,
+    T_PRIME_LAMBDA,
     FulcrumPresentation,
     apply_algebra_map,
     letter_images,
     standard_yd_data,
+    validate_lambda,
 )
+
+ALL_BITS = [format(n, "09b") for n in range(512)]
+VALID_LAMBDAS = [b for b in ALL_BITS if validate_lambda(matrix_from_bits(b)).ok]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +252,69 @@ def test_invisible_mu_failures_leave_lifting_untouched():
     L = build_lifting(lam0, mu)
     assert L.status == CONFLUENT and L.dimension() == 72
     assert build_cleft(lam0, mu).status == COLLAPSED_TO_ZERO
+
+
+# ---------------------------------------------------------------------------
+# quotients built on a shared flavor base
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("lam_bits", VALID_LAMBDAS)
+def test_flavor_rules_are_the_relations_as_inserted(lam_bits, flavor):
+    pres = FulcrumPresentation(flavor, standard_yd_data(), lambda_from_bits(lam_bits))
+    system = ReductionSystem(pres.alphabet, pres.field, pres.relations,
+                             pres.degree_cap, pres.order)
+    inserted = [system._orient(dict(rel.terms)) for rel in pres.relations]
+    assert list(system._rules.items()) == inserted, (
+        "building the flavor's rules reduced, reordered or inter-reduced a relation; "
+        "fk3 builds each deformed quotient by inserting its relations into a copy of "
+        "these rules, which is the system of all the relations at once only when "
+        "building them changes none")
+
+
+def _from_scratch(lam, mu, flavor):
+    """The quotient's relations and its completion from a system of them all."""
+    pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
+    relations = pres.relations + [
+        fk3.deformed_relation(pres, lam, mu, i, j, flavor == T_LAMBDA)
+        for i in range(3) for j in range(3)]
+    system = ReductionSystem(pres.alphabet, pres.field, relations,
+                             pres.degree_cap, pres.order)
+    return relations, fk3.AlgebraBuild(pres, complete(system))
+
+
+def _assert_same_build(build, lam, mu, flavor):
+    relations, scratch = _from_scratch(lam, mu, flavor)
+    assert build.presentation.relations == relations
+    assert build.presentation.complete() is build.report
+    assert build.report.to_json() == scratch.report.to_json()
+    assert build.system.rules() == scratch.system.rules()
+    assert build.dimension() == scratch.dimension()
+    return build.dimension()
+
+
+def _mu_sample(lam):
+    """(mu bits, dimension of L, dimension of A) for a valid mu, a
+    diagonal-only invalid mu that L does not see, and two invalid mu that
+    take L down to 4; every invalid mu collapses A."""
+    valid = next(b for b in ALL_BITS if validate_mu(matrix_from_bits(b), lam).ok)
+    diagonal = next(b for b in ("100000000", "000010000", "000000001")
+                    if not validate_mu(matrix_from_bits(b), lam).ok)
+    return [(valid, 72, 72), (diagonal, 72, 0), ("010000000", 4, 0), ("110100011", 4, 0)]
+
+
+@pytest.mark.parametrize("lam_bits", VALID_LAMBDAS)
+def test_quotients_on_the_shared_base_match_from_scratch_builds(lam_bits):
+    lam = lambda_from_bits(lam_bits)
+    for mu_bits, dim_l, dim_a in _mu_sample(lam):
+        mu = mu_unchecked(matrix_from_bits(mu_bits))
+        assert _assert_same_build(build_lifting(lam, mu), lam, mu, T_LAMBDA) == dim_l
+        assert _assert_same_build(build_cleft(lam, mu), lam, mu, T_PRIME_LAMBDA) == dim_a
+
+
+def test_bosonization_on_the_shared_base_matches_a_from_scratch_build():
+    assert _assert_same_build(bosonization_build(), zero_lambda(), zero_mu(),
+                              BOSONIZATION) == 72
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,46 @@ def test_step_budget_is_per_insert(monkeypatch):
         ReductionSystem(alpha, F2, rels)
 
 
+def _rule_state(sys_):
+    """Rules in table order with their tails, and both lead indexes."""
+    return ([(lead, dict(tail)) for lead, tail in sys_._rules.items()],
+            {a: list(leads) for a, leads in sys_._by_first.items()},
+            {a: list(leads) for a, leads in sys_._by_last.items()},
+            sys_.collapsed)
+
+
+def test_copy_keeps_rule_and_lead_index_order(fk_completed):
+    sys_ = fk_completed.system
+    dup = sys_.copy()
+    assert _rule_state(dup) == _rule_state(sys_)
+    assert dup.rules() == sys_.rules()
+    # the lead indexes are not sorted, so the comparison above checks order
+    assert any(leads != sorted(leads) for leads in sys_._by_first.values())
+
+
+def test_copy_of_a_frozen_system_is_not_frozen(fk_completed):
+    rel = _parse("x0 x1 x0")
+    with pytest.raises(RuntimeError, match="frozen"):
+        fk_completed.system.extend([rel])
+    dup = fk_completed.system.copy()
+    dup.extend([rel])
+    assert dup.normal_form(rel) == _parse("0")
+
+
+@pytest.mark.parametrize("text", ["x0 x1 x0", "x1 + x0", "1"],
+                         ids=["new-rule", "inter-reduces", "collapses"])
+def test_changing_a_copy_leaves_the_original_alone(text):
+    sys_ = ReductionSystem(ALPHA, F2, [_parse(t) for t in
+                                       ["x1 x0 + x0 x1", "x2 x1 + x1 x2", "x2 x0 + x0 x2"]])
+    sys_.freeze()
+    before = _rule_state(sys_)
+    dup = sys_.copy()
+    dup.extend([_parse(text)])
+    assert _rule_state(dup) != before
+    assert _rule_state(sys_) == before
+    assert sys_.normal_form(_parse("x2 x1 x0")) == _parse("x0 x1 x2")
+
+
 def test_rule_tails_below_leads(fk_completed):
     for rule in fk_completed.system.rules():
         for word in rule.tail.terms:
