@@ -121,6 +121,27 @@ def nichols_length_counts() -> list[int]:
 # mu matrices
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _joint_rhs(lam: LambdaMatrix) -> tuple:
+    """lambda's side of the joint constraint, one value per index triple
+    (i, j, k) in row-major order."""
+    f = lam.field
+    lamv = lam.entries
+    out = []
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                ij = _RACK.act(i, j)
+                out.append(f.add(
+                    f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
+                    f.add(
+                        f.mul(lamv[k][j], f.add(lamv[k][i], lamv[j][ij])),
+                        f.mul(lamv[k][ij], f.add(lamv[k][j], lamv[ij][i])),
+                    ),
+                ))
+    return tuple(out)
+
+
 def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
     """Accept m iff the orbit identities mu_{i,j} = mu_{i|>j,i} = mu_{j,i|>j}
     and all 27 instances of the joint constraint with lambda hold."""
@@ -132,20 +153,12 @@ def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
             k = _RACK.act(i, j)
             if not (e[i][j] == e[k][i] == e[j][k]):
                 violations.append(("orbit", i, j))
-    lamv = lam.entries
+    rhs = iter(_joint_rhs(lam))
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                ij = _RACK.act(i, j)
                 lhs = f.add(e[i][j], e[_RACK.act(k, i)][_RACK.act(k, j)])
-                rhs = f.add(
-                    f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
-                    f.add(
-                        f.mul(lamv[k][j], f.add(lamv[k][i], lamv[j][ij])),
-                        f.mul(lamv[k][ij], f.add(lamv[k][j], lamv[ij][i])),
-                    ),
-                )
-                if lhs != rhs:
+                if lhs != next(rhs):
                     violations.append(("joint", i, j, k))
     if violations:
         return LambdaCheck(False, None, violations)
@@ -211,11 +224,11 @@ class AlgebraBuild:
 
 
 @lru_cache(maxsize=None)
-def _flavor_base(lam: LambdaMatrix, flavor: str) -> tuple[FulcrumPresentation, ReductionSystem]:
-    """The flavor's presentation for lambda and its inter-reduced, frozen
-    rules: the algebra every deformed quotient of that flavor is taken of."""
-    pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
-    return pres, pres.system().freeze()
+def _flavor_base(lam: LambdaMatrix, flavor: str) -> FulcrumPresentation:
+    """The flavor's presentation for lambda: the algebra every deformed
+    quotient of that flavor is taken of.  Cached, so that its frozen rules
+    (``system()``) and its completion are each built once."""
+    return FulcrumPresentation(flavor, standard_yd_data(), lam)
 
 
 @lru_cache(maxsize=None)
@@ -230,14 +243,14 @@ def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> Algebra
     inter-reducing a flavor's rules changes none of them (tests/test_fk3.py
     checks this for every base).
     """
-    base, rules = _flavor_base(lam, flavor)
+    base = _flavor_base(lam, flavor)
     group_term = flavor == T_LAMBDA
     # all nine index pairs generate the ideal; for valid mu the three
     # relations of an orbit coincide, for invalid mu their differences are
     # exactly what collapses the quotient
     deformed = [deformed_relation(base, lam, mu, i, j, group_term)
                 for i in range(3) for j in range(3)]
-    system = rules.copy()
+    system = base.system().copy()
     system.extend(deformed)
     report = complete(system)
     return AlgebraBuild(base.quotient(deformed, report), report)
@@ -387,7 +400,7 @@ def resolve_cubic_convention() -> str:
 
 def group_term_presentation(lam: LambdaMatrix) -> FulcrumPresentation:
     """The (cached) group-term presentation T_lambda for this cocycle matrix."""
-    return _flavor_base(lam, T_LAMBDA)[0]
+    return _flavor_base(lam, T_LAMBDA)
 
 
 def skew_primitivity(lam: LambdaMatrix, mu: LambdaMatrix) -> dict:
@@ -440,14 +453,43 @@ def product_table(system: ReductionSystem, basis: list) -> list:
     """Structure constants of an algebra over F2 in an irreducible-word basis.
 
     Entry [i][j] is the normal form of basis[i] basis[j] as a bitset over
-    basis positions (bit k set when basis[k] occurs): one ``nf_word`` call
-    per product, len(basis)**2 in all.
+    basis positions (bit k set when basis[k] occurs).  The table comes from
+    the regular representation: for each letter a that ends a basis word,
+    row k of the right-multiplication matrix M_a is NF(basis[k] a), one
+    ``nf_word`` call per (basis word, letter).  The column of the empty word
+    is the identity, and the column of v = v' a is the column of v' mapped
+    through M_a.
+
+    ``system`` must be confluent and ``basis`` its irreducible words: then
+    normal forms are multiplicative, NF(u v' a) = NF(NF(u v') a), and the
+    basis is prefix-closed.  A nonempty basis word whose prefix is not in
+    ``basis`` raises ValueError.
     """
     if system.field != F2:
         raise ValueError("product tables are bitsets over F2")
     idx = {w: k for k, w in enumerate(basis)}
-    return [[sum(1 << idx[w] for w in system.nf_word(u + v)) for v in basis]
-            for u in basis]
+    for v in basis:
+        if v and v[:-1] not in idx:
+            raise ValueError(f"basis is not prefix-closed: {v[:-1]} is missing")
+    right = {a: [sum(1 << idx[w] for w in system.nf_word(u + (a,))) for u in basis]
+             for a in {v[-1] for v in basis if v}}
+    columns: dict = {}
+    # prefixes first: irreducible words come by length, other bases may not
+    for v in sorted(basis, key=len):
+        if not v:
+            columns[v] = [1 << k for k in range(len(basis))]
+            continue
+        m = right[v[-1]]
+        column = []
+        for entry in columns[v[:-1]]:
+            acc = 0
+            while entry:
+                low = entry & -entry
+                acc ^= m[low.bit_length() - 1]
+                entry ^= low
+            column.append(acc)
+        columns[v] = column
+    return [list(row) for row in zip(*(columns[v] for v in basis))]
 
 
 def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix,

@@ -281,8 +281,11 @@ class ReductionSystem:
         onto ``pre`` one letter at a time.  An NF(u a) the memo lacks is u a
         itself when no lead ends it; otherwise this generator yields the
         ``_rewrite`` of u a to the stack in ``_nf_word`` and, resumed, reads
-        the result from the memo.  Products of basis words share their rests,
-        so NF(pre t suf) is memoized too when ``suf`` is not empty.
+        the result from the memo.  NF(pre t suf) is memoized too when ``suf``
+        is not empty: the words that ``complete`` reduces through
+        ``_nf_terms``, the two resolutions of an ambiguity and the relations
+        ``extend`` inserts, share such rests.  A normal word followed by one
+        letter, as in ``fk3.product_table`` and ``reduce_tensor``, has none.
         """
         self._steps += 1
         if self._steps > STEP_BUDGET:
@@ -373,7 +376,8 @@ class Presentation:
     with the degree cap and monomial order its completion runs under.
 
     ``name`` labels the presentation (the flavor, for the fk3 and Jordan
-    algebras).  The completion is computed once and cached.
+    algebras).  The reduction system and the completion are each computed
+    once and cached.
     """
 
     def __init__(self, alphabet: Alphabet, field: Field, relations: Iterable[NcPoly],
@@ -384,12 +388,16 @@ class Presentation:
         self.degree_cap = degree_cap
         self.order = order
         self.name = name
+        self._system: ReductionSystem | None = None
         self._completed: CompletionReport | None = None
 
     def system(self) -> ReductionSystem:
-        """A fresh, uncompleted reduction system for the presentation."""
-        return ReductionSystem(self.alphabet, self.field, self.relations,
-                               self.degree_cap, self.order)
+        """The presentation's uncompleted, inter-reduced rules, built once and
+        frozen; ``copy()`` it to change it."""
+        if self._system is None:
+            self._system = ReductionSystem(self.alphabet, self.field, self.relations,
+                                           self.degree_cap, self.order).freeze()
+        return self._system
 
     def complete(self) -> CompletionReport:
         if self._completed is None:
@@ -400,9 +408,10 @@ class Presentation:
                  report: CompletionReport) -> "Presentation":
         """A copy with ``relations`` appended and ``report`` as its completion,
         for a caller that completed them on a copy of this presentation's
-        rules."""
+        rules.  Its ``system()`` is built from all the relations on first use."""
         dup = copy.copy(self)
         dup.relations = self.relations + list(relations)
+        dup._system = None
         dup._completed = report
         return dup
 

@@ -41,6 +41,7 @@ from nclift.fulcrum import (
     standard_yd_data,
     validate_lambda,
 )
+from nclift.rackgroup import dihedral_rack
 
 ALL_BITS = [format(n, "09b") for n in range(512)]
 VALID_LAMBDAS = [b for b in ALL_BITS if validate_lambda(matrix_from_bits(b)).ok]
@@ -112,6 +113,46 @@ def test_mu_solutions_for_zero_lambda():
     valid = [format(n, "09b") for n in range(512)
              if validate_mu(matrix_from_bits(format(n, "09b")), lam0).ok]
     assert valid == sorted(["000000000", "111111111", "100010001", "011101110"])
+
+
+def _validate_mu_by_formula(m, lam):
+    """(ok, violations) of validate_mu, with lambda's side of the joint
+    constraint recomputed for every mu."""
+    act = dihedral_rack().act
+    f = lam.field
+    e = [[f.from_int(c) for c in row] for row in m]
+    lamv = lam.entries
+    violations = []
+    for i in range(3):
+        for j in range(3):
+            k = act(i, j)
+            if not (e[i][j] == e[k][i] == e[j][k]):
+                violations.append(("orbit", i, j))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                ij = act(i, j)
+                lhs = f.add(e[i][j], e[act(k, i)][act(k, j)])
+                rhs = f.add(
+                    f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
+                    f.add(
+                        f.mul(lamv[k][j], f.add(lamv[k][i], lamv[j][ij])),
+                        f.mul(lamv[k][ij], f.add(lamv[k][j], lamv[ij][i])),
+                    ),
+                )
+                if lhs != rhs:
+                    violations.append(("joint", i, j, k))
+    return not violations, violations
+
+
+@pytest.mark.parametrize("lam_bits", VALID_LAMBDAS)
+def test_validate_mu_matches_the_formula_for_every_mu(lam_bits):
+    lam = lambda_from_bits(lam_bits)
+    for bits in ALL_BITS:
+        m = matrix_from_bits(bits)
+        check = validate_mu(m, lam)
+        assert (check.ok, check.violations) == _validate_mu_by_formula(m, lam), bits
+        assert check.matrix == (mu_unchecked(m) if check.ok else None)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +353,22 @@ def test_quotients_on_the_shared_base_match_from_scratch_builds(lam_bits):
         assert _assert_same_build(build_cleft(lam, mu), lam, mu, T_PRIME_LAMBDA) == dim_a
 
 
+def test_a_quotients_rules_hold_its_deformed_relations():
+    lam = lambda_from_bits("000101110")
+    mu = mu_from_bits("100000000", lam)
+    for build, flavor in ((build_lifting(lam, mu), T_LAMBDA),
+                          (build_cleft(lam, mu), T_PRIME_LAMBDA)):
+        pres = build.presentation
+        base_system = fk3._flavor_base(lam, flavor).system()
+        deformed = pres.relations[-9:]
+        assert any(base_system.normal_form(rel) for rel in deformed)
+        system = pres.system()
+        assert system is not base_system
+        assert not any(system.normal_form(rel) for rel in deformed)
+        assert system.rules() == ReductionSystem(pres.alphabet, pres.field, pres.relations,
+                                                 pres.degree_cap, pres.order).rules()
+
+
 def test_bosonization_on_the_shared_base_matches_a_from_scratch_build():
     assert _assert_same_build(bosonization_build(), zero_lambda(), zero_mu(),
                               BOSONIZATION) == 72
@@ -431,6 +488,39 @@ def test_product_table_is_associative_and_unital():
                 for k in support_v[w]:
                     right ^= prod_u[k]
                 assert left == right, (basis[u], basis[v], basis[w])
+
+
+def per_product_table(system, basis):
+    """Structure constants with one nf_word call per product."""
+    idx = {w: k for k, w in enumerate(basis)}
+    return [[sum(1 << idx[w] for w in system.nf_word(u + v)) for v in basis]
+            for u in basis]
+
+
+@pytest.mark.parametrize("lam_bits, mu_bits", [("000000000", "000000000"),
+                                               ("000101110", "100000000")])
+def test_product_table_matches_one_normal_form_per_product(lam_bits, mu_bits):
+    lam = lambda_from_bits(lam_bits)
+    mu = mu_from_bits(mu_bits, lam)
+    for build in (build_cleft(lam, mu), build_lifting(lam, mu), bosonization_build()):
+        basis = build.basis()
+        assert len(basis) == 72
+        assert fk3.product_table(build.system, basis) == per_product_table(build.system, basis)
+    # a basis that is not ordered by length gives the same products
+    shuffled = build.basis()
+    random.Random(31).shuffle(shuffled)
+    assert shuffled[0] != ()
+    assert fk3.product_table(build.system, shuffled) == per_product_table(build.system, shuffled)
+
+
+def test_product_table_rejects_a_basis_that_is_not_prefix_closed():
+    system = bosonization_build().system
+    basis = bosonization_build().basis()
+    with pytest.raises(ValueError, match="prefix"):
+        fk3.product_table(system, basis[1:])
+    short = next(w for w in basis if len(w) == 1 and any(v[:1] == w for v in basis if len(v) > 1))
+    with pytest.raises(ValueError, match="prefix"):
+        fk3.product_table(system, [w for w in basis if w != short])
 
 
 def test_rank_of_zero_map_is_zero():

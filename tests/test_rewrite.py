@@ -163,6 +163,26 @@ def test_changing_a_copy_leaves_the_original_alone(text):
     assert sys_.normal_form(_parse("x2 x1 x0")) == _parse("x0 x1 x2")
 
 
+def test_presentation_builds_its_rules_once_and_completes_a_copy(monkeypatch):
+    pres = Presentation(ALPHA, F2, fk3.fk3_relations())
+    system = pres.system()
+    assert pres.system() is system
+    with pytest.raises(RuntimeError, match="frozen"):
+        system.extend([_parse("x0 x1 x0")])
+    built = []
+    real_init = ReductionSystem.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReductionSystem, "__init__", recording_init)
+    report = pres.complete()
+    assert report.status == CONFLUENT
+    assert built == [report.system]
+    assert system.rule_count() == 5 and report.system.rule_count() == 6
+
+
 def test_rule_tails_below_leads(fk_completed):
     for rule in fk_completed.system.rules():
         for word in rule.tail.terms:
