@@ -4,9 +4,10 @@ isomorphism relation between the resulting deformations, and table emission.
 A pair is a 3x3 lambda matrix satisfying the cocycle constraints together
 with a 3x3 mu matrix satisfying the orbit and joint constraints.  Two pairs
 give isomorphic deformations exactly when a rack automorphism and three
-shift scalars transform one into the other; the search is a 48-candidate
-brute force per ordered pair and the partition is a union-find over the
-symmetric closure of the witness relation.
+shift scalars transform one into the other.  Each of the 48 candidates
+carries a pair to exactly one image, so the witnesses are found by listing a
+pair's images rather than by testing candidates against every other pair, and
+the partition is a union-find over each pair and its images.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .rackgroup import RackAutomorphism, dihedral_rack, rack_automorphisms
 from .fulcrum import GX_MODE, S3_MODE, validate_lambda
@@ -67,6 +69,37 @@ def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
     return out
 
 
+#: the (i, j, i|>j) index triples, row-major, and the shifts in search order
+_TRIPLES = tuple((i, j, _RACK.act(i, j)) for i in range(3) for j in range(3))
+_SHIFTS = tuple(product((0, 1), repeat=3))
+
+
+def _bits(m: list) -> str:
+    return "".join(str(c) for row in m for c in row)
+
+
+def _witness_images(p: PairRecord):
+    """(witness, key) for every witness that p admits, in search order
+    (automorphism, then shifts s0 s1 s2 counting up), where key is the
+    (lambda, mu) bits of the pair it carries p to.
+
+    The first two conditions of ``iso_related`` fix the image pair; a
+    candidate whose image fails the third condition is skipped.
+    """
+    lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
+    for auto in _AUTOS:
+        a = auto.perm
+        for s in _SHIFTS:
+            lq = [[0] * 3 for _ in range(3)]
+            mq = [[0] * 3 for _ in range(3)]
+            for i, j, ij in _TRIPLES:
+                lq[a[i]][a[j]] = (lp[i][j] + s[ij] + s[j]) % 2
+                mq[a[i]][a[j]] = (mp[i][j] + s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
+            if all((s[i] * lq[a[i]][a[j]] + s[ij] * lq[a[ij]][a[i]]
+                    + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in _TRIPLES):
+                yield IsoWitness(auto, s), (_bits(lq), _bits(mq))
+
+
 def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:
     """First witness (automorphism, shifts) mapping p to q, or None.
 
@@ -79,38 +112,7 @@ def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:
     """
     if p.mode != q.mode:
         raise ValueError("pairs from different modes")
-    lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
-    lq, mq = matrix_from_bits(q.lam_bits), matrix_from_bits(q.mu_bits)
-    r = _RACK
-    for auto in _AUTOS:
-        for s0 in (0, 1):
-            for s1 in (0, 1):
-                for s2 in (0, 1):
-                    s = (s0, s1, s2)
-                    ok = True
-                    for i in range(3):
-                        for j in range(3):
-                            ij = r.act(i, j)
-                            if lq[auto(i)][auto(j)] != (lp[i][j] + s[ij] + s[j]) % 2:
-                                ok = False
-                                break
-                            mu_shift = (s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
-                            if mq[auto(i)][auto(j)] != (mp[i][j] + mu_shift) % 2:
-                                ok = False
-                                break
-                            third = (
-                                s[i] * lq[auto(i)][auto(j)]
-                                + s[ij] * lq[auto(ij)][auto(i)]
-                                + s[j] * lq[auto(j)][auto(ij)]
-                            ) % 2
-                            if third != 0:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        return IsoWitness(auto, s)
-    return None
+    return next((w for w, key in _witness_images(p) if key == q.key), None)
 
 
 class _UnionFind:
@@ -136,14 +138,17 @@ def partition_classes(pairs: list[PairRecord]) -> list[list[PairRecord]]:
     (lambda, mu) key; class ids are assigned in that order.  The result does
     not depend on the input order of ``pairs``.
     """
+    if len({p.mode for p in pairs}) > 1:
+        raise ValueError("pairs from different modes")
     items = sorted(pairs, key=lambda p: p.key)
     n = len(items)
+    index = {p.key: k for k, p in enumerate(items)}
     uf = _UnionFind(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            # defensively take the symmetric closure rather than assuming
-            # witnesses invert
-            if iso_related(items[a], items[b]) or iso_related(items[b], items[a]):
+    # every witness image of every pair: the symmetric closure of the relation
+    for a, p in enumerate(items):
+        for _, key in _witness_images(p):
+            b = index.get(key)
+            if b is not None:
                 uf.union(a, b)
     groups: dict = {}
     for idx in range(n):

@@ -9,10 +9,10 @@ bijectivity certificates for the two Galois maps between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .ncpoly import Alphabet, F2, Field, NcPoly
+from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly
 from .rackgroup import dihedral_rack
 from .rewrite import (
     COLLAPSED_TO_ZERO,
@@ -22,7 +22,7 @@ from .rewrite import (
     ReductionSystem,
     complete,
     count_irreducible,
-    irreducible_words,
+    irreducible_words_by_length,
     rank_f2,
 )
 from .fulcrum import (
@@ -32,7 +32,6 @@ from .fulcrum import (
     LambdaMatrix,
     T_LAMBDA,
     T_PRIME_LAMBDA,
-    apply_algebra_map,
     as_entries,
     check_skew_primitive,
     letter_images,
@@ -40,6 +39,7 @@ from .fulcrum import (
     standard_yd_data,
     unannihilated_relations,
     validate_lambda,
+    word_image,
 )
 
 _RACK = dihedral_rack()
@@ -121,6 +121,13 @@ def nichols_length_counts() -> list[int]:
 # mu matrices
 # ---------------------------------------------------------------------------
 
+#: (i, j, i|>j) for every index pair, row-major: the orbit identities
+_ORBIT = tuple((i, j, _RACK.act(i, j)) for i in range(3) for j in range(3))
+#: (i, j, k, k|>i, k|>j) for every index triple, row-major: the joint constraints
+_JOINT = tuple((i, j, k, _RACK.act(k, i), _RACK.act(k, j))
+               for i in range(3) for j in range(3) for k in range(3))
+
+
 @lru_cache(maxsize=None)
 def _joint_rhs(lam: LambdaMatrix) -> tuple:
     """lambda's side of the joint constraint, one value per index triple
@@ -128,38 +135,28 @@ def _joint_rhs(lam: LambdaMatrix) -> tuple:
     f = lam.field
     lamv = lam.entries
     out = []
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                ij = _RACK.act(i, j)
-                out.append(f.add(
-                    f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
-                    f.add(
-                        f.mul(lamv[k][j], f.add(lamv[k][i], lamv[j][ij])),
-                        f.mul(lamv[k][ij], f.add(lamv[k][j], lamv[ij][i])),
-                    ),
-                ))
+    for i, j, ij in _ORBIT:
+        for k in range(3):
+            out.append(f.add(
+                f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
+                f.add(
+                    f.mul(lamv[k][j], f.add(lamv[k][i], lamv[j][ij])),
+                    f.mul(lamv[k][ij], f.add(lamv[k][j], lamv[ij][i])),
+                ),
+            ))
     return tuple(out)
 
 
 def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
     """Accept m iff the orbit identities mu_{i,j} = mu_{i|>j,i} = mu_{j,i|>j}
-    and all 27 instances of the joint constraint with lambda hold."""
+    and all 27 instances of the joint constraint with lambda hold.
+    Violations list the orbit pairs, then the joint triples, row-major."""
     f = lam.field
     e = as_entries(m, f)
-    violations = []
-    for i in range(3):
-        for j in range(3):
-            k = _RACK.act(i, j)
-            if not (e[i][j] == e[k][i] == e[j][k]):
-                violations.append(("orbit", i, j))
-    rhs = iter(_joint_rhs(lam))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                lhs = f.add(e[i][j], e[_RACK.act(k, i)][_RACK.act(k, j)])
-                if lhs != next(rhs):
-                    violations.append(("joint", i, j, k))
+    violations = [("orbit", i, j) for i, j, k in _ORBIT if not (e[i][j] == e[k][i] == e[j][k])]
+    violations += [("joint", i, j, k)
+                   for (i, j, k, ki, kj), rhs in zip(_JOINT, _joint_rhs(lam))
+                   if f.add(e[i][j], e[ki][kj]) != rhs]
     if violations:
         return LambdaCheck(False, None, violations)
     return LambdaCheck(True, LambdaMatrix(e, f), [])
@@ -212,15 +209,23 @@ class AlgebraBuild:
     def system(self) -> ReductionSystem:
         return self.report.system
 
+    @cached_property
+    def _levels(self) -> list:
+        # irreducible words by length, enumerated once; builds are shared
+        # through caches, so nothing may change this list
+        return irreducible_words_by_length(self.system, BASIS_LEN)
+
     def dimension(self) -> int | None:
         """Total irreducible words, or None when not finite below BASIS_LEN."""
         if self.report.status != CONFLUENT:
             return 0 if self.report.status == COLLAPSED_TO_ZERO else None
-        counts = count_irreducible(self.system, BASIS_LEN)
-        return counts.total if counts.finite else None
+        levels = self._levels
+        # the enumeration dies out before BASIS_LEN exactly when finite
+        return sum(map(len, levels)) if len(levels) <= BASIS_LEN else None
 
     def basis(self) -> list:
-        return irreducible_words(self.system, BASIS_LEN)
+        """The irreducible words up to BASIS_LEN, by length; a new list per call."""
+        return [w for level in self._levels for w in level]
 
 
 @lru_cache(maxsize=None)
@@ -523,26 +528,22 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix,
     degrees = A.presentation.degree_words()
     imgs_r = letter_images(a_sys.alphabet, b_sys.alphabet, F2, degrees)
     imgs_l = letter_images(l_sys.alphabet, a_sys.alphabet, F2, degrees)
+    rho = {}
     for side, imgs, left_sys, right_sys in (("right", imgs_r, a_sys, b_sys),
                                             ("left", imgs_l, l_sys, a_sys)):
-        failed = unannihilated_relations(A.presentation.relations, imgs, left_sys, right_sys)
+        # one memo per coaction: the descent check and the basis images
+        # share their prefixes
+        memo = {(): TensorPoly(left_sys.alphabet, right_sys.alphabet, F2, {((), ()): F2.one})}
+        failed = unannihilated_relations(A.presentation.relations, imgs, left_sys, right_sys,
+                                         _memo=memo)
         if failed:
             raise ValueError(f"{side} coaction does not descend on: {failed[0]}")
-
-    def images_of_basis(imgs, left_sys, right_sys):
-        out = []
-        for w in basis_a:
-            p = NcPoly.term(A.presentation.alphabet, F2, w)
-            out.append(apply_algebra_map(p, imgs, left_sys.alphabet,
-                                         right_sys.alphabet, left_sys, right_sys))
-        return out
+        rho[side] = [word_image(w, imgs, left_sys, right_sys, memo) for w in basis_a]
 
     prod = product_table(a_sys, basis_a)
     # each image term as (A basis position, shift of its block of n columns)
-    rho_r = [[(idx_a[aw], idx_b[bw] * n) for aw, bw in rho.terms]
-             for rho in images_of_basis(imgs_r, a_sys, b_sys)]
-    rho_l = [[(idx_a[aw], idx_l[lw] * n) for lw, aw in rho.terms]
-             for rho in images_of_basis(imgs_l, l_sys, a_sys)]
+    rho_r = [[(idx_a[aw], idx_b[bw] * n) for aw, bw in image.terms] for image in rho["right"]]
+    rho_l = [[(idx_a[aw], idx_l[lw] * n) for lw, aw in image.terms] for image in rho["left"]]
 
     rows_r = []
     for prod_u in prod:

@@ -223,25 +223,49 @@ class FulcrumPresentation(Presentation):
 # letter maps: comultiplication, coactions, skew-primitivity
 # ---------------------------------------------------------------------------
 
+def word_image(word: Word, images: dict, left_sys: ReductionSystem | None,
+               right_sys: ReductionSystem | None, memo: dict) -> TensorPoly:
+    """The image of ``word``: that of w' a is the image of w' times
+    images[a], reduced when systems are given.
+
+    ``memo`` holds images under this one letter map and pair of systems, the
+    empty word's 1 (x) 1 among them.  The fold starts from the longest prefix
+    of ``word`` in it and stores each longer one; every step is the one a
+    fold from the empty word takes, so the image does not depend on the memo.
+    """
+    n = len(word)
+    while n and word[:n] not in memo:
+        n -= 1
+    acc = memo[word[:n]]
+    for k in range(n, len(word)):
+        acc = acc * images[word[k]]
+        if left_sys is not None:
+            acc = reduce_tensor(acc, left_sys, right_sys)
+        memo[word[:k + 1]] = acc
+    return acc
+
+
 def apply_algebra_map(p: NcPoly, images: dict, left: Alphabet, right: Alphabet,
                       left_sys: ReductionSystem | None = None,
-                      right_sys: ReductionSystem | None = None) -> TensorPoly:
+                      right_sys: ReductionSystem | None = None,
+                      _memo: dict | None = None) -> TensorPoly:
     """Extend letter images multiplicatively to a polynomial.
 
     ``images`` maps each ordinal of ``p.alphabet`` to a TensorPoly over
     (left, right).  Factors are reduced after every letter when systems are
     supplied, which keeps intermediate supports small and lands the result in
-    normal form.
+    normal form; give both systems or neither.
     """
+    if (left_sys is None) != (right_sys is None):
+        missing = "left_sys" if left_sys is None else "right_sys"
+        raise ValueError(f"apply_algebra_map reduces both tensor factors or neither: "
+                         f"{missing} is missing")
     f = p.field
+    memo = {} if _memo is None else _memo
+    memo.setdefault((), TensorPoly(left, right, f, {((), ()): f.one}))
     out = TensorPoly.zero(left, right, f)
     for word, coeff in p.terms.items():
-        acc = TensorPoly(left, right, f, {((), ()): f.one})
-        for letter in word:
-            acc = acc * images[letter]
-            if left_sys is not None:
-                acc = reduce_tensor(acc, left_sys, right_sys)
-        out = out + acc.scale(coeff)
+        out = out + word_image(word, images, left_sys, right_sys, memo).scale(coeff)
     if left_sys is not None:
         out = reduce_tensor(out, left_sys, right_sys)
     return out
@@ -269,13 +293,15 @@ def letter_images(left: Alphabet, right: Alphabet, field: Field,
 
 def unannihilated_relations(relations: Iterable[NcPoly], images: dict,
                             left_sys: ReductionSystem,
-                            right_sys: ReductionSystem) -> list[NcPoly]:
+                            right_sys: ReductionSystem,
+                            _memo: dict | None = None) -> list[NcPoly]:
     """The relations whose image under ``images`` is nonzero in the reduced
     tensor target; empty exactly when the letter map descends to the
-    presented algebra."""
+    presented algebra.  The relations share one memo of word images."""
+    memo = {} if _memo is None else _memo
     return [rel for rel in relations
             if apply_algebra_map(rel, images, left_sys.alphabet, right_sys.alphabet,
-                                 left_sys, right_sys)]
+                                 left_sys, right_sys, _memo=memo)]
 
 
 def check_skew_primitive(pres: FulcrumPresentation, rel: NcPoly, grp: int) -> bool:

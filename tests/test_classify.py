@@ -90,6 +90,81 @@ def test_reverse_witnesses_exist(pairs):
         assert iso_related(q, p) is not None
 
 
+def _search_witness(p, q):
+    """The 48-candidate search of iso_related before it listed images: every
+    (automorphism, shifts) in order, each tested against q's matrices."""
+    from nclift.fk3 import matrix_from_bits
+    from nclift.rackgroup import dihedral_rack, rack_automorphisms
+    r = dihedral_rack()
+    lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
+    lq, mq = matrix_from_bits(q.lam_bits), matrix_from_bits(q.mu_bits)
+    def holds(auto, s, i, j):
+        ij = r.act(i, j)
+        mu_shift = (s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
+        third = (s[i] * lq[auto(i)][auto(j)] + s[ij] * lq[auto(ij)][auto(i)]
+                 + s[j] * lq[auto(j)][auto(ij)]) % 2
+        return (lq[auto(i)][auto(j)] == (lp[i][j] + s[ij] + s[j]) % 2
+                and mq[auto(i)][auto(j)] == (mp[i][j] + mu_shift) % 2 and third == 0)
+
+    for auto in rack_automorphisms(r):
+        for s in [(s0, s1, s2) for s0 in (0, 1) for s1 in (0, 1) for s2 in (0, 1)]:
+            if all(holds(auto, s, i, j) for i in range(3) for j in range(3)):
+                return IsoWitness(auto, s)
+    return None
+
+
+def _search_partition(pairs):
+    """partition_classes before it listed images: a union of every pair a < b
+    with a witness either way, found by the 48-candidate search."""
+    items = sorted(pairs, key=lambda p: p.key)
+    root = list(range(len(items)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            if _search_witness(items[a], items[b]) or _search_witness(items[b], items[a]):
+                ra, rb = find(a), find(b)
+                root[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for idx, rec in enumerate(items):
+        groups.setdefault(find(idx), []).append(rec.key)
+    return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+
+
+def test_witnesses_match_the_candidate_search(pairs):
+    found = 0
+    for p in pairs:
+        for q in pairs:
+            witness = iso_related(p, q)
+            assert witness == _search_witness(p, q), (p.key, q.key)
+            found += witness is not None
+    assert found >= 100
+
+
+@pytest.mark.parametrize("mode", ["gx", "s3"])
+def test_partition_matches_the_candidate_search(mode):
+    mode_pairs = enumerate_pairs(mode)
+    classes = partition_classes(mode_pairs)
+    assert [[p.key for p in cls] for cls in classes] == _search_partition(mode_pairs)
+    assert [p.class_id for cls in classes for p in cls] == [
+        cid for cid, cls in enumerate(classes) for _ in cls]
+
+
+def test_pairs_from_different_modes_are_rejected(pairs):
+    p = pairs[0]
+    other = PairRecord(p.lam_bits, p.mu_bits, "s3")
+    with pytest.raises(ValueError, match="different modes"):
+        iso_related(p, other)
+    with pytest.raises(ValueError, match="different modes"):
+        partition_classes([p, other])
+    with pytest.raises(ValueError, match="different modes"):
+        partition_classes([PairRecord(q.lam_bits, q.mu_bits, q.mode) for q in pairs] + [other])
+
+
 # ---------------------------------------------------------------------------
 # partition
 # ---------------------------------------------------------------------------

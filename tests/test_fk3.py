@@ -1,12 +1,21 @@
 """Relations, dimensions, the derived cubic rule, and Galois certificates."""
 
+import itertools
 import random
 
 import pytest
 
-from nclift.ncpoly import F2, NcPoly, parse_poly
-from nclift.rewrite import COLLAPSED_TO_ZERO, CONFLUENT, ReductionSystem, complete, rank_f2
-from nclift import fk3
+from nclift.ncpoly import F2, NcPoly, TensorPoly, parse_poly, prime_field
+from nclift.rewrite import (
+    COLLAPSED_TO_ZERO,
+    CONFLUENT,
+    ReductionSystem,
+    complete,
+    irreducible_words_by_length,
+    rank_f2,
+    reduce_tensor,
+)
+from nclift import fk3, fulcrum
 from nclift.fk3 import (
     ONE_BASED,
     build_cleft,
@@ -153,6 +162,34 @@ def test_validate_mu_matches_the_formula_for_every_mu(lam_bits):
         check = validate_mu(m, lam)
         assert (check.ok, check.violations) == _validate_mu_by_formula(m, lam), bits
         assert check.matrix == (mu_unchecked(m) if check.ok else None)
+
+
+def test_validate_mu_matches_the_formula_over_gf3():
+    f3 = prime_field(3)
+    lam = validate_lambda([[0, 2, 1], [1, 0, 2], [2, 1, 0]], field=f3).matrix
+    # every mu constant on the orbits (i, j) -> (i|>j, i), then random ones
+    act = dihedral_rack().act
+    orbit = {}
+    for i in range(3):
+        for j in range(3):
+            members, a, b = set(), i, j
+            while (a, b) not in members:
+                members.add((a, b))
+                a, b = act(a, b), a
+            orbit[i, j] = min(members)
+    reps = sorted(set(orbit.values()))
+    mus = []
+    for values in itertools.product(range(3), repeat=len(reps)):
+        value = dict(zip(reps, values))
+        mus.append([[value[orbit[i, j]] for j in range(3)] for i in range(3)])
+    rng = random.Random(5)
+    mus += [[[rng.randrange(3) for _ in range(3)] for _ in range(3)] for _ in range(300)]
+    oks = 0
+    for m in mus:
+        check = validate_mu(m, lam)
+        assert (check.ok, check.violations) == _validate_mu_by_formula(m, lam), m
+        oks += check.ok
+    assert oks == 3
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +503,42 @@ def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_b
     assert (cert.rank_right, cert.rank_left) == (5184, 5184)
 
 
+def image_from_the_empty_word(word, images, left_sys, right_sys):
+    """One basis word's coaction image, multiplied and reduced one letter at
+    a time from 1 (x) 1, as apply_algebra_map did before it kept a memo."""
+    acc = TensorPoly(left_sys.alphabet, right_sys.alphabet, F2, {((), ()): F2.one})
+    for letter in word:
+        acc = reduce_tensor(acc * images[letter], left_sys, right_sys)
+    return acc
+
+
+@pytest.mark.parametrize("lam_bits, mu_bits", [("000101110", "100000000"),
+                                               ("111111111", "111111111")])
+def test_prefix_images_match_images_from_the_empty_word(monkeypatch, lam_bits, mu_bits):
+    lam = lambda_from_bits(lam_bits)
+    mu = mu_from_bits(mu_bits, lam)
+    calls = []
+
+    def recording_word_image(word, images, left_sys, right_sys, memo):
+        image = fulcrum.word_image(word, images, left_sys, right_sys, memo)
+        calls.append((word, images, left_sys, right_sys, id(memo), image))
+        return image
+
+    monkeypatch.setattr(fk3, "word_image", recording_word_image)
+    assert galois_certificate(lam, mu).bijective
+    A, L, B = build_cleft(lam, mu), build_lifting(lam, mu), bosonization_build()
+    basis = A.basis()
+    assert len(calls) == 2 * len(basis) == 144
+    sides = [calls[:72], calls[72:]]
+    for side, (left_sys, right_sys) in zip(sides, ((A.system, B.system), (L.system, A.system))):
+        assert [c[0] for c in side] == basis
+        assert len({c[4] for c in side}) == 1
+        for word, images, left, right, _, image in side:
+            assert (left, right) == (left_sys, right_sys)
+            assert image == image_from_the_empty_word(word, images, left_sys, right_sys), word
+    assert sides[0][0][4] != sides[1][0][4]
+
+
 def test_product_table_is_associative_and_unital():
     lam = lambda_from_bits("000101110")
     A = build_cleft(lam, mu_from_bits("100000000", lam))
@@ -562,6 +635,27 @@ def test_bosonization_build_is_the_undeformed_quotient():
     B = bosonization_build()
     assert B.dimension() == 72
     assert B.status == CONFLUENT
+
+
+def test_a_build_enumerates_its_words_once(monkeypatch):
+    from nclift.rewrite import irreducible_words
+    shared = bosonization_build()
+    build = fk3.AlgebraBuild(shared.presentation, shared.report)
+    calls = []
+
+    def counting(system, max_len):
+        calls.append(max_len)
+        return irreducible_words_by_length(system, max_len)
+
+    monkeypatch.setattr(fk3, "irreducible_words_by_length", counting)
+    first = build.basis()
+    assert first == irreducible_words(build.system, fk3.BASIS_LEN)
+    assert build.dimension() == len(first) == 72
+    first.reverse()
+    second = build.basis()
+    assert second is not first and second == first[::-1]
+    assert build.dimension() == 72
+    assert calls == [fk3.BASIS_LEN]
 
 
 def test_lifting_basis_profile_by_length():

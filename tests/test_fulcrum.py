@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from nclift.ncpoly import F2, NcPoly, parse_poly
-from nclift.rewrite import CONFLUENT, irreducible_words
+from nclift.ncpoly import F2, NcPoly, TensorPoly, parse_poly
+from nclift.rewrite import CONFLUENT, irreducible_words, reduce_tensor, verify_confluent
 from nclift.fulcrum import (
     BOSONIZATION,
     T_LAMBDA,
@@ -19,6 +19,7 @@ from nclift.fulcrum import (
     standard_yd_data,
     unannihilated_relations,
     validate_lambda,
+    word_image,
 )
 from nclift import fk3
 
@@ -233,6 +234,44 @@ def test_coaction_maps_verify_for_all_table_lambdas(yd):
                                      prime.complete().system, bos.complete().system)
         assert not apply_algebra_map(rel, rho_l, lifting.alphabet, prime.alphabet,
                                      lifting.complete().system, prime.complete().system)
+
+
+def test_apply_algebra_map_needs_both_systems_or_neither(yd):
+    lam = fk3.lambda_from_bits("000101110")
+    prime, lifting, bos, rho_r, _ = _coactions(yd, lam)
+    p_sys, b_sys = prime.complete().system, bos.complete().system
+    rel = prime.relations[-1]
+    with pytest.raises(ValueError, match="right_sys is missing"):
+        apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet, p_sys)
+    with pytest.raises(ValueError, match="left_sys is missing"):
+        apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet, right_sys=b_sys)
+    # neither: the unreduced product, which the reduction then kills
+    image = apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet)
+    assert image and not reduce_tensor(image, p_sys, b_sys)
+
+
+def test_word_images_do_not_depend_on_the_memo(yd):
+    """Over rules that are not confluent, a memo that holds other words'
+    prefixes gives the same images as a fold from the empty word."""
+    lam = fk3.lambda_from_bits("000101110")
+    mu = fk3.mu_from_bits("100000000", lam)
+    A = fk3.build_cleft(lam, mu)
+    raw = fk3._flavor_base(lam, T_PRIME_LAMBDA).system().copy()
+    raw.extend(A.presentation.relations[-9:])
+    assert not verify_confluent(raw)
+    bos = fk3.bosonization_build().system
+    images = letter_images(raw.alphabet, bos.alphabet, F2, A.presentation.degree_words())
+    unit = TensorPoly(raw.alphabet, bos.alphabet, F2, {((), ()): F2.one})
+    rng = random.Random(11)
+    words = [tuple(rng.randrange(len(raw.alphabet)) for _ in range(rng.randrange(6)))
+             for _ in range(60)]
+    memo = {(): unit}
+    for word in words:
+        fresh = unit
+        for letter in word:
+            fresh = reduce_tensor(fresh * images[letter], raw, bos)
+        assert word_image(word, images, raw, bos, memo) == fresh, word
+        assert word_image(word, images, raw, bos, {(): unit}) == fresh, word
 
 
 def test_validate_lambda_odd_characteristic_smoke():
