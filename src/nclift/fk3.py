@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly
+from .ncpoly import Alphabet, F2, NcPoly, TensorPoly
 from .rackgroup import dihedral_rack
 from .rewrite import (
     COLLAPSED_TO_ZERO,
@@ -52,6 +52,9 @@ CONVENTIONS = (ONE_BASED, THREE_AS_ZERO)
 #: quotients have none longer than 5
 BASIS_LEN = 12
 
+#: the dimension of every valid deformed quotient and of its Galois bases
+QUOTIENT_DIM = 72
+
 
 def relation_orbit_reps() -> tuple:
     """Representatives of the index pairs under (i,j) ~ (i|>j, i) ~ (j, i|>j)."""
@@ -75,20 +78,20 @@ def quadratic_relation_terms(i: int, j: int) -> list:
     return [(i, j), (k, i), (_RACK.act(k, i), k)]
 
 
-def module_alphabet(prefix: str = "x") -> Alphabet:
-    return Alphabet.from_parts([f"{prefix}{i}" for i in range(3)])
+def module_alphabet() -> Alphabet:
+    return Alphabet.from_parts([f"x{i}" for i in range(3)])
 
 
-def fk3_relations(field: Field = F2, prefix: str = "x") -> list[NcPoly]:
-    """The five distinct quadratic relations (three squares, two mixed orbits)."""
-    alpha = module_alphabet(prefix)
+def fk3_relations() -> list[NcPoly]:
+    """The five quadratic relations over F2 (three squares, two mixed orbits)."""
+    alpha = module_alphabet()
     out = []
     for i, j in relation_orbit_reps():
         if i == j:
-            out.append(NcPoly.term(alpha, field, (i, i)))
+            out.append(NcPoly.term(alpha, F2, (i, i)))
         else:
-            out.append(NcPoly.from_terms(alpha, field,
-                                         [(w, field.one) for w in quadratic_relation_terms(i, j)]))
+            out.append(NcPoly.from_terms(alpha, F2,
+                                         [(w, F2.one) for w in quadratic_relation_terms(i, j)]))
     return out
 
 
@@ -445,12 +448,12 @@ class GaloisCertificate:
         return self.rank_right == self.full and self.rank_left == self.full
 
 
-def _verified_basis(build: AlgebraBuild, expect: int) -> list:
+def _verified_basis(build: AlgebraBuild) -> list:
     if build.status != CONFLUENT:
         raise ValueError(f"build is not confluent: {build.status}")
     words = build.basis()
-    if len(words) != expect:
-        raise ValueError(f"expected dimension {expect}, found {len(words)}")
+    if len(words) != QUOTIENT_DIM:
+        raise ValueError(f"expected dimension {QUOTIENT_DIM}, found {len(words)}")
     return words
 
 
@@ -497,8 +500,7 @@ def product_table(system: ReductionSystem, basis: list) -> list:
     return [list(row) for row in zip(*(columns[v] for v in basis))]
 
 
-def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix,
-                       expect_dim: int = 72) -> GaloisCertificate:
+def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate:
     """Ranks of the two Galois maps on the constant-deformed quotient.
 
     kappa_r: A (x) A -> A (x) B, a (x) b -> a b_(0) (x) b_(1) and
@@ -516,13 +518,13 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix,
     A = build_cleft(lam, mu)
     L = build_lifting(lam, mu)
     B = bosonization_build()
-    basis_a = _verified_basis(A, expect_dim)
-    basis_l = _verified_basis(L, expect_dim)
-    basis_b = _verified_basis(B, expect_dim)
+    basis_a = _verified_basis(A)
+    basis_l = _verified_basis(L)
+    basis_b = _verified_basis(B)
     idx_a = {w: n for n, w in enumerate(basis_a)}
     idx_l = {w: n for n, w in enumerate(basis_l)}
     idx_b = {w: n for n, w in enumerate(basis_b)}
-    n = expect_dim
+    n = QUOTIENT_DIM
     a_sys, l_sys, b_sys = A.system, L.system, B.system
 
     degrees = A.presentation.degree_words()
@@ -654,7 +656,7 @@ def certify(lam_bits: str, mu_bits: str, group_mode: str = "s3",
     cert.cubic_convention = convention
     cert.cubic_matches_formula = derived.terms == cubic_formula(lam, mu, convention).terms
     cert.valid = (
-        cert.dim_lifting == 72 and cert.dim_cleft == 72
+        cert.dim_lifting == QUOTIENT_DIM and cert.dim_cleft == QUOTIENT_DIM
         and all(cert.skew_primitive.values()) and cert.cubic_matches_formula
     )
     if galois:

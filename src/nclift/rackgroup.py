@@ -277,14 +277,14 @@ def _group_from_cosets(rack: RackData, coset_table) -> GroupTable:
 
 
 @lru_cache(maxsize=None)
-def s3_quotient(r: RackData | None = None) -> GroupTable:
+def s3_quotient() -> GroupTable:
     """The order-6 quotient of the enveloping group of (Z_3, 2).
 
     Built by coset enumeration over
     < g_0, g_1, g_2 | g_i g_j = g_{i |> j} g_i,  g_0^2 = 1 >
     with a hard cap of 24 cosets.
     """
-    rack = r if r is not None else dihedral_rack()
+    rack = dihedral_rack()
     relators = []
     for i in range(rack.size):
         for j in range(rack.size):

@@ -109,8 +109,7 @@ class ReductionSystem:
             self._key = lambda w: xdeglex_key(w, alphabet)
         self.collapsed = False
         self._rules: dict = {}          # lead -> tail coefficient dict
-        self._by_first: dict = {}       # first letter -> [leads]
-        self._by_last: dict = {}        # last letter  -> [leads]
+        self._by_last: dict = {}        # last letter -> [leads]
         self._memo: dict = {}
         self._frozen = False
         self._steps = 0
@@ -128,13 +127,12 @@ class ReductionSystem:
     # -- bookkeeping ---------------------------------------------------------
 
     def copy(self) -> "ReductionSystem":
-        """An unfrozen copy with the same rules and lead indexes, in the same
+        """An unfrozen copy with the same rules and lead index, in the same
         order, and an empty memo.  Tails are shared: a tail dict is only ever
         replaced, never changed in place."""
         dup = ReductionSystem(self.alphabet, self.field, (), self.degree_cap, self.order)
         dup.collapsed = self.collapsed
         dup._rules = dict(self._rules)
-        dup._by_first = {a: list(leads) for a, leads in self._by_first.items()}
         dup._by_last = {a: list(leads) for a, leads in self._by_last.items()}
         return dup
 
@@ -155,13 +153,11 @@ class ReductionSystem:
         if self._frozen:
             raise RuntimeError("cannot modify a frozen system")
         self._rules[lead] = tail
-        self._by_first.setdefault(lead[0], []).append(lead)
         self._by_last.setdefault(lead[-1], []).append(lead)
         self._memo.clear()
 
     def _remove(self, lead: Word) -> None:
         del self._rules[lead]
-        self._by_first[lead[0]].remove(lead)
         self._by_last[lead[-1]].remove(lead)
         self._memo.clear()
 
@@ -187,7 +183,6 @@ class ReductionSystem:
         if not lead:
             self.collapsed = True
             self._rules.clear()
-            self._by_first.clear()
             self._by_last.clear()
             self._memo.clear()
             return True
@@ -230,16 +225,24 @@ class ReductionSystem:
 
     # -- reduction -----------------------------------------------------------
 
+    def _lead_ending(self, word: Word, end: int):
+        """The longest lead ending at position ``end`` of ``word``, or None.
+        No two leads of one length end at one position, so the answer depends
+        only on the set of leads, never on the order of the index."""
+        found = None
+        for lead in self._by_last.get(word[end - 1], ()):
+            n = len(lead)
+            if n <= end and word[end - n:end] == lead and (found is None or n > len(found)):
+                found = lead
+        return found
+
     def _find_redex(self, word: Word):
-        """Leftmost position and lead of the first rule occurrence, if any."""
-        by_first = self._by_first
-        for i, letter in enumerate(word):
-            leads = by_first.get(letter)
-            if leads:
-                for lead in leads:
-                    # a lead running past the end slices shorter, so unequal
-                    if word[i:i + len(lead)] == lead:
-                        return i, lead
+        """Start and lead of the first lead occurrence to end, or None.  The
+        prefix before it is normal; for inter-reduced rules it is leftmost."""
+        for end in range(1, len(word) + 1):
+            lead = self._lead_ending(word, end)
+            if lead is not None:
+                return end - len(lead), lead
         return None
 
     # Reduction is a left fold: NF(w a) = sum of c NF(u a) over the terms c u
@@ -263,7 +266,7 @@ class ReductionSystem:
             result = {word: self.field.one}
             memo[word] = result
             return result
-        # the prefix before the leftmost redex is normal: fold on from there
+        # the prefix before the first redex to end is normal: fold on from there
         i, lead = redex
         stack = [self._rewrite(word, word[:i], lead, word[i + len(lead):])]
         while stack:
@@ -279,20 +282,20 @@ class ReductionSystem:
 
         Applies the rule of ``lead`` and folds each tail word t, then ``suf``,
         onto ``pre`` one letter at a time.  An NF(u a) the memo lacks is u a
-        itself when no lead ends it; otherwise this generator yields the
-        ``_rewrite`` of u a to the stack in ``_nf_word`` and, resumed, reads
-        the result from the memo.  NF(pre t suf) is memoized too when ``suf``
-        is not empty: the words that ``complete`` reduces through
-        ``_nf_terms``, the two resolutions of an ambiguity and the relations
-        ``extend`` inserts, share such rests.  A normal word followed by one
-        letter, as in ``fk3.product_table`` and ``reduce_tensor``, has none.
+        itself when ``_lead_ending`` finds no lead ending it; otherwise this
+        generator yields the ``_rewrite`` of u a at that lead to the stack in
+        ``_nf_word`` and, resumed, reads the result from the memo.
+        NF(pre t suf) is memoized too when ``suf`` is not empty: the words
+        that ``complete`` reduces through ``_nf_terms``, the two resolutions
+        of an ambiguity and the relations ``extend`` inserts, share such
+        rests.  A normal word followed by one letter, as in
+        ``fk3.product_table`` and ``reduce_tensor``, has none.
         """
         self._steps += 1
         if self._steps > STEP_BUDGET:
             raise CapExceededError("rewrite step budget exhausted")
         memo, f = self._memo, self.field
         one = f.one
-        by_last = self._by_last
         tail = self._rules[lead]
         result: dict = {}
         for tw, tc in tail.items():
@@ -306,14 +309,8 @@ class ReductionSystem:
                         key = u + (a,)
                         nf = memo.get(key)
                         if nf is None:
-                            # the longest lead ending u a (inter-reduced
-                            # rules leave at most one), as leftmost-first
-                            # rewriting would pick
-                            last = None
-                            for cand in by_last.get(a, ()):
-                                if key[-len(cand):] == cand and (
-                                        last is None or len(cand) > len(last)):
-                                    last = cand
+                            # u is normal, so a redex of u a ends it
+                            last = self._lead_ending(key, len(key))
                             if last is None:
                                 nf = memo[key] = {key: one}
                             else:
@@ -422,7 +419,8 @@ class Presentation:
         {"alphabet": [{"id": "x0", "sort": "module"}, ...],
          "relations": ["x0 x1 + x2 x0 + x1 x2", ...],
          "degree_cap": 8, "field": "f2", "order": "deglex"}, the last three
-        optional with those defaults.
+        optional with those defaults.  Each id must read back, through
+        ``parse_poly``, as its own one-letter word, unlike "1", "2" or "x 0".
         """
         if not isinstance(doc, dict):
             raise ValueError("a presentation is a JSON object")
@@ -442,6 +440,13 @@ class Presentation:
             raise ValueError(f"unknown order {order!r}")
         field = _field_from_name(doc.get("field", "f2"))
         alphabet = Alphabet([(g["id"], g["sort"]) for g in gens])
+        for k, g in enumerate(gens):
+            try:
+                itself = parse_poly(g["id"], alphabet, field).terms == {(k,): field.one}
+            except (ValueError, ZeroDivisionError):
+                itself = False
+            if not itself:
+                raise ValueError(f"generator id {g['id']!r} does not read as one generator")
         try:
             relations = [parse_poly(text, alphabet, field) for text in texts]
         except ZeroDivisionError as exc:
@@ -649,21 +654,15 @@ def irreducible_words_by_length(sys: ReductionSystem, max_len: int) -> list[list
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if sys.collapsed:
         return [[]]
-    by_last = sys._by_last
     levels: list[list[Word]] = [[()]]
     size = len(sys.alphabet)
-    for _ in range(max_len):
+    for n in range(1, max_len + 1):
         nxt: list[Word] = []
         for w in levels[-1]:
             for letter in range(size):
+                # w is irreducible, so a lead inside w + (letter,) ends it
                 cand = w + (letter,)
-                n = len(cand)
-                ok = True
-                for lead in by_last.get(letter, ()):
-                    if len(lead) <= n and cand[n - len(lead):] == lead:
-                        ok = False
-                        break
-                if ok:
+                if sys._lead_ending(cand, n) is None:
                     nxt.append(cand)
         if not nxt:
             break

@@ -298,7 +298,12 @@ def test_fk3_main_dispatches_subcommands(tmp_path, capsys):
     [],
     {**PRESENTATION, "degree_cap": "3"},
     {**PRESENTATION, "relations": [5]},
-], ids=["alphabet-not-a-list", "top-level-list", "degree-cap-string", "relation-not-a-string"])
+    {"alphabet": [{"id": "1", "sort": "module"}], "relations": ["1 1"]},
+    {"alphabet": [{"id": "2", "sort": "module"}], "relations": ["2 2 2"], "field": "rational"},
+    {"alphabet": [{"id": "x 0", "sort": "module"}], "relations": []},
+    {"alphabet": [{"id": "", "sort": "module"}], "relations": []},
+], ids=["alphabet-not-a-list", "top-level-list", "degree-cap-string", "relation-not-a-string",
+        "unit-id", "coefficient-id", "two-token-id", "empty-id"])
 def test_fulcrum_complete_rejects_malformed_file(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

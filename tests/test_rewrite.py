@@ -1,6 +1,8 @@
 """Normal forms, ambiguities, completion, irreducible words, GF(2) rank."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,9 +126,8 @@ def test_step_budget_is_per_insert(monkeypatch):
 
 
 def _rule_state(sys_):
-    """Rules in table order with their tails, and both lead indexes."""
+    """Rules in table order with their tails, and the lead index."""
     return ([(lead, dict(tail)) for lead, tail in sys_._rules.items()],
-            {a: list(leads) for a, leads in sys_._by_first.items()},
             {a: list(leads) for a, leads in sys_._by_last.items()},
             sys_.collapsed)
 
@@ -136,8 +137,8 @@ def test_copy_keeps_rule_and_lead_index_order(fk_completed):
     dup = sys_.copy()
     assert _rule_state(dup) == _rule_state(sys_)
     assert dup.rules() == sys_.rules()
-    # the lead indexes are not sorted, so the comparison above checks order
-    assert any(leads != sorted(leads) for leads in sys_._by_first.values())
+    # the lead index lists are not sorted, so the comparison above checks order
+    assert any(leads != sorted(leads) for leads in sys_._by_last.values())
 
 
 def test_copy_of_a_frozen_system_is_not_frozen(fk_completed):
@@ -404,6 +405,32 @@ def test_no_lead_contains_another_lead(sys_):
     # which is why every ambiguity the engine lists is an overlap
     assert _nested_leads(sys_) == []
     assert _nested_leads(complete(sys_).system) == []
+
+
+@given(small_systems(caps=st.integers(1, 4)))
+@settings(max_examples=150, deadline=None)
+def test_lead_lookups_match_brute_force(sys_):
+    # redex search and word counting both go through the last-letter index
+    size = len(sys_.alphabet)
+    for system in (sys_, complete(sys_).system):
+        leads = list(system._rules)
+
+        def occurrences(word):
+            return [(i, lead) for i in range(len(word)) for lead in leads
+                    if word[i:i + len(lead)] == lead]
+
+        for n in range(6):
+            for word in itertools.product(range(size), repeat=n):
+                assert system._find_redex(word) == min(occurrences(word), default=None,
+                                                       key=lambda occ: occ[0])
+        levels = [[()]]
+        for n in range(1, 7):
+            level = [w for w in itertools.product(range(size), repeat=n) if not occurrences(w)]
+            if not level:
+                break
+            levels.append(level)
+        expected = [[]] if system.collapsed else levels
+        assert rewrite.irreducible_words_by_length(system, 6) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -698,3 +725,18 @@ def test_from_json_returns_or_raises_value_error(doc):
     except ValueError:
         return
     assert pres.system().degree_cap == doc.get("degree_cap", 8)
+
+
+@pytest.mark.parametrize("ident", ["1", "2", "x 0", "", "1/0", "x0*x1"])
+def test_from_json_rejects_an_id_that_does_not_read_as_itself(ident):
+    doc = {"alphabet": [{"id": "x0", "sort": "module"}, {"id": ident, "sort": "module"}],
+           "relations": [], "field": "rational"}
+    with pytest.raises(ValueError, match=f"generator id {re.escape(repr(ident))}"):
+        Presentation.from_json(doc)
+
+
+def test_from_json_accepts_the_ids_nclift_builds():
+    ids = ["x0", "y1", "e", "g0g1", "g", "G"]
+    pres = Presentation.from_json({"alphabet": [{"id": i, "sort": "module"} for i in ids],
+                                   "relations": [" + ".join(ids)]})
+    assert pres.relations[0].terms == {(k,): F2.one for k in range(len(ids))}
