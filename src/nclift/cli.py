@@ -127,7 +127,7 @@ def fk3_main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.command == "nichols-dim":
-        dim = fk3_mod.nichols_dimension()
+        dim = fk3_mod.nichols_report().dimension()
         print(dim)
         return 0 if dim == 12 else 1
     raise AssertionError(args.command)

@@ -9,20 +9,17 @@ bijectivity certificates for the two Galois maps between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 from .ncpoly import Alphabet, F2, NcPoly, TensorPoly
 from .rackgroup import dihedral_rack
 from .rewrite import (
-    COLLAPSED_TO_ZERO,
     CONFLUENT,
     CompletionReport,
     Presentation,
     ReductionSystem,
     complete,
-    count_irreducible,
-    irreducible_words_by_length,
     rank_f2,
 )
 from .fulcrum import (
@@ -47,10 +44,6 @@ _RACK = dihedral_rack()
 ONE_BASED = "one_based"          # source indices 1,2,3 read as 0,1,2
 THREE_AS_ZERO = "three_as_zero"  # source index 3 read as 0, indices 1,2 kept
 CONVENTIONS = (ONE_BASED, THREE_AS_ZERO)
-
-#: irreducible words are enumerated up to this length; the 72-dimensional
-#: quotients have none longer than 5
-BASIS_LEN = 12
 
 #: the dimension of every valid deformed quotient and of its Galois bases
 QUOTIENT_DIM = 72
@@ -97,27 +90,8 @@ def fk3_relations() -> list[NcPoly]:
 
 @lru_cache(maxsize=None)
 def nichols_report() -> CompletionReport:
+    """The completed quadratic ideal; its ``dimension()`` must be 12."""
     return Presentation(module_alphabet(), F2, fk3_relations()).complete()
-
-
-def nichols_dimension() -> int:
-    """Total irreducible-word count of the completed quadratic ideal; must be 12."""
-    report = nichols_report()
-    if report.status != CONFLUENT:
-        raise RuntimeError(f"completion failed: {report.status}")
-    counts = count_irreducible(report.system, 8)
-    if not counts.finite:
-        raise RuntimeError("quadratic ideal is not finite-dimensional below the cap")
-    return counts.total
-
-
-def nichols_length_counts() -> list[int]:
-    report = nichols_report()
-    counts = count_irreducible(report.system, 8)
-    out = counts.per_length
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,50 +171,26 @@ def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: LambdaMa
     return rel
 
 
-@dataclass
-class AlgebraBuild:
-    """A deformed quotient: its presentation and the completion report."""
-
-    presentation: FulcrumPresentation
-    report: CompletionReport
-
-    @property
-    def status(self) -> str:
-        return self.report.status
-
-    @property
-    def system(self) -> ReductionSystem:
-        return self.report.system
-
-    @cached_property
-    def _levels(self) -> list:
-        # irreducible words by length, enumerated once; builds are shared
-        # through caches, so nothing may change this list
-        return irreducible_words_by_length(self.system, BASIS_LEN)
-
-    def dimension(self) -> int | None:
-        """Total irreducible words, or None when not finite below BASIS_LEN."""
-        if self.report.status != CONFLUENT:
-            return 0 if self.report.status == COLLAPSED_TO_ZERO else None
-        levels = self._levels
-        # the enumeration dies out before BASIS_LEN exactly when finite
-        return sum(map(len, levels)) if len(levels) <= BASIS_LEN else None
-
-    def basis(self) -> list:
-        """The irreducible words up to BASIS_LEN, by length; a new list per call."""
-        return [w for level in self._levels for w in level]
-
-
 @lru_cache(maxsize=None)
-def _flavor_base(lam: LambdaMatrix, flavor: str) -> FulcrumPresentation:
+def flavor_presentation(lam: LambdaMatrix, flavor: str) -> FulcrumPresentation:
     """The flavor's presentation for lambda: the algebra every deformed
     quotient of that flavor is taken of.  Cached, so that its frozen rules
     (``system()``) and its completion are each built once."""
     return FulcrumPresentation(flavor, standard_yd_data(), lam)
 
 
+def deformed_relations(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> list[NcPoly]:
+    """The nine deformed relations of the flavor's quotient, one per index
+    pair, row-major.  All nine generate the ideal: for valid mu the three
+    relations of an orbit coincide, for invalid mu their differences are
+    exactly what collapses the quotient."""
+    pres = flavor_presentation(lam, flavor)
+    return [deformed_relation(pres, lam, mu, i, j, flavor == T_LAMBDA)
+            for i in range(3) for j in range(3)]
+
+
 @lru_cache(maxsize=None)
-def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> AlgebraBuild:
+def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> CompletionReport:
     """The flavor's presentation followed by the nine deformed relations,
     completed.  lambda must be valid for the presentation to exist at all;
     mu is taken as-is, so that invalid choices can be seen to collapse the
@@ -251,30 +201,22 @@ def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> Algebra
     inter-reducing a flavor's rules changes none of them (tests/test_fk3.py
     checks this for every base).
     """
-    base = _flavor_base(lam, flavor)
-    group_term = flavor == T_LAMBDA
-    # all nine index pairs generate the ideal; for valid mu the three
-    # relations of an orbit coincide, for invalid mu their differences are
-    # exactly what collapses the quotient
-    deformed = [deformed_relation(base, lam, mu, i, j, group_term)
-                for i in range(3) for j in range(3)]
-    system = base.system().copy()
-    system.extend(deformed)
-    report = complete(system)
-    return AlgebraBuild(base.quotient(deformed, report), report)
+    system = flavor_presentation(lam, flavor).system().copy()
+    system.extend(deformed_relations(lam, mu, flavor))
+    return complete(system)
 
 
-def build_lifting(lam: LambdaMatrix, mu: LambdaMatrix) -> AlgebraBuild:
+def build_lifting(lam: LambdaMatrix, mu: LambdaMatrix) -> CompletionReport:
     """The quotient of T_lambda by the five deformed relations, completed."""
     return _build_quotient(lam, mu, T_LAMBDA)
 
 
-def build_cleft(lam: LambdaMatrix, mu: LambdaMatrix) -> AlgebraBuild:
+def build_cleft(lam: LambdaMatrix, mu: LambdaMatrix) -> CompletionReport:
     """The quotient of T'_lambda by the constant-deformed relations, completed."""
     return _build_quotient(lam, mu, T_PRIME_LAMBDA)
 
 
-def bosonization_build() -> AlgebraBuild:
+def bosonization_build() -> CompletionReport:
     """The undeformed quotient (zero lambda and mu over the bosonization rules)."""
     return _build_quotient(zero_lambda(), zero_mu(), BOSONIZATION)
 
@@ -406,17 +348,12 @@ def resolve_cubic_convention() -> str:
 # skew-primitivity
 # ---------------------------------------------------------------------------
 
-def group_term_presentation(lam: LambdaMatrix) -> FulcrumPresentation:
-    """The (cached) group-term presentation T_lambda for this cocycle matrix."""
-    return _flavor_base(lam, T_LAMBDA)
-
-
 def skew_primitivity(lam: LambdaMatrix, mu: LambdaMatrix) -> dict:
     """For each representative (i,j): is the full deformed relation
     (1, g_i g_j)-skew-primitive inside T_lambda?  In characteristic 2 the
     constant-plus-group part is itself skew-primitive, so this holds exactly
     when the quadratic-plus-linear core does."""
-    pres = group_term_presentation(lam)
+    pres = flavor_presentation(lam, T_LAMBDA)
     G = pres.yd.group
     out = {}
     for i, j in relation_orbit_reps():
@@ -448,7 +385,7 @@ class GaloisCertificate:
         return self.rank_right == self.full and self.rank_left == self.full
 
 
-def _verified_basis(build: AlgebraBuild) -> list:
+def _verified_basis(build: CompletionReport) -> list:
     if build.status != CONFLUENT:
         raise ValueError(f"build is not confluent: {build.status}")
     words = build.basis()
@@ -527,7 +464,9 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     n = QUOTIENT_DIM
     a_sys, l_sys, b_sys = A.system, L.system, B.system
 
-    degrees = A.presentation.degree_words()
+    prime = flavor_presentation(lam, T_PRIME_LAMBDA)
+    relations = prime.relations + deformed_relations(lam, mu, T_PRIME_LAMBDA)
+    degrees = prime.degree_words()
     imgs_r = letter_images(a_sys.alphabet, b_sys.alphabet, F2, degrees)
     imgs_l = letter_images(l_sys.alphabet, a_sys.alphabet, F2, degrees)
     rho = {}
@@ -536,8 +475,7 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
         # one memo per coaction: the descent check and the basis images
         # share their prefixes
         memo = {(): TensorPoly(left_sys.alphabet, right_sys.alphabet, F2, {((), ()): F2.one})}
-        failed = unannihilated_relations(A.presentation.relations, imgs, left_sys, right_sys,
-                                         _memo=memo)
+        failed = unannihilated_relations(relations, imgs, left_sys, right_sys, _memo=memo)
         if failed:
             raise ValueError(f"{side} coaction does not descend on: {failed[0]}")
         rho[side] = [word_image(w, imgs, left_sys, right_sys, memo) for w in basis_a]
@@ -565,16 +503,13 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
             rows_l.append(bits)
     rank_l = rank_f2(rows_l, n * n)
 
-    alpha_a = A.presentation.alphabet
-    alpha_l = L.presentation.alphabet
-    alpha_b = B.presentation.alphabet
     return GaloisCertificate(
         rank_right=rank_r,
         rank_left=rank_l,
         dimension=n,
-        basis_cleft=[alpha_a.word_str(w) for w in basis_a],
-        basis_lifting=[alpha_l.word_str(w) for w in basis_l],
-        basis_bosonization=[alpha_b.word_str(w) for w in basis_b],
+        basis_cleft=[a_sys.alphabet.word_str(w) for w in basis_a],
+        basis_lifting=[l_sys.alphabet.word_str(w) for w in basis_l],
+        basis_bosonization=[b_sys.alphabet.word_str(w) for w in basis_b],
     )
 
 
@@ -646,8 +581,8 @@ def certify(lam_bits: str, mu_bits: str, group_mode: str = "s3",
         lam_bits=lam_bits, mu_bits=mu_bits, group_mode=group_mode, valid=True,
         dim_lifting=L.dimension(), dim_cleft=A.dimension(),
         lifting_status=L.status, cleft_status=A.status,
-        new_rule_count=len(L.report.new_rules) + len(A.report.new_rules),
-        ambiguities_checked=L.report.ambiguities_checked + A.report.ambiguities_checked,
+        new_rule_count=len(L.new_rules) + len(A.new_rules),
+        ambiguities_checked=L.ambiguities_checked + A.ambiguities_checked,
         skew_primitive=skew_primitivity(lam, mu),
     )
     convention = resolve_cubic_convention()

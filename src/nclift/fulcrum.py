@@ -219,10 +219,10 @@ class FulcrumPresentation(Presentation):
 # letter maps: comultiplication, coactions, skew-primitivity
 # ---------------------------------------------------------------------------
 
-def word_image(word: Word, images: dict, left_sys: ReductionSystem | None,
-               right_sys: ReductionSystem | None, memo: dict) -> TensorPoly:
-    """The image of ``word``: that of w' a is the image of w' times
-    images[a], reduced when systems are given.
+def word_image(word: Word, images: dict, left_sys: ReductionSystem,
+               right_sys: ReductionSystem, memo: dict) -> TensorPoly:
+    """The reduced image of ``word``: that of w' a is the image of w' times
+    images[a], reduced.
 
     ``memo`` holds images under this one letter map and pair of systems, the
     empty word's 1 (x) 1 among them.  The fold starts from the longest prefix
@@ -234,37 +234,27 @@ def word_image(word: Word, images: dict, left_sys: ReductionSystem | None,
         n -= 1
     acc = memo[word[:n]]
     for k in range(n, len(word)):
-        acc = acc * images[word[k]]
-        if left_sys is not None:
-            acc = reduce_tensor(acc, left_sys, right_sys)
+        acc = reduce_tensor(acc * images[word[k]], left_sys, right_sys)
         memo[word[:k + 1]] = acc
     return acc
 
 
-def apply_algebra_map(p: NcPoly, images: dict, left: Alphabet, right: Alphabet,
-                      left_sys: ReductionSystem | None = None,
-                      right_sys: ReductionSystem | None = None,
-                      _memo: dict | None = None) -> TensorPoly:
-    """Extend letter images multiplicatively to a polynomial.
+def apply_algebra_map(p: NcPoly, images: dict, left_sys: ReductionSystem,
+                      right_sys: ReductionSystem, _memo: dict | None = None) -> TensorPoly:
+    """Extend letter images multiplicatively to a polynomial, in normal form.
 
-    ``images`` maps each ordinal of ``p.alphabet`` to a TensorPoly over
-    (left, right).  Factors are reduced after every letter when systems are
-    supplied, which keeps intermediate supports small and lands the result in
-    normal form; give both systems or neither.
+    ``images`` maps each ordinal of ``p.alphabet`` to a TensorPoly over the
+    systems' alphabets.  Factors are reduced after every letter, which keeps
+    intermediate supports small.
     """
-    if (left_sys is None) != (right_sys is None):
-        missing = "left_sys" if left_sys is None else "right_sys"
-        raise ValueError(f"apply_algebra_map reduces both tensor factors or neither: "
-                         f"{missing} is missing")
     f = p.field
+    left, right = left_sys.alphabet, right_sys.alphabet
     memo = {} if _memo is None else _memo
     memo.setdefault((), TensorPoly(left, right, f, {((), ()): f.one}))
     out = TensorPoly.zero(left, right, f)
     for word, coeff in p.terms.items():
         out = out + word_image(word, images, left_sys, right_sys, memo).scale(coeff)
-    if left_sys is not None:
-        out = reduce_tensor(out, left_sys, right_sys)
-    return out
+    return reduce_tensor(out, left_sys, right_sys)
 
 
 def letter_images(left: Alphabet, right: Alphabet, field: Field,
@@ -296,8 +286,7 @@ def unannihilated_relations(relations: Iterable[NcPoly], images: dict,
     presented algebra.  The relations share one memo of word images."""
     memo = {} if _memo is None else _memo
     return [rel for rel in relations
-            if apply_algebra_map(rel, images, left_sys.alphabet, right_sys.alphabet,
-                                 left_sys, right_sys, _memo=memo)]
+            if apply_algebra_map(rel, images, left_sys, right_sys, _memo=memo)]
 
 
 def check_skew_primitive(pres: FulcrumPresentation, rel: NcPoly, grp: int) -> bool:
@@ -309,7 +298,7 @@ def check_skew_primitive(pres: FulcrumPresentation, rel: NcPoly, grp: int) -> bo
         raise ValueError(f"presentation did not complete: {report.status}")
     sys_ = report.system
     delta = letter_images(pres.alphabet, pres.alphabet, pres.field, pres.degree_words())
-    image = apply_algebra_map(rel, delta, pres.alphabet, pres.alphabet, sys_, sys_)
+    image = apply_algebra_map(rel, delta, sys_, sys_)
     nf_rel = sys_.normal_form(rel)
     expected = TensorPoly.of(nf_rel, NcPoly.one(pres.alphabet, pres.field))
     gword = NcPoly.term(pres.alphabet, pres.field, pres.group_word(grp))

@@ -562,8 +562,10 @@ def parse_poly(text: str, alphabet: Alphabet, field: Field) -> NcPoly:
         else:
             buf.append(ch)
         i += 1
-    if "".join(buf).strip():
-        chunks.append((sign, "".join(buf)))
+    # the stripped text ends in a sign exactly when no term follows its last one
+    if not "".join(buf).strip():
+        raise ValueError(f"no term after the last sign in {text!r}")
+    chunks.append((sign, "".join(buf)))
 
     items = []
     for sgn, chunk in chunks:

@@ -12,10 +12,10 @@ module; every basis and dimension claim downstream rests on these.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .ncpoly import (
@@ -401,17 +401,6 @@ class Presentation:
             self._completed = complete(self.system())
         return self._completed
 
-    def quotient(self, relations: Sequence[NcPoly],
-                 report: CompletionReport) -> "Presentation":
-        """A copy with ``relations`` appended and ``report`` as its completion,
-        for a caller that completed them on a copy of this presentation's
-        rules.  Its ``system()`` is built from all the relations on first use."""
-        dup = copy.copy(self)
-        dup.relations = self.relations + list(relations)
-        dup._system = None
-        dup._completed = report
-        return dup
-
     @classmethod
     def from_json(cls, doc) -> "Presentation":
         """Read the presentation file format; malformed input raises ValueError.
@@ -497,6 +486,9 @@ def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
 
 @dataclass
 class CompletionReport:
+    """A completion, and the algebra it presents: on CONFLUENT, the
+    irreducible words of ``system`` are a basis (Bergman's Diamond Lemma)."""
+
     status: str
     system: ReductionSystem
     new_rules: list[RewriteRule] = dc_field(default_factory=list)
@@ -506,6 +498,26 @@ class CompletionReport:
     #: or from inter-reduction); neither is part of ``to_json``
     cap_word: Word | None = None
     cap_lead: Word | None = None
+
+    @cached_property
+    def _levels(self) -> list[list[Word]] | None:
+        # the basis by length, enumerated once (None when dimension() is);
+        # reports are shared through caches, so nothing may change this list
+        if self.status != CONFLUENT:
+            return [[]] if self.status == COLLAPSED_TO_ZERO else None
+        return irreducible_words_by_length(self.system)
+
+    def dimension(self) -> int | None:
+        """0 when collapsed, the number of irreducible words when confluent
+        and finite, else None."""
+        levels = self._levels
+        return None if levels is None else sum(map(len, levels))
+
+    def basis(self) -> list[Word] | None:
+        """The irreducible words by length, a new list on each call, or None
+        when ``dimension()`` is None."""
+        levels = self._levels
+        return None if levels is None else [w for level in levels for w in level]
 
     def to_json(self) -> dict:
         return {
@@ -644,19 +656,47 @@ class IrreducibleCounts:
     finite: bool
 
 
-def irreducible_words_by_length(sys: ReductionSystem, max_len: int) -> list[list[Word]]:
+def _has_cycle(edges: list[Word]) -> bool:
+    """Whether the graph with an edge u[:-1] -> u[1:] per word u has a cycle.
+
+    Peels vertices with no predecessor left; a cycle is what cannot be peeled.
+    """
+    succ: dict = {}
+    preds: dict = {}
+    for u in edges:
+        succ.setdefault(u[:-1], []).append(u[1:])
+        preds[u[1:]] = preds.get(u[1:], 0) + 1
+    free = [v for v in succ if v not in preds]
+    while free:
+        for w in succ.get(free.pop(), ()):
+            preds[w] -= 1
+            if not preds[w]:
+                free.append(w)
+    return any(preds.values())
+
+
+def irreducible_words_by_length(sys: ReductionSystem,
+                                max_len: int | None = None) -> list[list[Word]] | None:
     """Words containing no rule lead as a subword, grouped by length.
 
     Stops early once a length yields nothing (every longer word then contains
-    a lead too, since prefixes of irreducible words are irreducible).
+    a lead too, since prefixes of irreducible words are irreducible).  With
+    no ``max_len`` it runs until then, or returns None when that never comes.
+    That is decided once, at the longest lead's length d (Ufnarovski): the
+    longer irreducible words are the walks in the graph on the irreducible
+    words of length d - 1 with an edge u[:-1] -> u[1:] per irreducible u of
+    length d, so there are finitely many exactly when it has no cycle.
     """
-    if max_len < 0:
+    if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if sys.collapsed:
         return [[]]
     levels: list[list[Word]] = [[()]]
     size = len(sys.alphabet)
-    for n in range(1, max_len + 1):
+    d = max(map(len, sys._rules), default=1)
+    n = 0
+    while max_len is None or n < max_len:
+        n += 1
         nxt: list[Word] = []
         for w in levels[-1]:
             for letter in range(size):
@@ -667,6 +707,8 @@ def irreducible_words_by_length(sys: ReductionSystem, max_len: int) -> list[list
         if not nxt:
             break
         levels.append(nxt)
+        if max_len is None and n == d and _has_cycle(nxt):
+            return None
     return levels
 
 

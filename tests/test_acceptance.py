@@ -18,7 +18,7 @@ from nclift.rewrite import COLLAPSED_TO_ZERO, CONFLUENT
 from nclift import classify as classify_mod
 from nclift import fk3
 from nclift import jordan
-from nclift.fulcrum import extend_lambda, standard_yd_data, validate_lambda
+from nclift.fulcrum import T_LAMBDA, extend_lambda, standard_yd_data, validate_lambda
 from nclift.rackgroup import conjugation_action
 
 SEED = 20260809
@@ -41,7 +41,7 @@ def classes(pairs):
 
 def test_criterion_01_nichols_dimension():
     t0 = time.monotonic()
-    dim = fk3.nichols_dimension()
+    dim = fk3.nichols_report().dimension()
     elapsed = time.monotonic() - t0
     ok = dim == 12 and elapsed < 1.0
     _report(1, "quadratic-ideal irreducible words = 12", ok, elapsed)
@@ -113,7 +113,7 @@ def test_criterion_05_skew_primitivity(pairs):
     mu0 = fk3.zero_mu()
     for p in pairs:
         lam = fk3.lambda_from_bits(p.lam_bits)
-        pres = fk3.group_term_presentation(lam)
+        pres = fk3.flavor_presentation(lam, T_LAMBDA)
         for i, j in fk3.relation_orbit_reps():
             # the exact displayed identity on the quadratic-plus-linear core
             core = fk3.deformed_relation(pres, lam, mu0, i, j, group_term=True)
@@ -225,7 +225,7 @@ def test_criterion_11_property_suites():
     G, rack = yd.group, yd.rack
     build = fk3.build_lifting(fk3.zero_lambda(), fk3.zero_mu())
     sys_ = build.system
-    alpha = build.presentation.alphabet
+    alpha = build.system.alphabet
     size = len(alpha)
 
     # normal-form idempotence and linearity

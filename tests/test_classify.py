@@ -248,6 +248,7 @@ def test_witness_realizes_an_algebra_isomorphism(pairs):
     actual isomorphism of the 72-dimensional quotients, verified by mapping
     every defining relation to zero and by full rank on the basis."""
     from nclift import fk3
+    from nclift.fulcrum import T_LAMBDA
     from nclift.ncpoly import F2, NcPoly
     from nclift.rewrite import rank_f2
 
@@ -258,10 +259,13 @@ def test_witness_realizes_an_algebra_isomorphism(pairs):
 
     lam_p = fk3.lambda_from_bits(p.lam_bits)
     lam_q = fk3.lambda_from_bits(q.lam_bits)
-    src = fk3.build_lifting(lam_p, fk3.mu_from_bits(p.mu_bits, lam_p))
+    mu_p = fk3.mu_from_bits(p.mu_bits, lam_p)
+    src = fk3.build_lifting(lam_p, mu_p)
     dst = fk3.build_lifting(lam_q, fk3.mu_from_bits(q.mu_bits, lam_q))
-    alpha = dst.presentation.alphabet
-    G = dst.presentation.yd.group
+    src_pres = fk3.flavor_presentation(lam_p, T_LAMBDA)
+    dst_pres = fk3.flavor_presentation(lam_q, T_LAMBDA)
+    alpha = dst.system.alphabet
+    G = dst_pres.yd.group
     phi, s = witness.auto, witness.shifts
 
     # generator images: x_i -> x_{phi(i)} + s_i (1 + g_{phi(i)}),
@@ -270,12 +274,12 @@ def test_witness_realizes_an_algebra_isomorphism(pairs):
     for i in range(3):
         items = [((phi(i),), 1)]
         if s[i]:
-            items += [((), 1), (dst.presentation.group_word(G.distinguished[phi(i)]), 1)]
+            items += [((), 1), (dst_pres.group_word(G.distinguished[phi(i)]), 1)]
         images[i] = NcPoly.from_terms(alpha, F2, items)
     for e in range(G.order):
         target = G.element_of_word(tuple(phi(i) for i in G.words[e]))
-        images[src.presentation.group_ordinal(e)] = NcPoly.term(
-            alpha, F2, dst.presentation.group_word(target))
+        images[src_pres.group_ordinal(e)] = NcPoly.term(
+            alpha, F2, dst_pres.group_word(target))
 
     def apply_map(poly):
         out = NcPoly.zero(alpha, F2)
@@ -286,7 +290,7 @@ def test_witness_realizes_an_algebra_isomorphism(pairs):
             out = out + acc.scale(coeff)
         return dst.system.normal_form(out)
 
-    for rel in src.presentation.relations:
+    for rel in src_pres.relations + fk3.deformed_relations(lam_p, mu_p, T_LAMBDA):
         assert not apply_map(rel), f"relation not killed: {rel}"
 
     basis_src = src.basis()
@@ -295,7 +299,7 @@ def test_witness_realizes_an_algebra_isomorphism(pairs):
     rows = []
     for w in basis_src:
         bits = 0
-        for out_word in apply_map(NcPoly.term(src.presentation.alphabet, F2, w)).terms:
+        for out_word in apply_map(NcPoly.term(src.system.alphabet, F2, w)).terms:
             bits ^= 1 << index[out_word]
         rows.append(bits)
     assert rank_f2(rows, 72) == 72

@@ -7,6 +7,7 @@ import pytest
 
 from nclift import cli, fk3, jordan
 from nclift.cli import fk3_main, fulcrum_main, jordan_main, load_presentation
+from nclift.fulcrum import T_LAMBDA, T_PRIME_LAMBDA
 from nclift.ncpoly import F2
 from nclift.rewrite import Presentation
 
@@ -302,8 +303,11 @@ def test_fk3_main_dispatches_subcommands(tmp_path, capsys):
     {"alphabet": [{"id": "2", "sort": "module"}], "relations": ["2 2 2"], "field": "rational"},
     {"alphabet": [{"id": "x 0", "sort": "module"}], "relations": []},
     {"alphabet": [{"id": "", "sort": "module"}], "relations": []},
+    {**PRESENTATION, "relations": ["-"]},
+    {**PRESENTATION, "relations": ["x0 x1 +"]},
 ], ids=["alphabet-not-a-list", "top-level-list", "degree-cap-string", "relation-not-a-string",
-        "unit-id", "coefficient-id", "two-token-id", "empty-id"])
+        "unit-id", "coefficient-id", "two-token-id", "empty-id", "sign-only-relation",
+        "dangling-sign-relation"])
 def test_fulcrum_complete_rejects_malformed_file(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -316,9 +320,15 @@ def _valid_pair():
     return lam, fk3.mu_from_bits("100000000", lam)
 
 
-def _quotient(build):
-    """A deformed quotient as a presentation, with its in-process completion."""
-    return build.presentation, build.report
+def _quotient(build, flavor):
+    """A deformed quotient as a presentation of all its relations, with its
+    in-process completion."""
+    lam, mu = _valid_pair()
+    base = fk3.flavor_presentation(lam, flavor)
+    pres = Presentation(base.alphabet, base.field,
+                        base.relations + fk3.deformed_relations(lam, mu, flavor),
+                        base.degree_cap, base.order)
+    return pres, build(lam, mu)
 
 
 def _nichols():
@@ -333,8 +343,8 @@ def _jordan(flavor):
 
 ROUND_TRIP = {
     "nichols": _nichols,
-    "lifting-L": lambda: _quotient(fk3.build_lifting(*_valid_pair())),
-    "cleft-A": lambda: _quotient(fk3.build_cleft(*_valid_pair())),
+    "lifting-L": lambda: _quotient(fk3.build_lifting, T_LAMBDA),
+    "cleft-A": lambda: _quotient(fk3.build_cleft, T_PRIME_LAMBDA),
     **{f"jordan-{flavor}": (lambda flavor=flavor: _jordan(flavor))
        for flavor in jordan.FLAVORS},
 }

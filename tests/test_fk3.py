@@ -1,7 +1,9 @@
 """Relations, dimensions, the derived cubic rule, and Galois certificates."""
 
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,11 +13,12 @@ from nclift.rewrite import (
     CONFLUENT,
     ReductionSystem,
     complete,
+    irreducible_words,
     irreducible_words_by_length,
     rank_f2,
     reduce_tensor,
 )
-from nclift import fk3, fulcrum
+from nclift import fk3, fulcrum, rewrite
 from nclift.fk3 import (
     ONE_BASED,
     build_cleft,
@@ -29,8 +32,7 @@ from nclift.fk3 import (
     matrix_from_bits,
     mu_from_bits,
     mu_unchecked,
-    nichols_dimension,
-    nichols_length_counts,
+    nichols_report,
     quadratic_relation_terms,
     relation_orbit_reps,
     resolve_cubic_convention,
@@ -99,8 +101,10 @@ def test_quadratic_relation_closes_cyclically():
 
 
 def test_nichols_dimension_and_profile():
-    assert nichols_dimension() == 12
-    assert nichols_length_counts() == [1, 3, 4, 3, 1]
+    report = nichols_report()
+    assert report.dimension() == 12
+    profile = Counter(len(w) for w in report.basis())
+    assert [profile[n] for n in range(max(profile) + 1)] == [1, 3, 4, 3, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +362,18 @@ def _from_scratch(lam, mu, flavor):
         for i in range(3) for j in range(3)]
     system = ReductionSystem(pres.alphabet, pres.field, relations,
                              pres.degree_cap, pres.order)
-    return relations, fk3.AlgebraBuild(pres, complete(system))
+    return relations, complete(system)
 
 
 def _assert_same_build(build, lam, mu, flavor):
     relations, scratch = _from_scratch(lam, mu, flavor)
-    assert build.presentation.relations == relations
-    assert build.presentation.complete() is build.report
-    assert build.report.to_json() == scratch.report.to_json()
+    base = fk3.flavor_presentation(lam, flavor)
+    assert base.relations + fk3.deformed_relations(lam, mu, flavor) == relations
+    assert build is fk3._build_quotient(lam, mu, flavor)
+    assert build.to_json() == scratch.to_json()
     assert build.system.rules() == scratch.system.rules()
     assert build.dimension() == scratch.dimension()
+    assert build.basis() == scratch.basis()
     return build.dimension()
 
 
@@ -395,15 +401,18 @@ def test_a_quotients_rules_hold_its_deformed_relations():
     mu = mu_from_bits("100000000", lam)
     for build, flavor in ((build_lifting(lam, mu), T_LAMBDA),
                           (build_cleft(lam, mu), T_PRIME_LAMBDA)):
-        pres = build.presentation
-        base_system = fk3._flavor_base(lam, flavor).system()
-        deformed = pres.relations[-9:]
+        base = fk3.flavor_presentation(lam, flavor)
+        base_system = base.system()
+        deformed = fk3.deformed_relations(lam, mu, flavor)
+        assert len(deformed) == 9
         assert any(base_system.normal_form(rel) for rel in deformed)
-        system = pres.system()
+        system = build.system
         assert system is not base_system
         assert not any(system.normal_form(rel) for rel in deformed)
-        assert system.rules() == ReductionSystem(pres.alphabet, pres.field, pres.relations,
-                                                 pres.degree_cap, pres.order).rules()
+        # every rule of all the relations at once holds in the quotient
+        at_once = ReductionSystem(base.alphabet, base.field, base.relations + deformed,
+                                  base.degree_cap, base.order)
+        assert not any(system.normal_form(rule.as_poly()) for rule in at_once.rules())
 
 
 def test_bosonization_on_the_shared_base_matches_a_from_scratch_build():
@@ -441,13 +450,12 @@ def per_term_galois_rows(lam, mu):
     idx_b = {w: k for k, w in enumerate(basis_b)}
     n = len(basis_a)
     a_sys, l_sys, b_sys = A.system, L.system, B.system
-    degrees = A.presentation.degree_words()
+    degrees = fk3.flavor_presentation(lam, T_PRIME_LAMBDA).degree_words()
     imgs_r = letter_images(a_sys.alphabet, b_sys.alphabet, F2, degrees)
     imgs_l = letter_images(l_sys.alphabet, a_sys.alphabet, F2, degrees)
 
     def images_of_basis(imgs, left_sys, right_sys):
-        return [apply_algebra_map(NcPoly.term(a_sys.alphabet, F2, w), imgs, left_sys.alphabet,
-                                  right_sys.alphabet, left_sys, right_sys)
+        return [apply_algebra_map(NcPoly.term(a_sys.alphabet, F2, w), imgs, left_sys, right_sys)
                 for w in basis_a]
 
     rho_r = images_of_basis(imgs_r, a_sys, b_sys)
@@ -638,24 +646,24 @@ def test_bosonization_build_is_the_undeformed_quotient():
 
 
 def test_a_build_enumerates_its_words_once(monkeypatch):
-    from nclift.rewrite import irreducible_words
-    shared = bosonization_build()
-    build = fk3.AlgebraBuild(shared.presentation, shared.report)
+    # a fresh report of the shared completion, so that nothing is cached yet
+    build = dataclasses.replace(bosonization_build())
+    expected = irreducible_words(build.system, 6)
     calls = []
 
-    def counting(system, max_len):
+    def counting(system, max_len=None):
         calls.append(max_len)
         return irreducible_words_by_length(system, max_len)
 
-    monkeypatch.setattr(fk3, "irreducible_words_by_length", counting)
+    monkeypatch.setattr(rewrite, "irreducible_words_by_length", counting)
     first = build.basis()
-    assert first == irreducible_words(build.system, fk3.BASIS_LEN)
+    assert first == expected
     assert build.dimension() == len(first) == 72
     first.reverse()
     second = build.basis()
     assert second is not first and second == first[::-1]
     assert build.dimension() == 72
-    assert calls == [fk3.BASIS_LEN]
+    assert calls == [None]
 
 
 def test_lifting_basis_profile_by_length():

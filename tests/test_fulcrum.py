@@ -230,24 +230,26 @@ def test_coaction_maps_verify_for_all_table_lambdas(yd):
         # spot examples: both coactions kill a commutation rule of the primed
         # presentation and are diagonal on group letters
         rel = prime.relations[-1]
-        assert not apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet,
-                                     prime.complete().system, bos.complete().system)
-        assert not apply_algebra_map(rel, rho_l, lifting.alphabet, prime.alphabet,
-                                     lifting.complete().system, prime.complete().system)
+        assert not apply_algebra_map(rel, rho_r, prime.complete().system,
+                                     bos.complete().system)
+        assert not apply_algebra_map(rel, rho_l, lifting.complete().system,
+                                     prime.complete().system)
 
 
-def test_apply_algebra_map_needs_both_systems_or_neither(yd):
+def test_a_coaction_kills_a_relation_only_after_reduction(yd):
     lam = fk3.lambda_from_bits("000101110")
     prime, lifting, bos, rho_r, _ = _coactions(yd, lam)
     p_sys, b_sys = prime.complete().system, bos.complete().system
     rel = prime.relations[-1]
-    with pytest.raises(ValueError, match="right_sys is missing"):
-        apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet, p_sys)
-    with pytest.raises(ValueError, match="left_sys is missing"):
-        apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet, right_sys=b_sys)
-    # neither: the unreduced product, which the reduction then kills
-    image = apply_algebra_map(rel, rho_r, prime.alphabet, bos.alphabet)
+    # the unreduced image: the letter images multiplied out term by term
+    image = TensorPoly.zero(prime.alphabet, bos.alphabet, F2)
+    for word, coeff in rel.terms.items():
+        acc = TensorPoly(prime.alphabet, bos.alphabet, F2, {((), ()): F2.one})
+        for letter in word:
+            acc = acc * rho_r[letter]
+        image = image + acc.scale(coeff)
     assert image and not reduce_tensor(image, p_sys, b_sys)
+    assert not apply_algebra_map(rel, rho_r, p_sys, b_sys)
 
 
 def test_word_images_do_not_depend_on_the_memo(yd):
@@ -255,12 +257,12 @@ def test_word_images_do_not_depend_on_the_memo(yd):
     prefixes gives the same images as a fold from the empty word."""
     lam = fk3.lambda_from_bits("000101110")
     mu = fk3.mu_from_bits("100000000", lam)
-    A = fk3.build_cleft(lam, mu)
-    raw = fk3._flavor_base(lam, T_PRIME_LAMBDA).system().copy()
-    raw.extend(A.presentation.relations[-9:])
+    base = fk3.flavor_presentation(lam, T_PRIME_LAMBDA)
+    raw = base.system().copy()
+    raw.extend(fk3.deformed_relations(lam, mu, T_PRIME_LAMBDA))
     assert not verify_confluent(raw)
     bos = fk3.bosonization_build().system
-    images = letter_images(raw.alphabet, bos.alphabet, F2, A.presentation.degree_words())
+    images = letter_images(raw.alphabet, bos.alphabet, F2, base.degree_words())
     unit = TensorPoly(raw.alphabet, bos.alphabet, F2, {((), ()): F2.one})
     rng = random.Random(11)
     words = [tuple(rng.randrange(len(raw.alphabet)) for _ in range(rng.randrange(6)))

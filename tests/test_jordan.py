@@ -148,7 +148,6 @@ def test_coaction_failure_reporting_on_wrong_target():
     imgs = letter_images(prime.alphabet, bos.alphabet, QQ, DEGREES)
     undeformed = parse_poly("y1 y2 - y2 y1 - 1/2 y1 y1", prime.alphabet, QQ)
     prime_sys, bos_sys = prime.complete().system, bos.complete().system
-    image = apply_algebra_map(undeformed, imgs, prime.alphabet, bos.alphabet,
-                              prime_sys, bos_sys)
+    image = apply_algebra_map(undeformed, imgs, prime_sys, bos_sys)
     assert image
     assert unannihilated_relations([undeformed], imgs, prime_sys, bos_sys) == [undeformed]

@@ -213,6 +213,16 @@ def test_parse_examples():
     assert r.terms == {(1, 2): 1, (2, 1): -1, (1, 1): Fraction(-1, 2)}
     assert parse_poly("0", ALPHA3, F2).terms == {}
     assert parse_poly("1", ALPHA3, F2).terms == {(): 1}
+    # a leading sign and a run of signs between terms multiply out
+    assert parse_poly("- x0", ALPHA3, QQ).terms == {(0,): -1}
+    assert parse_poly("x0 - - x1", ALPHA3, QQ).terms == {(0,): 1, (1,): 1}
+    assert parse_poly("x0 + - x1", ALPHA3, QQ).terms == {(0,): 1, (1,): -1}
+
+
+@pytest.mark.parametrize("text", ["+", "-", "+ +", "x0 +", "x0 x1 -", "x0 + -"])
+def test_parse_rejects_a_sign_with_no_term_after_it(text):
+    with pytest.raises(ValueError, match="no term"):
+        parse_poly(text, ALPHA3, F2)
 
 
 def test_format_round_trip():

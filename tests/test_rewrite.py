@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -531,6 +532,10 @@ def test_fomin_kirillov_e4_completes(field):
     counts = count_irreducible(report.system, 13)
     assert counts.per_length[:13] == E4_PER_LENGTH and counts.finite
     assert counts.total == 576
+    # exact, with no length bound: the top degree is 12
+    assert report.dimension() == 576
+    profile = Counter(len(w) for w in report.basis())
+    assert [profile[n] for n in range(max(profile) + 1)] == E4_PER_LENGTH
     # the restart engine resolved 398 ambiguities here
     assert report.ambiguities_checked < 398
     assert verify_confluent(report.system)
@@ -581,6 +586,76 @@ def test_irreducible_counts_free_algebra():
         count_irreducible(sys_, -1)
 
 
+def _occurs(leads, word):
+    return any(word[i:i + len(lead)] == lead for lead in leads
+               for i in range(len(word) - len(lead) + 1))
+
+
+def _infinite_by_dfs(leads, size):
+    """A cycle, found depth first, in the graph on the lead-free words of
+    length d - 1 with an edge u[:-1] -> u[1:] per lead-free u of length d."""
+    d = max(map(len, leads), default=1)
+    succ = {}
+    for u in itertools.product(range(size), repeat=d):
+        if not _occurs(leads, u):
+            succ.setdefault(u[:-1], []).append(u[1:])
+    state = {}      # 1 while on the path, 2 once done
+
+    def on_cycle(v):
+        state[v] = 1
+        for w in succ.get(v, ()):
+            if state.get(w) == 1 or (w not in state and on_cycle(w)):
+                return True
+        state[v] = 2
+        return False
+
+    return any(v not in state and on_cycle(v) for v in list(succ))
+
+
+def test_finiteness_matches_a_cycle_search_and_words_a_brute_force_filter():
+    rng = random.Random(1982)
+    finite = 0
+    for _ in range(3000):
+        size = rng.randint(1, 3)
+        alpha = Alphabet.from_parts([f"x{i}" for i in range(size)])
+        leads = [tuple(rng.randrange(size) for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(0, 5))]
+        sys_ = ReductionSystem(alpha, F2, [NcPoly.term(alpha, F2, w) for w in leads])
+        levels = rewrite.irreducible_words_by_length(sys_)
+        assert (levels is None) == _infinite_by_dfs(leads, size), leads
+        if levels is None:
+            continue
+        finite += 1
+        expected = [[()]]
+        while True:
+            # a lead-free word has a lead-free prefix, so extend the last level
+            level = [w + (a,) for w in expected[-1] for a in range(size)
+                     if not _occurs(leads, w + (a,))]
+            if not level:
+                break
+            expected.append(level)
+        assert levels == expected, leads
+    assert 300 < finite < 2700
+
+
+@pytest.mark.parametrize("flavor", jordan.FLAVORS)
+def test_jordan_flavors_are_infinite_dimensional(flavor):
+    report = jordan.build_jordan(flavor, 6).complete()
+    assert report.status == CONFLUENT
+    assert report.dimension() is None and report.basis() is None
+
+
+def test_a_report_has_a_dimension_only_when_confluent_and_finite():
+    free = complete(ReductionSystem(ALPHA, F2, []))
+    assert free.status == CONFLUENT and free.dimension() is None
+    collapsed = complete(ReductionSystem(ALPHA, F2, [_parse("x0 + 1"), _parse("x0")]))
+    assert collapsed.status == COLLAPSED_TO_ZERO
+    assert (collapsed.dimension(), collapsed.basis()) == (0, [])
+    capped = complete(ReductionSystem(ALPHA, F2, [_parse("x0 x0 x0")], degree_cap=2))
+    assert capped.status == CAP_EXCEEDED
+    assert capped.dimension() is None and capped.basis() is None
+
+
 def test_lifting_dimension_is_72():
     build = fk3.build_lifting(fk3.zero_lambda(), fk3.zero_mu())
     assert build.dimension() == 72
@@ -628,7 +703,7 @@ def test_flip_map_is_invertible_on_basis(lam_bits, mu_bits):
     sys_ = build.system
     basis = build.basis()
     index = {w: n for n, w in enumerate(basis)}
-    mc = build.presentation.alphabet.module_count
+    mc = build.system.alphabet.module_count
     rows = []
     for word in basis:
         module_part = tuple(o for o in word if o < mc)
