@@ -54,16 +54,22 @@ def _all_bits():
 
 
 def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
-    """Brute force over all 512 x 512 candidate matrices, deterministically
-    ordered by (lambda bits, mu bits)."""
+    """Brute force over all 512 lambda and the mu that ``validate_mu`` can
+    accept, deterministically ordered by (lambda bits, mu bits).
+
+    Those mu are the 32 of the 512 constant on every orbit,
+    mu_{i,j} = mu_{i|>j,i} = mu_{j,i|>j}, found once for all lambda."""
     if mode not in (GX_MODE, S3_MODE):
         raise ValueError(f"unknown mode {mode!r}")
+    orbit_constant = [b for b in _all_bits()
+                      if all(b[3 * i + j] == b[3 * k + i] == b[3 * j + k]
+                             for i, j, k in _TRIPLES)]
     out: list[PairRecord] = []
     for lam_bits in _all_bits():
         check = validate_lambda(matrix_from_bits(lam_bits), mode)
         if not check.ok:
             continue
-        for mu_bits in _all_bits():
+        for mu_bits in orbit_constant:
             if validate_mu(matrix_from_bits(mu_bits), check.matrix).ok:
                 out.append(PairRecord(lam_bits, mu_bits, mode))
     return out

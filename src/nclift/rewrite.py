@@ -109,7 +109,7 @@ class ReductionSystem:
             self._key = lambda w: xdeglex_key(w, alphabet)
         self.collapsed = False
         self._rules: dict = {}          # lead -> tail coefficient dict
-        self._by_last: dict = {}        # last letter -> [leads]
+        self._lengths: dict = {}        # last letter -> lead lengths, longest first
         self._memo: dict = {}
         self._frozen = False
         self._steps = 0
@@ -127,13 +127,14 @@ class ReductionSystem:
     # -- bookkeeping ---------------------------------------------------------
 
     def copy(self) -> "ReductionSystem":
-        """An unfrozen copy with the same rules and lead index, in the same
-        order, and an empty memo.  Tails are shared: a tail dict is only ever
-        replaced, never changed in place."""
+        """An unfrozen copy with the same rules, in the same order, the same
+        length index, stale lengths included, and an empty memo.  Tails and
+        length tuples are shared: both are only ever replaced, never changed
+        in place."""
         dup = ReductionSystem(self.alphabet, self.field, (), self.degree_cap, self.order)
         dup.collapsed = self.collapsed
         dup._rules = dict(self._rules)
-        dup._by_last = {a: list(leads) for a, leads in self._by_last.items()}
+        dup._lengths = dict(self._lengths)
         return dup
 
     def freeze(self) -> "ReductionSystem":
@@ -153,13 +154,29 @@ class ReductionSystem:
         if self._frozen:
             raise RuntimeError("cannot modify a frozen system")
         self._rules[lead] = tail
-        self._by_last.setdefault(lead[-1], []).append(lead)
+        lengths = self._lengths.get(lead[-1], ())
+        if len(lead) not in lengths:
+            self._lengths[lead[-1]] = tuple(sorted(lengths + (len(lead),), reverse=True))
         self._memo.clear()
 
     def _remove(self, lead: Word) -> None:
+        """Drop the rule of ``lead``.  Its length stays in the index: a
+        length that no lead has any more only costs one failed lookup.
+
+        The memo is kept when another lead ends strictly inside ``lead``,
+        that is, when ``lead[:-1]`` holds a redex.  Every memo entry was
+        computed under the current rules, since an install or a tail change
+        clears it.  With such an inner lead, ``_find_redex`` stops at it
+        before ``lead`` ends, and no u·a of the fold, u normal, ends in
+        ``lead``, since u would end in ``lead[:-1]``.  So ``lead`` never
+        fired for any entry, and each entry is what the remaining rules give.
+        When the only leads inside ``lead`` are suffixes of it,
+        ``_lead_ending`` preferred ``lead`` itself where it ended, and the
+        memo is cleared.
+        """
         del self._rules[lead]
-        self._by_last[lead[-1]].remove(lead)
-        self._memo.clear()
+        if self._find_redex(lead[:-1]) is None:
+            self._memo.clear()
 
     def _orient(self, terms: dict) -> tuple[Word, dict]:
         """Split a nonzero polynomial into (lead, tail) with monic lead."""
@@ -183,7 +200,7 @@ class ReductionSystem:
         if not lead:
             self.collapsed = True
             self._rules.clear()
-            self._by_last.clear()
+            self._lengths.clear()
             self._memo.clear()
             return True
         self._install(lead, tail)
@@ -227,14 +244,18 @@ class ReductionSystem:
 
     def _lead_ending(self, word: Word, end: int):
         """The longest lead ending at position ``end`` of ``word``, or None.
-        No two leads of one length end at one position, so the answer depends
-        only on the set of leads, never on the order of the index."""
-        found = None
-        for lead in self._by_last.get(word[end - 1], ()):
-            n = len(lead)
-            if n <= end and word[end - n:end] == lead and (found is None or n > len(found)):
-                found = lead
-        return found
+
+        One lead at most has a given length and ends at a given position, so
+        the index only keeps, per last letter, the lengths of the leads that
+        end in it, longest first, and this tries one slice of each length.  A
+        superset of those lengths gives the same answer."""
+        rules = self._rules
+        for n in self._lengths.get(word[end - 1], ()):
+            if n <= end:
+                lead = word[end - n:end]
+                if lead in rules:
+                    return lead
+        return None
 
     def _find_redex(self, word: Word):
         """Start and lead of the first lead occurrence to end, or None.  The
@@ -556,9 +577,16 @@ def complete(sys: ReductionSystem) -> CompletionReport:
     longer than the degree cap, from the input, a resolution or
     inter-reduction, stops the completion with CAP_EXCEEDED, so a CONFLUENT
     system never has one.  ``ambiguities_checked`` counts every resolution
-    computed.
+    computed.  The report's system is a frozen copy whatever the status,
+    since caches share reports.
     """
-    work = sys.copy()
+    report = _complete(sys.copy())
+    report.system.freeze()
+    return report
+
+
+def _complete(work: ReductionSystem) -> CompletionReport:
+    """``complete`` on a system of its own, left unfrozen."""
     report = CompletionReport(CONFLUENT, work)
     if work.collapsed:
         report.status = COLLAPSED_TO_ZERO
@@ -631,8 +659,6 @@ def complete(sys: ReductionSystem) -> CompletionReport:
             report.ambiguities_checked += 1
             if _resolve(work, amb):
                 push(amb)
-
-    work.freeze()
     return report
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nclift import classify
 from nclift.classify import (
     IsoWitness,
     PairRecord,
@@ -14,6 +15,8 @@ from nclift.classify import (
     partition_classes,
     read_table,
 )
+from nclift.fk3 import matrix_from_bits
+from nclift.fulcrum import validate_lambda
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,26 @@ def test_zero_lambda_mu_values(pairs):
 def test_deterministic_ordering(pairs):
     keys = [p.key for p in pairs]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("mode", ["gx", "s3"])
+def test_only_orbit_constant_mu_are_validated(monkeypatch, pairs, mode):
+    validated = []
+    real = classify.validate_mu
+
+    def recording(m, lam):
+        validated.append(classify._bits(m))
+        return real(m, lam)
+
+    monkeypatch.setattr(classify, "validate_mu", recording)
+    assert [p.key for p in enumerate_pairs(mode)] == [p.key for p in pairs]
+    # the same 32 mu for each of the 8 valid lambda, not all 512
+    assert len(validated) == 8 * 32 and len(set(validated)) == 32
+    # every other mu breaks an orbit identity, which no lambda repairs
+    for lam_bits in {p.lam_bits for p in pairs}:
+        lam = validate_lambda(matrix_from_bits(lam_bits), mode).matrix
+        assert not any(real(matrix_from_bits(bits), lam).ok
+                       for bits in classify._all_bits() if bits not in validated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Relations, dimensions, the derived cubic rule, and Galois certificates."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -334,6 +336,22 @@ def test_invisible_mu_failures_leave_lifting_untouched():
     L = build_lifting(lam0, mu)
     assert L.status == CONFLUENT and L.dimension() == 72
     assert build_cleft(lam0, mu).status == COLLAPSED_TO_ZERO
+
+
+def test_census_of_one_lambda_is_pinned():
+    """sha256 over the reports of both quotients for every one of the 512 mu
+    of one lambda: ``to_json()``, ``dimension()`` and the leads in rule-table
+    order, as the engine gave them before its lead index was keyed on
+    lengths.  A change to any of them must be deliberate."""
+    lam = lambda_from_bits("000101110")
+    digest = hashlib.sha256()
+    for n in range(512):
+        mu = mu_unchecked(matrix_from_bits(format(n, "09b")))
+        for report in (build_lifting(lam, mu), build_cleft(lam, mu)):
+            digest.update(json.dumps([report.to_json(), report.dimension(),
+                                      list(report.system._rules)]).encode())
+    assert digest.hexdigest() == ("11f32eabd3d6512dd2b886d22856f937"
+                                  "5127ff0eb4c3a19e85953463129020dc")
 
 
 # ---------------------------------------------------------------------------

@@ -127,10 +127,9 @@ def test_step_budget_is_per_insert(monkeypatch):
 
 
 def _rule_state(sys_):
-    """Rules in table order with their tails, and the lead index."""
+    """Rules in table order with their tails, and the lead length index."""
     return ([(lead, dict(tail)) for lead, tail in sys_._rules.items()],
-            {a: list(leads) for a, leads in sys_._by_last.items()},
-            sys_.collapsed)
+            dict(sys_._lengths), sys_.collapsed)
 
 
 def test_copy_keeps_rule_and_lead_index_order(fk_completed):
@@ -138,8 +137,15 @@ def test_copy_keeps_rule_and_lead_index_order(fk_completed):
     dup = sys_.copy()
     assert _rule_state(dup) == _rule_state(sys_)
     assert dup.rules() == sys_.rules()
-    # the lead index lists are not sorted, so the comparison above checks order
-    assert any(leads != sorted(leads) for leads in sys_._by_last.values())
+    # the rule table is not in lead order, so the comparison above checks order
+    assert list(sys_._rules) != sorted(sys_._rules, key=sys_._key)
+    # the index holds each last letter's lead lengths, longest first
+    assert sys_._lengths == {0: (2,), 1: (3, 2), 2: (2,)}
+    # a removed lead leaves its length behind, and a copy keeps it
+    dup._remove((1, 0, 1))
+    assert dup.copy()._lengths[1] == (3, 2)
+    assert dup._lead_ending((1, 0, 1), 3) is None
+    assert dup._lead_ending((1, 0, 1, 1), 4) == (1, 1)
 
 
 def test_copy_of_a_frozen_system_is_not_frozen(fk_completed):
@@ -471,6 +477,82 @@ def test_fold_matches_recursive_normal_forms(sys_, data):
             assert system.nf_word(word) == expected
 
 
+def _longest_lead_ending(leads, word, end):
+    return max((lead for lead in leads if len(lead) <= end and word[end - len(lead):end] == lead),
+               key=len, default=None)
+
+
+def _words(size, max_len):
+    return [w for n in range(max_len + 1) for w in itertools.product(range(size), repeat=n)]
+
+
+@given(small_systems(caps=st.integers(1, 4)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_length_index_matches_brute_force_through_installs_and_removals(sys_, data):
+    size = len(sys_.alphabet)
+    words = _words(size, 5)
+    leads = st.lists(st.integers(0, size - 1), min_size=1, max_size=4).map(tuple)
+    steps = data.draw(st.lists(st.one_of(leads, st.integers(0, 7)), max_size=8))
+
+    def check():
+        for word in words:
+            for end in range(1, len(word) + 1):
+                assert sys_._lead_ending(word, end) == _longest_lead_ending(sys_._rules, word,
+                                                                             end)
+
+    # a lead word installs, an integer removes the lead at that table position;
+    # removing whatever is left at the end leaves every length in the index stale
+    for step in steps:
+        if isinstance(step, tuple):
+            sys_._install(step, {(): sys_.field.one})
+        elif sys_._rules:
+            sys_._remove(list(sys_._rules)[step % len(sys_._rules)])
+        check()
+    while sys_._rules:
+        sys_._remove(next(iter(sys_._rules)))
+        check()
+    assert all(lengths == tuple(sorted(set(lengths), reverse=True))
+               for lengths in sys_._lengths.values())
+
+
+@given(small_systems(caps=st.integers(1, 4)))
+@settings(max_examples=200, deadline=None)
+def test_kept_memo_matches_a_cold_memo(sys_):
+    # sys_ holds the memo its own insertions and inter-reduction left, and a
+    # completed system the one its completion left; a copy starts cold
+    for system in (sys_, complete(sys_).system):
+        cold = system.copy()
+        for word in _words(len(system.alphabet), 5):
+            assert system.nf_word(word) == cold.nf_word(word)
+
+
+def test_a_removal_clears_the_memo_only_when_the_lead_could_have_fired():
+    # inserting x1 x1 x0 + 1 again memoizes NF(x1 x1 x0) = 1 by its own rule;
+    # inter-reduction then removes that rule for its suffix x1 x0, and the
+    # reinserted relation reduces to 1 only on a cleared memo
+    alpha = Alphabet.from_parts(["x0", "x1"])
+    assert ReductionSystem(alpha, F2, [parse_poly(text, alpha, F2) for text in
+                                       ("x1 x1 x0 + 1", "x1 x0", "x1 x1 x0 + 1")]).collapsed
+    sys_ = ReductionSystem(ALPHA, F2)
+    sys_._install((1,), {(0,): F2.one})
+    sys_._install((2, 1), {(2,): F2.one})
+    # the longest lead ending x2 x1 is x2 x1 itself, not its suffix x1
+    assert sys_.nf_word((2, 1)) == {(2,): F2.one}
+    sys_._remove((2, 1))
+    assert sys_.nf_word((2, 1)) == {(2, 0): F2.one}
+    # x0 x2 ends inside x0 x2 x1, so x0 x2 x1 never fired and the memo stays
+    sys_._install((0, 2), {(1,): F2.one})
+    sys_._install((0, 2, 1), {(): F2.one})
+    words = _words(3, 4)
+    for word in words:
+        sys_.nf_word(word)
+    kept = dict(sys_._memo)
+    sys_._remove((0, 2, 1))
+    assert sys_._memo == kept
+    cold = sys_.copy()
+    assert all(sys_.nf_word(word) == cold.nf_word(word) for word in words)
+
+
 def _act(word, k):
     """x1 -> t, x2 -> -1/2 t^2 d/dt applied to t^k, as (exponent, coefficient)."""
     coeff, exp = Fraction(1), k
@@ -548,6 +630,22 @@ def test_fomin_kirillov_e5_breaks_cap_7():
     assert len(report.cap_lead) == 8
     # the restart engine resolved 17,111 ambiguities here
     assert report.ambiguities_checked < 17_111
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fk3.build_cleft(fk3.zero_lambda(), fk3.mu_unchecked([[1, 0, 0], [0, 0, 0],
+                                                                 [0, 0, 0]])),
+    lambda: complete(fomin_kirillov(5, F2, 7)),
+    lambda: complete(ReductionSystem(ALPHA, F2, [_parse("x0 x1 x0 + x2")], degree_cap=1)),
+], ids=["collapsed-census-build", "e5-cap-7", "cap-exceeded-input"])
+def test_every_report_has_a_frozen_system(build):
+    # reports are shared through caches, so none may be changed by a caller
+    report = build()
+    assert report.status != CONFLUENT
+    rules = report.system.rules()
+    with pytest.raises(RuntimeError, match="frozen"):
+        report.system.extend([NcPoly.term(report.system.alphabet, F2, (0, 0))])
+    assert report.system.rules() == rules
 
 
 # ---------------------------------------------------------------------------
