@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .rackgroup import RackAutomorphism, dihedral_rack, rack_automorphisms
-from .fulcrum import GX_MODE, S3_MODE, validate_lambda
+from .fulcrum import GX_MODE, ORBIT_TRIPLES, S3_MODE, validate_lambda
 from .fk3 import matrix_from_bits, validate_mu
 
-_RACK = dihedral_rack()
-_AUTOS = tuple(rack_automorphisms(_RACK))
+_AUTOS = tuple(rack_automorphisms(dihedral_rack()))
 
 
 @dataclass
@@ -63,7 +62,7 @@ def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
         raise ValueError(f"unknown mode {mode!r}")
     orbit_constant = [b for b in _all_bits()
                       if all(b[3 * i + j] == b[3 * k + i] == b[3 * j + k]
-                             for i, j, k in _TRIPLES)]
+                             for i, j, k in ORBIT_TRIPLES)]
     out: list[PairRecord] = []
     for lam_bits in _all_bits():
         check = validate_lambda(matrix_from_bits(lam_bits), mode)
@@ -75,8 +74,7 @@ def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
     return out
 
 
-#: the (i, j, i|>j) index triples, row-major, and the shifts in search order
-_TRIPLES = tuple((i, j, _RACK.act(i, j)) for i in range(3) for j in range(3))
+#: the shifts in search order
 _SHIFTS = tuple(product((0, 1), repeat=3))
 
 
@@ -98,11 +96,11 @@ def _witness_images(p: PairRecord):
         for s in _SHIFTS:
             lq = [[0] * 3 for _ in range(3)]
             mq = [[0] * 3 for _ in range(3)]
-            for i, j, ij in _TRIPLES:
+            for i, j, ij in ORBIT_TRIPLES:
                 lq[a[i]][a[j]] = (lp[i][j] + s[ij] + s[j]) % 2
                 mq[a[i]][a[j]] = (mp[i][j] + s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
             if all((s[i] * lq[a[i]][a[j]] + s[ij] * lq[a[ij]][a[i]]
-                    + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in _TRIPLES):
+                    + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in ORBIT_TRIPLES):
                 yield IsoWitness(auto, s), (_bits(lq), _bits(mq))
 
 
@@ -206,26 +204,18 @@ def emit_table(classes: list[list[PairRecord]], fmt: str = JSON_FORMAT,
             "pairs": rows,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    header = ["lambda", "mu", "class", "dim", "galois_r", "galois_l"]
+    # one cell list per row, empty where a value is unknown
+    cells = [["" if row[key] is None else row[key] for key in header] for row in rows]
     if fmt == CSV_FORMAT:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["lambda", "mu", "class", "dim", "galois_r", "galois_l"])
-        for row in rows:
-            writer.writerow([row["lambda"], row["mu"], row["class"],
-                             row["dim"] if row["dim"] is not None else "",
-                             row["galois_r"] if row["galois_r"] is not None else "",
-                             row["galois_l"] if row["galois_l"] is not None else ""])
+        writer.writerow(header)
+        writer.writerows(cells)
         return buf.getvalue()
     if fmt == MARKDOWN_FORMAT:
-        lines = ["| lambda | mu | class | dim | galois_r | galois_l |",
-                 "| --- | --- | --- | --- | --- | --- |"]
-        for row in rows:
-            lines.append("| {} | {} | {} | {} | {} | {} |".format(
-                row["lambda"], row["mu"], row["class"],
-                row["dim"] if row["dim"] is not None else "",
-                row["galois_r"] if row["galois_r"] is not None else "",
-                row["galois_l"] if row["galois_l"] is not None else ""))
-        return "\n".join(lines) + "\n"
+        lines = [header, ["---"] * len(header)] + cells
+        return "".join("| " + " | ".join(map(str, line)) + " |\n" for line in lines)
     raise ValueError(f"unsupported format {fmt!r}")
 
 

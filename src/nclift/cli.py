@@ -14,6 +14,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from .fulcrum import s3_violations
 from .rackgroup import s3_quotient
 from .rewrite import CAP_EXCEEDED, CONFLUENT, CapExceededError, Presentation, count_irreducible
 from . import classify as classify_mod
@@ -84,8 +85,10 @@ def _fk3_classify(args: argparse.Namespace) -> int:
     if args.out and not _write("", args.out):
         return 1
     if args.certify:
+        # every enumerated lambda is a cocycle: the first that satisfies the
+        # finite-quotient condition represents its class
         reps = [next(p.key for p in cls
-                     if fk3_mod.validate_lambda(fk3_mod.matrix_from_bits(p.lam_bits), "s3").ok)
+                     if not s3_violations(fk3_mod.matrix_from_bits(p.lam_bits)))
                 for cls in classes]
         if args.jobs > 1:
             # a forking pool starts all its workers at once, used or not

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Sequence
 
-from .ncpoly import Alphabet, F2, NcPoly, TensorPoly
-from .rackgroup import dihedral_rack
+from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly
 from .rewrite import (
     CONFLUENT,
     CompletionReport,
@@ -24,6 +23,7 @@ from .rewrite import (
 )
 from .fulcrum import (
     BOSONIZATION,
+    ORBIT_TRIPLES,
     FulcrumPresentation,
     LambdaCheck,
     LambdaMatrix,
@@ -31,6 +31,7 @@ from .fulcrum import (
     T_PRIME_LAMBDA,
     as_entries,
     check_skew_primitive,
+    fulcrum_alphabet,
     letter_images,
     satisfies_s3_condition,
     standard_yd_data,
@@ -38,8 +39,6 @@ from .fulcrum import (
     validate_lambda,
     word_image,
 )
-
-_RACK = dihedral_rack()
 
 ONE_BASED = "one_based"          # source indices 1,2,3 read as 0,1,2
 THREE_AS_ZERO = "three_as_zero"  # source index 3 read as 0, indices 1,2 kept
@@ -50,42 +49,35 @@ QUOTIENT_DIM = 72
 
 
 def relation_orbit_reps() -> tuple:
-    """Representatives of the index pairs under (i,j) ~ (i|>j, i) ~ (j, i|>j)."""
-    seen = set()
-    reps = []
-    for i in range(3):
-        for j in range(3):
-            if (i, j) in seen:
-                continue
-            reps.append((i, j))
-            a, b = i, j
-            for _ in range(3):
-                seen.add((a, b))
-                a, b = _RACK.act(a, b), a
-    return tuple(reps)
+    """Representatives of the index pairs under (i,j) ~ (i|>j, i) ~ (j, i|>j):
+    the least pair of each orbit, row-major."""
+    return tuple((i, j) for i, j, k in ORBIT_TRIPLES if (i, j) <= min((k, i), (j, k)))
 
 
 def quadratic_relation_terms(i: int, j: int) -> list:
-    """Word list of x_i x_j + x_{i|>j} x_i + x_{(i|>j)|>i} x_{i|>j}."""
-    k = _RACK.act(i, j)
-    return [(i, j), (k, i), (_RACK.act(k, i), k)]
+    """Word list of x_i x_j + x_{i|>j} x_i + x_j x_{i|>j}: the orbit of (i, j)
+    in order."""
+    k = ORBIT_TRIPLES[3 * i + j][2]
+    return [(i, j), (k, i), (j, k)]
 
 
 def module_alphabet() -> Alphabet:
     return Alphabet.from_parts([f"x{i}" for i in range(3)])
 
 
+def quadratic_relation(alphabet: Alphabet, field: Field, i: int, j: int) -> NcPoly:
+    """R_{i,j}: the square x_i x_i when i = j, else the sum of the words of
+    the orbit of (i, j)."""
+    if i == j:
+        return NcPoly.term(alphabet, field, (i, i))
+    return NcPoly.from_terms(alphabet, field,
+                             [(w, field.one) for w in quadratic_relation_terms(i, j)])
+
+
 def fk3_relations() -> list[NcPoly]:
     """The five quadratic relations over F2 (three squares, two mixed orbits)."""
     alpha = module_alphabet()
-    out = []
-    for i, j in relation_orbit_reps():
-        if i == j:
-            out.append(NcPoly.term(alpha, F2, (i, i)))
-        else:
-            out.append(NcPoly.from_terms(alpha, F2,
-                                         [(w, F2.one) for w in quadratic_relation_terms(i, j)]))
-    return out
+    return [quadratic_relation(alpha, F2, i, j) for i, j in relation_orbit_reps()]
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +90,8 @@ def nichols_report() -> CompletionReport:
 # mu matrices
 # ---------------------------------------------------------------------------
 
-#: (i, j, i|>j) for every index pair, row-major: the orbit identities
-_ORBIT = tuple((i, j, _RACK.act(i, j)) for i in range(3) for j in range(3))
 #: (i, j, k, k|>i, k|>j) for every index triple, row-major: the joint constraints
-_JOINT = tuple((i, j, k, _RACK.act(k, i), _RACK.act(k, j))
+_JOINT = tuple((i, j, k, ORBIT_TRIPLES[3 * k + i][2], ORBIT_TRIPLES[3 * k + j][2])
                for i in range(3) for j in range(3) for k in range(3))
 
 
@@ -112,7 +102,7 @@ def _joint_rhs(lam: LambdaMatrix) -> tuple:
     f = lam.field
     lamv = lam.entries
     out = []
-    for i, j, ij in _ORBIT:
+    for i, j, ij in ORBIT_TRIPLES:
         for k in range(3):
             out.append(f.add(
                 f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
@@ -130,7 +120,8 @@ def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
     Violations list the orbit pairs, then the joint triples, row-major."""
     f = lam.field
     e = as_entries(m, f)
-    violations = [("orbit", i, j) for i, j, k in _ORBIT if not (e[i][j] == e[k][i] == e[j][k])]
+    violations = [("orbit", i, j) for i, j, k in ORBIT_TRIPLES
+                  if not (e[i][j] == e[k][i] == e[j][k])]
     violations += [("joint", i, j, k)
                    for (i, j, k, ki, kj), rhs in zip(_JOINT, _joint_rhs(lam))
                    if f.add(e[i][j], e[ki][kj]) != rhs]
@@ -144,23 +135,17 @@ def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
 # ---------------------------------------------------------------------------
 
 def linear_correction(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int) -> NcPoly:
-    """r_{i,j} = lambda_{i,j} x_i + lambda_{i|>j,i} x_{i|>j} + lambda_{j,i|>j} x_j."""
-    f = lam.field
-    k = _RACK.act(i, j)
-    items = [((i,), lam[i, j]), ((k,), lam[k, i]), ((j,), lam[j, k])]
-    return NcPoly.from_terms(pres.alphabet, f, items)
+    """r_{i,j} = lambda_{i,j} x_i + lambda_{i|>j,i} x_{i|>j} + lambda_{j,i|>j} x_j:
+    lambda_{a,b} x_a over the orbit of (i, j) in order."""
+    items = [((a,), lam[a, b]) for a, b in quadratic_relation_terms(i, j)]
+    return NcPoly.from_terms(pres.alphabet, lam.field, items)
 
 
 def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: LambdaMatrix,
                       i: int, j: int, group_term: bool) -> NcPoly:
     """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term only."""
     f = lam.field
-    if i == j:
-        rel = NcPoly.term(pres.alphabet, f, (i, i))
-    else:
-        rel = NcPoly.from_terms(pres.alphabet, f,
-                                [(w, f.one) for w in quadratic_relation_terms(i, j)])
-    rel = rel + linear_correction(pres, lam, i, j)
+    rel = quadratic_relation(pres.alphabet, f, i, j) + linear_correction(pres, lam, i, j)
     mu_ij = mu[i, j]
     if mu_ij != f.zero:
         rel = rel + NcPoly.term(pres.alphabet, f, (), mu_ij)
@@ -290,9 +275,7 @@ def cubic_formula(lam: LambdaMatrix, mu: LambdaMatrix, convention: str = ONE_BAS
     else:
         raise ValueError(f"unknown convention {convention!r}")
     f = lam.field
-    pad = Alphabet.from_parts(
-        [f"y{i}" for i in range(3)],
-        [standard_yd_data().group.name(e) for e in range(6)])
+    pad = fulcrum_alphabet(standard_yd_data().group, "y")
 
     def L(a, b):
         return lam[sigma[a], sigma[b]]

@@ -29,6 +29,12 @@ GX_MODE = "gx"
 S3_MODE = "s3"
 
 _RACK = dihedral_rack()
+#: (i, j, i|>j) for every index pair, row-major.  The orbit of (i, j) under
+#: (i, j) ~ (i|>j, i) ~ (j, i|>j) is {(i, j), (i|>j, i), (j, i|>j)}, since
+#: (i|>j)|>i = j in (Z_3, 2); the quadratic relations, their linear
+#: corrections, the mu orbit identities and the isomorphism witnesses all
+#: read their orbits from here
+ORBIT_TRIPLES = tuple((i, j, _RACK.act(i, j)) for i in range(3) for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,7 @@ def validate_lambda(m: Sequence[Sequence], mode: str = GX_MODE,
                 if lhs != rhs:
                     violations.append((i, j, k))
     if mode == S3_MODE:
-        for i in range(3):
-            for j in range(3):
-                if e[i][j] != e[i][_RACK.act(i, j)]:
-                    violations.append(("s3", i, j))
+        violations += [("s3", i, j) for i, j in s3_violations(e)]
     elif mode != GX_MODE:
         raise ValueError(f"unknown mode {mode!r}")
     if violations:
@@ -118,8 +121,14 @@ def validate_lambda(m: Sequence[Sequence], mode: str = GX_MODE,
     return LambdaCheck(True, LambdaMatrix(e, field), [])
 
 
+def s3_violations(m: Sequence[Sequence]) -> list:
+    """The pairs (i, j), row-major, where m breaks the finite-quotient
+    condition lambda_{i,j} = lambda_{i,i|>j}."""
+    return [(i, j) for i, j, k in ORBIT_TRIPLES if m[i][j] != m[i][k]]
+
+
 def satisfies_s3_condition(lam: LambdaMatrix) -> bool:
-    return all(lam[i, j] == lam[i, _RACK.act(i, j)] for i in range(3) for j in range(3))
+    return not s3_violations(lam.entries)
 
 
 def extend_lambda(lam: LambdaMatrix, word: Iterable[int], j: int):

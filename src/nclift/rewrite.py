@@ -159,12 +159,14 @@ class ReductionSystem:
             self._lengths[lead[-1]] = tuple(sorted(lengths + (len(lead),), reverse=True))
         self._memo.clear()
 
-    def _remove(self, lead: Word) -> None:
-        """Drop the rule of ``lead``.  Its length stays in the index: a
-        length that no lead has any more only costs one failed lookup.
+    def _remove(self, lead: Word, inner: tuple | None) -> None:
+        """Drop the rule of ``lead``, where ``inner`` is
+        ``_find_redex(lead[:-1])``, which the caller has already searched.
+        The length of ``lead`` stays in the index: a length that no lead has
+        any more only costs one failed lookup.
 
         The memo is kept when another lead ends strictly inside ``lead``,
-        that is, when ``lead[:-1]`` holds a redex.  Every memo entry was
+        that is, when ``inner`` is not None.  Every memo entry was
         computed under the current rules, since an install or a tail change
         clears it.  With such an inner lead, ``_find_redex`` stops at it
         before ``lead`` ends, and no u·a of the fold, u normal, ends in
@@ -175,7 +177,7 @@ class ReductionSystem:
         memo is cleared.
         """
         del self._rules[lead]
-        if self._find_redex(lead[:-1]) is None:
+        if inner is None:
             self._memo.clear()
 
     def _orient(self, terms: dict) -> tuple[Word, dict]:
@@ -222,9 +224,10 @@ class ReductionSystem:
                 tail = self._rules.get(lead)
                 if tail is None:
                     continue
-                # any other lead inside this one lies in lead[1:] or lead[:-1]
-                if self._find_redex(lead[1:]) or self._find_redex(lead[:-1]):
-                    self._remove(lead)
+                # any other lead inside this one lies in lead[:-1] or lead[1:]
+                inner = self._find_redex(lead[:-1])
+                if inner or self._find_redex(lead[1:]):
+                    self._remove(lead, inner)
                     f = self.field
                     # relation polynomial is lead - tail
                     poly = {w: f.neg(c) for w, c in tail.items()}
@@ -541,15 +544,16 @@ class CompletionReport:
         return None if levels is None else [w for level in levels for w in level]
 
     def to_json(self) -> dict:
+        def rule_json(rule: RewriteRule) -> dict:
+            return {"lead": self.system.alphabet.word_str(rule.lead), "tail": str(rule.tail)}
+
         return {
             "schema": 1,
             "status": self.status,
             "ambiguities_checked": self.ambiguities_checked,
             "rule_count": self.system.rule_count(),
-            "rules": [{"lead": self.system.alphabet.word_str(r.lead), "tail": str(r.tail)}
-                      for r in self.system.rules()],
-            "new_rules": [{"lead": self.system.alphabet.word_str(r.lead), "tail": str(r.tail)}
-                          for r in self.new_rules],
+            "rules": [rule_json(r) for r in self.system.rules()],
+            "new_rules": [rule_json(r) for r in self.new_rules],
         }
 
 

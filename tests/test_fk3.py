@@ -72,23 +72,6 @@ def test_relation_list():
     assert parse_poly("x0 x1 + x2 x0 + x1 x2", alpha, F2) in rels
 
 
-def test_distinct_relation_count_by_orbit_oracle():
-    # brute-force the orbits of (i,j) under (i,j) -> (i|>j, i)
-    rhd = lambda a, b: (2 * a - b) % 3
-    seen, orbits = set(), 0
-    for i in range(3):
-        for j in range(3):
-            if (i, j) in seen:
-                continue
-            orbits += 1
-            a, b = i, j
-            for _ in range(3):
-                seen.add((a, b))
-                a, b = rhd(a, b), a
-    assert orbits == 5
-    assert len(relation_orbit_reps()) == 5
-
-
 def test_quadratic_relation_closes_cyclically():
     for i in range(3):
         for j in range(3):
@@ -97,9 +80,50 @@ def test_quadratic_relation_closes_cyclically():
             words = quadratic_relation_terms(i, j)
             assert len(set(words)) == 3
             # (i|>j)|>i = j makes the three-term window slide back to start
-            assert words[2][1] == words[0][1] or True
+            assert words[2][0] == words[0][1]
             k = (2 * i - j) % 3
             assert set(quadratic_relation_terms(k, i)) == set(words)
+
+
+def _orbit_walk(rack):
+    """Each index pair's orbit walked under (a, b) -> (a|>b, a) from the pair
+    itself, and the first pair met of each orbit, row-major: the reference
+    that the orbit table's order must reproduce."""
+    orbits, reps, seen = {}, [], set()
+    for i in range(rack.size):
+        for j in range(rack.size):
+            walk, (a, b) = [], (i, j)
+            for _ in range(3):
+                walk.append((a, b))
+                a, b = rack.act(a, b), a
+            assert (a, b) == (i, j)
+            orbits[i, j] = walk
+            if (i, j) not in seen:
+                reps.append((i, j))
+                seen.update(walk)
+    return orbits, tuple(reps)
+
+
+def test_orbit_order_matches_the_rack_walk(monkeypatch):
+    orbits, reps = _orbit_walk(dihedral_rack())
+    assert relation_orbit_reps() == reps == ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2))
+    # the (word, coefficient) items of every NcPoly.from_terms call, in order
+    items = []
+    from_terms = NcPoly.from_terms
+
+    def recording(cls, alphabet, field, terms):
+        items.append(list(terms))
+        return from_terms(alphabet, field, items[-1])
+
+    monkeypatch.setattr(NcPoly, "from_terms", classmethod(recording))
+    for bits in VALID_LAMBDAS:
+        lam = lambda_from_bits(bits)
+        pres = fk3.flavor_presentation(lam, T_LAMBDA)
+        for (i, j), orbit in orbits.items():
+            assert quadratic_relation_terms(i, j) == orbit
+            items.clear()
+            linear_correction(pres, lam, i, j)
+            assert items == [[((a,), lam[a, b]) for a, b in orbit]]
 
 
 def test_nichols_dimension_and_profile():

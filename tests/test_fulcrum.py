@@ -11,7 +11,9 @@ from nclift.fulcrum import (
     T_LAMBDA,
     T_PRIME_LAMBDA,
     FulcrumPresentation,
+    LambdaMatrix,
     apply_algebra_map,
+    as_entries,
     check_skew_primitive,
     extend_lambda,
     letter_images,
@@ -22,6 +24,7 @@ from nclift.fulcrum import (
     word_image,
 )
 from nclift import fk3
+from nclift.rackgroup import dihedral_rack
 
 TABLE_LAMBDAS = [
     "000000000", "000101110", "011000110", "011101000",
@@ -58,6 +61,17 @@ def test_all_enumerated_lambdas_satisfy_s3_condition():
         lam = fk3.lambda_from_bits(bits)
         assert satisfies_s3_condition(lam)
         assert validate_lambda(fk3.matrix_from_bits(bits), "s3").ok
+
+
+def test_s3_condition_is_one_check_for_every_bit_pattern():
+    rack = dihedral_rack()
+    for n in range(512):
+        m = fk3.matrix_from_bits(format(n, "09b"))
+        expected = [(i, j) for i in range(3) for j in range(3)
+                    if m[i][j] != m[i][rack.act(i, j)]]
+        violations = validate_lambda(m, "s3").violations
+        assert [v[1:] for v in violations if v[0] == "s3"] == expected
+        assert satisfies_s3_condition(LambdaMatrix(as_entries(m, F2), F2)) == (not expected)
 
 
 def test_extend_lambda_examples():

@@ -126,6 +126,11 @@ def test_step_budget_is_per_insert(monkeypatch):
         ReductionSystem(alpha, F2, rels)
 
 
+def _remove(sys_, lead):
+    """Remove ``lead`` the way inter-reduction does, with its inner redex."""
+    sys_._remove(lead, sys_._find_redex(lead[:-1]))
+
+
 def _rule_state(sys_):
     """Rules in table order with their tails, and the lead length index."""
     return ([(lead, dict(tail)) for lead, tail in sys_._rules.items()],
@@ -142,7 +147,7 @@ def test_copy_keeps_rule_and_lead_index_order(fk_completed):
     # the index holds each last letter's lead lengths, longest first
     assert sys_._lengths == {0: (2,), 1: (3, 2), 2: (2,)}
     # a removed lead leaves its length behind, and a copy keeps it
-    dup._remove((1, 0, 1))
+    _remove(dup, (1, 0, 1))
     assert dup.copy()._lengths[1] == (3, 2)
     assert dup._lead_ending((1, 0, 1), 3) is None
     assert dup._lead_ending((1, 0, 1, 1), 4) == (1, 1)
@@ -314,7 +319,7 @@ def _restart_interreduce(work):
             if lead not in work._rules:
                 continue
             tail = work._rules[lead]
-            work._remove(lead)
+            _remove(work, lead)
             f = work.field
             poly = {w: f.neg(c) for w, c in tail.items()}
             poly[lead] = f.one
@@ -506,10 +511,10 @@ def test_length_index_matches_brute_force_through_installs_and_removals(sys_, da
         if isinstance(step, tuple):
             sys_._install(step, {(): sys_.field.one})
         elif sys_._rules:
-            sys_._remove(list(sys_._rules)[step % len(sys_._rules)])
+            _remove(sys_, list(sys_._rules)[step % len(sys_._rules)])
         check()
     while sys_._rules:
-        sys_._remove(next(iter(sys_._rules)))
+        _remove(sys_, next(iter(sys_._rules)))
         check()
     assert all(lengths == tuple(sorted(set(lengths), reverse=True))
                for lengths in sys_._lengths.values())
@@ -538,7 +543,7 @@ def test_a_removal_clears_the_memo_only_when_the_lead_could_have_fired():
     sys_._install((2, 1), {(2,): F2.one})
     # the longest lead ending x2 x1 is x2 x1 itself, not its suffix x1
     assert sys_.nf_word((2, 1)) == {(2,): F2.one}
-    sys_._remove((2, 1))
+    _remove(sys_, (2, 1))
     assert sys_.nf_word((2, 1)) == {(2, 0): F2.one}
     # x0 x2 ends inside x0 x2 x1, so x0 x2 x1 never fired and the memo stays
     sys_._install((0, 2), {(1,): F2.one})
@@ -547,7 +552,7 @@ def test_a_removal_clears_the_memo_only_when_the_lead_could_have_fired():
     for word in words:
         sys_.nf_word(word)
     kept = dict(sys_._memo)
-    sys_._remove((0, 2, 1))
+    _remove(sys_, (0, 2, 1))
     assert sys_._memo == kept
     cold = sys_.copy()
     assert all(sys_.nf_word(word) == cold.nf_word(word) for word in words)
