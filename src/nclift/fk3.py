@@ -134,18 +134,26 @@ def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
 # deformed quotients
 # ---------------------------------------------------------------------------
 
-def linear_correction(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int) -> NcPoly:
+def linear_correction(alphabet: Alphabet, lam: LambdaMatrix, i: int, j: int) -> NcPoly:
     """r_{i,j} = lambda_{i,j} x_i + lambda_{i|>j,i} x_{i|>j} + lambda_{j,i|>j} x_j:
     lambda_{a,b} x_a over the orbit of (i, j) in order."""
     items = [((a,), lam[a, b]) for a, b in quadratic_relation_terms(i, j)]
-    return NcPoly.from_terms(pres.alphabet, lam.field, items)
+    return NcPoly.from_terms(alphabet, lam.field, items)
+
+
+@lru_cache(maxsize=None)
+def _relation_core(alphabet: Alphabet, lam: LambdaMatrix, i: int, j: int) -> NcPoly:
+    """R_{i,j} + r_{i,j}, the part of a deformed relation that mu leaves
+    alone: built once per alphabet, lambda and index pair, and shared, so
+    never changed in place."""
+    return quadratic_relation(alphabet, lam.field, i, j) + linear_correction(alphabet, lam, i, j)
 
 
 def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: LambdaMatrix,
                       i: int, j: int, group_term: bool) -> NcPoly:
     """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term only."""
     f = lam.field
-    rel = quadratic_relation(pres.alphabet, f, i, j) + linear_correction(pres, lam, i, j)
+    rel = _relation_core(pres.alphabet, lam, i, j)
     mu_ij = mu[i, j]
     if mu_ij != f.zero:
         rel = rel + NcPoly.term(pres.alphabet, f, (), mu_ij)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import Alphabet, NcPoly, QQ, add_scaled
+from .ncpoly import Alphabet, NcPoly, QQ
 from .rewrite import CONFLUENT, Presentation, count_irreducible
 from .fulcrum import letter_images, unannihilated_relations
 
@@ -68,7 +68,7 @@ def _inverse_action(matrix, hpart):
     for i in range(2):
         acc: dict = {}
         for j in range(2):
-            add_scaled(acc, hpart[j], -inv[i][j], QQ)
+            QQ.add_scaled(acc, hpart[j], -inv[i][j])
         kpart.append(acc)
     return inv, tuple(kpart)
 

@@ -33,7 +33,7 @@ class Field:
     char: int
     name: str
 
-    # computed once per field: every add_scaled call reads ``zero``
+    # computed once per field: Field.add_scaled reads ``zero`` on every call
     @cached_property
     def zero(self):
         return self.from_int(0)
@@ -59,6 +59,24 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def add_scaled(self, acc: dict, terms: Mapping, coeff) -> dict:
+        """``acc += coeff * terms`` in place, never storing a zero; returns
+        ``acc``.
+
+        The one accumulation kernel behind sums and normal forms: keys are
+        words or word pairs, values field elements.  Keys are visited in the
+        order of ``terms``, and a new key goes to the end of ``acc``.
+        """
+        z = self.zero
+        add, mul = self.add, self.mul
+        for k, c in terms.items():
+            s = add(acc.get(k, z), mul(coeff, c))
+            if s == z:
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+        return acc
 
     def parse(self, text: str):
         """Parse an integer or ``n/d`` literal into a field element."""
@@ -101,6 +119,17 @@ class BinaryField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F2")
         return 1
+
+    def add_scaled(self, acc: dict, terms: Mapping, coeff) -> dict:
+        # every stored coefficient is 1, so adding one toggles its key
+        if coeff:
+            for k, c in terms.items():
+                if c:
+                    if k in acc:
+                        del acc[k]
+                    else:
+                        acc[k] = 1
+        return acc
 
 
 class PrimeField(Field):
@@ -288,23 +317,6 @@ def xdeglex_key(word: Word, alphabet: Alphabet):
 # noncommutative polynomials
 # ---------------------------------------------------------------------------
 
-def add_scaled(acc: dict, terms: Mapping, coeff, field: Field) -> dict:
-    """``acc += coeff * terms`` in place, never storing a zero; returns ``acc``.
-
-    The one accumulation kernel behind sums and normal forms: keys are words
-    or word pairs, values field elements.
-    """
-    z = field.zero
-    add, mul = field.add, field.mul
-    for k, c in terms.items():
-        s = add(acc.get(k, z), mul(coeff, c))
-        if s == z:
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return acc
-
-
 class NcPoly:
     """Sparse element of the free algebra on an alphabet.
 
@@ -384,7 +396,7 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         self._check_compatible(other)
         f = self.field
-        return NcPoly(self.alphabet, f, add_scaled(dict(self.terms), other.terms, f.one, f))
+        return NcPoly(self.alphabet, f, f.add_scaled(dict(self.terms), other.terms, f.one))
 
     def __neg__(self) -> "NcPoly":
         f = self.field
@@ -480,7 +492,7 @@ class TensorPoly:
         self._check_compatible(other)
         f = self.field
         return TensorPoly(self.left, self.right, f,
-                          add_scaled(dict(self.terms), other.terms, f.one, f))
+                          f.add_scaled(dict(self.terms), other.terms, f.one))
 
     def __neg__(self) -> "TensorPoly":
         f = self.field

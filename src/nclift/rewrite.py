@@ -26,7 +26,6 @@ from .ncpoly import (
     NcPoly,
     TensorPoly,
     Word,
-    add_scaled,
     deglex_key,
     parse_poly,
     prime_field,
@@ -343,14 +342,14 @@ class ReductionSystem:
                         if len(acc) == 1 and c == one:
                             nxt = nf        # shared with the memo, and only ever read
                         else:
-                            add_scaled(nxt, nf, c, f)
+                            f.add_scaled(nxt, nf, c)
                     acc = nxt
                 if suf:
                     memo[whole] = acc
             if len(tail) == 1 and tc == one:
                 result = acc
             else:
-                add_scaled(result, acc, tc, f)
+                f.add_scaled(result, acc, tc)
         memo[word] = result
 
     # nf_word and _nf_terms are the two entries into _nf_word: each starts its
@@ -367,7 +366,7 @@ class ReductionSystem:
         self._steps = 0
         acc: dict = {}
         for w, c in terms.items():
-            add_scaled(acc, self._nf_word(w), c, self.field)
+            self.field.add_scaled(acc, self._nf_word(w), c)
         return acc
 
     def normal_form(self, p: NcPoly) -> NcPoly:
@@ -563,7 +562,7 @@ def _resolve(sys: ReductionSystem, amb: Ambiguity) -> dict:
     left = {tw + amb.c: tc for tw, tc in sys._rules[amb.lead1].items()}
     right = {amb.a + tw: tc for tw, tc in sys._rules[amb.lead2].items()}
     f = sys.field
-    return sys._nf_terms(add_scaled(left, right, f.neg(f.one), f))
+    return sys._nf_terms(f.add_scaled(left, right, f.neg(f.one)))
 
 
 def complete(sys: ReductionSystem) -> CompletionReport:

@@ -122,7 +122,7 @@ def test_orbit_order_matches_the_rack_walk(monkeypatch):
         for (i, j), orbit in orbits.items():
             assert quadratic_relation_terms(i, j) == orbit
             items.clear()
-            linear_correction(pres, lam, i, j)
+            linear_correction(pres.alphabet, lam, i, j)
             assert items == [[((a,), lam[a, b]) for a, b in orbit]]
 
 
@@ -252,9 +252,9 @@ def test_linear_correction_orbit_symmetry():
         rhd = lambda a, b: (2 * a - b) % 3
         for i in range(3):
             for j in range(3):
-                r1 = linear_correction(pres, lam, i, j)
-                r2 = linear_correction(pres, lam, rhd(i, j), i)
-                r3 = linear_correction(pres, lam, j, rhd(i, j))
+                r1 = linear_correction(pres.alphabet, lam, i, j)
+                r2 = linear_correction(pres.alphabet, lam, rhd(i, j), i)
+                r3 = linear_correction(pres.alphabet, lam, j, rhd(i, j))
                 assert r1 == r2 == r3
 
 
@@ -460,6 +460,48 @@ def test_a_quotients_rules_hold_its_deformed_relations():
 def test_bosonization_on_the_shared_base_matches_a_from_scratch_build():
     assert _assert_same_build(bosonization_build(), zero_lambda(), zero_mu(),
                               BOSONIZATION) == 72
+
+
+def _relation_from_parts(pres, lam, mu, i, j, group_term):
+    """R_{i,j} + r_{i,j}, then mu_{i,j} and mu_{i,j} g_i g_j, built afresh."""
+    f, alphabet = lam.field, pres.alphabet
+    rel = fk3.quadratic_relation(alphabet, f, i, j) + linear_correction(alphabet, lam, i, j)
+    if mu[i, j] != f.zero:
+        rel = rel + NcPoly.term(alphabet, f, (), mu[i, j])
+        if group_term:
+            G = pres.yd.group
+            gij = G.mul(G.distinguished[i], G.distinguished[j])
+            rel = rel + NcPoly.term(alphabet, f, pres.group_word(gij), mu[i, j])
+    return rel
+
+
+def _term_lists(relations):
+    return [list(rel.terms.items()) for rel in relations]
+
+
+@pytest.mark.parametrize("lam_bits", VALID_LAMBDAS)
+def test_deformed_relations_match_a_fresh_build(lam_bits):
+    lam = lambda_from_bits(lam_bits)
+    for flavor in FLAVORS:
+        pres = fk3.flavor_presentation(lam, flavor)
+        for mu_bits in ("000000000", "100000000", "010011001", "111111111"):
+            mu = mu_unchecked(matrix_from_bits(mu_bits))
+            fresh = [_relation_from_parts(pres, lam, mu, i, j, flavor == T_LAMBDA)
+                     for i in range(3) for j in range(3)]
+            assert _term_lists(fk3.deformed_relations(lam, mu, flavor)) == _term_lists(fresh)
+
+
+def test_building_a_quotient_leaves_the_shared_relation_cores_alone():
+    lam = lambda_from_bits("000101110")
+    mu = mu_unchecked(matrix_from_bits("010011001"))
+    assert not validate_mu(matrix_from_bits("010011001"), lam).ok
+    alphabet = fk3.flavor_presentation(lam, T_LAMBDA).alphabet
+    cores = [fk3._relation_core(alphabet, lam, i, j) for i in range(3) for j in range(3)]
+    before = _term_lists(cores)
+    # past the quotient cache, so that the build runs here
+    fk3._build_quotient.__wrapped__(lam, mu, T_LAMBDA)
+    assert _term_lists(cores) == before
+    assert [fk3._relation_core(alphabet, lam, i, j) for i in range(3) for j in range(3)] == cores
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from nclift.ncpoly import (
     PrimeField,
     QQ,
     TensorPoly,
-    add_scaled,
     deglex_compare,
     format_poly,
     parse_poly,
@@ -78,6 +77,63 @@ def test_fields_compare_by_value():
     q = NcPoly.term(ALPHA3, prime_field(5), (0,), 2)
     assert p == q and hash(p) == hash(q)
     assert p + q == NcPoly.term(ALPHA3, prime_field(5), (0,), 4)
+
+
+def reference_add_scaled(field, acc, terms, coeff):
+    """The general accumulation loop, through the field's add and mul."""
+    z = field.zero
+    for k, c in terms.items():
+        s = field.add(acc.get(k, z), field.mul(coeff, c))
+        if s == z:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+KERNEL_FIELDS = [F2, prime_field(3), prime_field(32003), QQ]
+#: words and word pairs (tensor keys), few enough that acc and terms share keys
+KERNEL_KEYS = [(), (0,), (1, 0), (2, 2, 1), ((), (0,)), ((1,), (1,)), ((0, 2), ())]
+
+
+def kernel_scalars(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(0, field.char - 1)
+
+
+def assert_same_accumulation(field, acc, terms, coeff):
+    expected = reference_add_scaled(field, dict(acc), terms, coeff)
+    got = dict(acc)
+    assert field.add_scaled(got, terms, coeff) is got
+    assert list(got.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_add_scaled_kernel_cases(field):
+    one, z = field.one, field.zero
+    minus_one = field.neg(one)
+    a = field.from_int(2) if field.char != 2 else one
+    acc = {(0,): a, ((), (0,)): one, (1, 0): one}
+    # coeff zero, including over an explicit zero
+    assert_same_accumulation(field, acc, {(0,): one, (2, 2, 1): z}, z)
+    # keys already in acc, one of which cancels, and new keys appended
+    assert_same_accumulation(field, acc, {(1, 0): one, (0,): a, (): one}, minus_one)
+    # an explicit zero in terms, on a key of acc and on a new key
+    assert_same_accumulation(field, acc, {(0,): z, (2, 2, 1): z, (1, 0): one}, one)
+    # tuple-pair keys, as in tensor terms, cancelling and new
+    assert_same_accumulation(field, acc, {((), (0,)): minus_one, ((1,), (1,)): a}, one)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_add_scaled_kernel_matches_the_general_loop(field, data):
+    scalars = kernel_scalars(field)
+    keys = st.sampled_from(KERNEL_KEYS)
+    acc = data.draw(st.dictionaries(keys, scalars.filter(lambda c: c != field.zero)))
+    terms = data.draw(st.dictionaries(keys, scalars))
+    assert_same_accumulation(field, acc, terms, data.draw(scalars))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +216,7 @@ def test_no_zero_coefficients_stored():
     assert not (x0 + x0).terms
     assert not (TensorPoly.of(x0, x0) + TensorPoly.of(x0, x0)).terms
     acc = {(0,): Fraction(1), (1,): Fraction(2)}
-    assert add_scaled(acc, {(0,): Fraction(1, 2), (2,): Fraction(3)}, Fraction(-2), QQ) is acc
+    assert QQ.add_scaled(acc, {(0,): Fraction(1, 2), (2,): Fraction(3)}, Fraction(-2)) is acc
     assert acc == {(1,): Fraction(2), (2,): Fraction(-6)}
 
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclift import rewrite
-from nclift.ncpoly import (Alphabet, F2, QQ, NcPoly, PrimeField, add_scaled, deglex_key,
-                           parse_poly, prime_field)
+from nclift.ncpoly import (Alphabet, F2, QQ, NcPoly, PrimeField, deglex_key, parse_poly,
+                           prime_field)
 from nclift.rewrite import (
     CAP_EXCEEDED,
     COLLAPSED_TO_ZERO,
@@ -465,8 +465,8 @@ def recursive_nf_word(sys_, word, memo):
         return memo[word]
     acc = {}
     for tw, tc in sys_._rules[lead].items():
-        add_scaled(acc, recursive_nf_word(sys_, word[:i] + tw + word[i + len(lead):], memo),
-                   tc, f)
+        f.add_scaled(acc, recursive_nf_word(sys_, word[:i] + tw + word[i + len(lead):], memo),
+                     tc)
     memo[word] = acc
     return acc
 
