@@ -18,7 +18,6 @@ from .rewrite import (
     CompletionReport,
     Presentation,
     ReductionSystem,
-    complete,
     rank_f2,
 )
 from .fulcrum import (
@@ -192,11 +191,11 @@ def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> Complet
     The deformed relations are inserted into a copy of the cached base
     rules.  That is exactly the system of all the relations at once, since
     inter-reducing a flavor's rules changes none of them (tests/test_fk3.py
-    checks this for every base).
+    checks this for every base).  Many mu add the same rules to the base,
+    and those share one completion, which the base holds.
     """
-    system = flavor_presentation(lam, flavor).system().copy()
-    system.extend(deformed_relations(lam, mu, flavor))
-    return complete(system)
+    base = flavor_presentation(lam, flavor).system()
+    return base.completion_with(deformed_relations(lam, mu, flavor))
 
 
 def build_lifting(lam: LambdaMatrix, mu: LambdaMatrix) -> CompletionReport:

@@ -88,7 +88,8 @@ class ReductionSystem:
     required when tails may carry group-only words as long as the lead.
     Rules are kept inter-reduced.  A system under construction or completion
     is owned by one thread; ``freeze()`` marks it immutable, after which it
-    may be shared (the memo table only caches, it never changes results).
+    may be shared (the memo table and the completions of its extensions only
+    cache, they never change results).
     """
 
     def __init__(self, alphabet: Alphabet, field: Field,
@@ -110,6 +111,7 @@ class ReductionSystem:
         self._rules: dict = {}          # lead -> tail coefficient dict
         self._lengths: dict = {}        # last letter -> lead lengths, longest first
         self._memo: dict = {}
+        self._extensions: dict = {}     # see completion_with
         self._frozen = False
         self._steps = 0
         self.extend(relations)
@@ -139,6 +141,33 @@ class ReductionSystem:
     def freeze(self) -> "ReductionSystem":
         self._frozen = True
         return self
+
+    def completion_with(self, relations: Iterable[NcPoly]) -> "CompletionReport":
+        """``complete`` of a copy of this frozen system ``extend``-ed by
+        ``relations``, computed once per distinct set of added rules.
+
+        Each relation is reduced before it is inserted, so an insert only
+        appends a new lead and a collapse clears every rule: after the
+        inserts the table is this system's rules, unchanged and in order,
+        followed by the added rules.  Inter-reduction and completion read
+        only that table and ``collapsed`` (the memo and the length index
+        only cache), so ``collapsed`` and the added rules key the report
+        exactly, each tail in its term order, which later sums follow.
+        Relations that reduce to the same rules share one report.
+        """
+        if not self._frozen:
+            raise RuntimeError("completion_with needs a frozen system")
+        work = self.copy()
+        for rel in relations:
+            work._insert(dict(rel.terms))
+        # empty after a collapse
+        added = itertools.islice(work._rules.items(), len(self._rules), None)
+        key = (work.collapsed, tuple((lead, tuple(tail.items())) for lead, tail in added))
+        report = self._extensions.get(key)
+        if report is None:
+            work._interreduce()
+            report = self._extensions[key] = complete(work)
+        return report
 
     def rules(self) -> list[RewriteRule]:
         out = []
@@ -387,7 +416,11 @@ def _field_from_name(name) -> Field:
     if name in ("rational", "qq", "QQ"):
         return QQ
     if isinstance(name, str) and name.startswith("fp:"):
-        return prime_field(int(name[3:]))
+        try:
+            p = int(name[3:])
+        except ValueError:
+            raise ValueError(f"unknown field {name!r}") from None
+        return prime_field(p)
     raise ValueError(f"unknown field {name!r}")
 
 

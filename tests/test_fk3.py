@@ -378,6 +378,21 @@ def test_census_of_one_lambda_is_pinned():
                                   "5127ff0eb4c3a19e85953463129020dc")
 
 
+def test_census_of_all_lambdas_is_pinned():
+    """The same digest over all 8 lambda, as the engine gave them before
+    quotients that add the same rules shared one completion."""
+    digest = hashlib.sha256()
+    for lam_bits in sorted(VALID_LAMBDAS):
+        lam = lambda_from_bits(lam_bits)
+        for n in range(512):
+            mu = mu_unchecked(matrix_from_bits(format(n, "09b")))
+            for report in (build_lifting(lam, mu), build_cleft(lam, mu)):
+                digest.update(json.dumps([report.to_json(), report.dimension(),
+                                          list(report.system._rules)]).encode())
+    assert digest.hexdigest() == ("0965a21dfa606d44fd8fac604df55cc1"
+                                  "5de9f7f08f3e61d2e4ac5a5b1f7b56f9")
+
+
 # ---------------------------------------------------------------------------
 # quotients built on a shared flavor base
 # ---------------------------------------------------------------------------
@@ -436,6 +451,20 @@ def test_quotients_on_the_shared_base_match_from_scratch_builds(lam_bits):
         mu = mu_unchecked(matrix_from_bits(mu_bits))
         assert _assert_same_build(build_lifting(lam, mu), lam, mu, T_LAMBDA) == dim_l
         assert _assert_same_build(build_cleft(lam, mu), lam, mu, T_PRIME_LAMBDA) == dim_a
+
+
+def test_mu_that_add_the_same_rules_share_one_completion():
+    lam = lambda_from_bits("000101110")
+    builds = [build_lifting(lam, mu_unchecked(matrix_from_bits(bits)))
+              for bits in ("000100100", "000100101")]
+    assert builds[0] is builds[1]
+    for bits, build in zip(("000100100", "000100101"), builds):
+        mu = mu_unchecked(matrix_from_bits(bits))
+        assert _assert_same_build(build, lam, mu, T_LAMBDA) == 4
+    shared = Counter(id(build_lifting(lam, mu_unchecked(matrix_from_bits(bits))))
+                     for bits in ALL_BITS)
+    assert (len(shared), max(shared.values())) == (24, 48)
+    assert shared[id(builds[0])] == 48
 
 
 def test_a_quotients_rules_hold_its_deformed_relations():

@@ -363,8 +363,9 @@ def restart_complete(sys_):
 
 
 @st.composite
-def small_systems(draw, caps=st.integers(3, 5)):
-    field = draw(st.sampled_from([F2, prime_field(5), QQ]))
+def small_relations(draw, caps=st.integers(3, 5), fields=(F2, prime_field(5), QQ)):
+    """(alphabet, field, relations, degree cap) of a small system."""
+    field = draw(st.sampled_from(fields))
     size = draw(st.integers(2, 3))
     alpha = Alphabet.from_parts([f"x{i}" for i in range(size)])
     letters = st.integers(0, size - 1)
@@ -375,8 +376,13 @@ def small_systems(draw, caps=st.integers(3, 5)):
     relations = draw(st.lists(st.tuples(heads, st.lists(terms, max_size=2)),
                               min_size=1, max_size=4))
     cap = draw(caps)
-    return ReductionSystem(alpha, field, [NcPoly.from_terms(alpha, field, [head] + rest)
-                                          for head, rest in relations], degree_cap=cap)
+    return alpha, field, [NcPoly.from_terms(alpha, field, [head] + rest)
+                          for head, rest in relations], cap
+
+
+def small_systems(caps=st.integers(3, 5)):
+    return small_relations(caps).map(
+        lambda drawn: ReductionSystem(*drawn[:3], degree_cap=drawn[3]))
 
 
 @given(small_systems())
@@ -654,6 +660,86 @@ def test_every_report_has_a_frozen_system(build):
 
 
 # ---------------------------------------------------------------------------
+# completions of a frozen system's extensions
+# ---------------------------------------------------------------------------
+
+def _commuting_base():
+    """x1 x0 -> x0 x1, x2 x1 -> x1 x2, x2 x0 -> x0 x2 over F2, frozen."""
+    return ReductionSystem(ALPHA, F2, [_parse(t) for t in
+                                       ["x1 x0 + x0 x1", "x2 x1 + x1 x2", "x2 x0 + x0 x2"]]
+                           ).freeze()
+
+
+def test_relations_that_add_the_same_rules_share_a_completion():
+    base = _commuting_base()
+    report = base.completion_with([_parse("x0 x0 + x1")])
+    # x2 x0 + x0 x2 reduces to zero and x1 x0 to x0 x1: the same rule is added
+    assert base.completion_with([_parse("x0 x0 + x1 + x2 x0 + x0 x2")]) is report
+    assert base.completion_with([_parse("x1 x0 + x0 x1"), _parse("x0 x0 + x1")]) is report
+    # the key: not collapsed, and the one added rule x0 x0 -> x1
+    assert list(base._extensions) == [(False, (((0, 0), (((1,), 1),)),))]
+    assert report.status == CONFLUENT
+
+
+def test_the_same_leads_with_other_tails_do_not_share_a_completion():
+    base = _commuting_base()
+    with_x1 = base.completion_with([_parse("x0 x0 + x1")])
+    with_x2 = base.completion_with([_parse("x0 x0 + x2")])
+    assert with_x1 is not with_x2
+    assert with_x1.system.rules() != with_x2.system.rules()
+    # both add one rule of lead x0 x0
+    assert [[lead for lead, _ in added] for _, added in base._extensions] == [[(0, 0)]] * 2
+    # neither is taken for the other: each is its relation's own completion
+    for text, report in (("x0 x0 + x1", with_x1), ("x0 x0 + x2", with_x2)):
+        work = base.copy()
+        work.extend([_parse(text)])
+        assert report.system.rules() == complete(work).system.rules()
+
+
+def test_a_collapse_is_keyed_by_collapsed_alone():
+    base = _commuting_base()
+    report = base.completion_with([_parse("x0 + 1"), _parse("x0")])
+    assert report.status == COLLAPSED_TO_ZERO
+    assert list(base._extensions) == [(True, ())]
+    # x1 x0 reduces to x0 x1, which leaves 1
+    assert base.completion_with([_parse("x1 x0 + x0 x1 + 1")]) is report
+
+
+def test_completion_with_leaves_the_base_alone_and_freezes_its_report():
+    base = _commuting_base()
+    before = _rule_state(base)
+    report = base.completion_with([_parse("x1 + x0"), _parse("x2 x2 x2")])
+    assert _rule_state(base) == before
+    assert report.system is not base
+    with pytest.raises(RuntimeError, match="frozen"):
+        report.system.extend([_parse("x0 x0")])
+
+
+def test_completion_with_needs_a_frozen_system():
+    sys_ = ReductionSystem(ALPHA, F2, [_parse("x1 x0 + x0 x1")])
+    with pytest.raises(RuntimeError, match="frozen"):
+        sys_.completion_with([_parse("x0 x0")])
+    assert sys_._extensions == {}
+
+
+# QQ is left out: one of its completions can run without bound
+@given(small_relations(fields=(F2, prime_field(5))), st.data())
+@settings(max_examples=200, deadline=None)
+def test_completion_with_matches_completing_an_extended_copy(drawn, data):
+    alpha, field, relations, cap = drawn
+    k = data.draw(st.integers(0, len(relations)))
+    base = ReductionSystem(alpha, field, relations[:k], degree_cap=cap).freeze()
+    report = base.completion_with(relations[k:])
+    work = base.copy()
+    work.extend(relations[k:])
+    ref = complete(work)
+    assert report.to_json() == ref.to_json()
+    assert report.dimension() == ref.dimension()
+    assert list(report.system._rules) == list(ref.system._rules)
+    assert base.completion_with(relations[k:]) is report
+
+
+# ---------------------------------------------------------------------------
 # irreducible words
 # ---------------------------------------------------------------------------
 
@@ -910,6 +996,13 @@ def test_from_json_rejects_an_id_that_does_not_read_as_itself(ident):
     doc = {"alphabet": [{"id": "x0", "sort": "module"}, {"id": ident, "sort": "module"}],
            "relations": [], "field": "rational"}
     with pytest.raises(ValueError, match=f"generator id {re.escape(repr(ident))}"):
+        Presentation.from_json(doc)
+
+
+@pytest.mark.parametrize("name", ["fp:x", "fp:", "fp:3.0"])
+def test_from_json_names_a_field_it_cannot_read(name):
+    doc = {"alphabet": [{"id": "x0", "sort": "module"}], "relations": [], "field": name}
+    with pytest.raises(ValueError, match=f"^unknown field {re.escape(repr(name))}$"):
         Presentation.from_json(doc)
 
 
