@@ -9,10 +9,10 @@ bijectivity certificates for the two Galois maps between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
-from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly
+from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly, xdeglex_key
 from .rewrite import (
     CONFLUENT,
     CompletionReport,
@@ -427,6 +427,52 @@ def product_table(system: ReductionSystem, basis: list) -> list:
     return [list(row) for row in zip(*(columns[v] for v in basis))]
 
 
+def _block_positions(basis: list, alphabet: Alphabet) -> dict:
+    """Each basis word's column block: its place in xdeglex order."""
+    ordered = sorted(basis, key=lambda w: xdeglex_key(w, alphabet))
+    return {w: k for k, w in enumerate(ordered)}
+
+
+def _image_blocks(terms) -> list:
+    """(A basis position, block) pairs grouped by block, top block first."""
+    blocks: dict = {}
+    for a, block in terms:
+        blocks.setdefault(block, []).append(a)
+    return sorted(blocks.items(), reverse=True)
+
+
+def _declared_rows(blocks: list, tables: Sequence, n: int) -> list:
+    """The Galois rows of one coaction image, one per table of entries, as
+    ``rank_f2`` takes them: 0, or (lead, build, entries).
+
+    Block b of a row is the XOR of ``entries[a]`` over the positions a in b,
+    shifted by b * n; the lead is the top bit of the highest nonzero block.
+    """
+    build = partial(_built_row, blocks, n)
+    rows = []
+    for entries in tables:
+        for block, positions in blocks:
+            bits = 0
+            for a in positions:
+                bits ^= entries[a]
+            if bits:
+                rows.append((block * n + bits.bit_length() - 1, build, entries))
+                break
+        else:
+            rows.append(0)
+    return rows
+
+
+def _built_row(blocks: list, n: int, entries: Sequence[int]) -> int:
+    row = 0
+    for block, positions in blocks:
+        bits = 0
+        for a in positions:
+            bits ^= entries[a]
+        row |= bits << block * n
+    return row
+
+
 def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate:
     """Ranks of the two Galois maps on the constant-deformed quotient.
 
@@ -434,11 +480,16 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     kappa_l: A (x) A -> L (x) A, a (x) b -> a_(-1) (x) a_(0) b, both expanded
     in the frozen irreducible-word bases; bijectivity is rank dim^2.
 
-    Every product in A comes from one ``product_table`` of ``basis_a``, so a
-    row is one shifted XOR of a table entry per term of a coaction image.
-    kappa_r's columns are ordered (B word, A word), which puts each product
-    a b_(0) in one dim-bit block; kappa_l's are (L word, A word).  Ordering
-    the columns differently does not change the rank.
+    Every product in A comes from one ``product_table`` of ``basis_a``.
+    Columns come in dim-bit blocks, one per B word for kappa_r (each block
+    holds the products a b_(0), over the A basis) and one per L word for
+    kappa_l; the blocks are ordered by the xdeglex key of that outer word, so
+    an image's term with the most module letters lands in its top block.  A
+    row's lead is the top bit of its highest block whose XOR of table entries
+    is nonzero, and ``rank_f2`` builds the row only where that lead meets a
+    pivot's: none of kappa_r's rows and 576 of kappa_l's on the paper's class
+    representatives.  Ordering the columns differently does not change the
+    rank.
     """
     if lam.field != F2:
         raise ValueError("Galois certificates are computed over F2")
@@ -449,8 +500,6 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     basis_l = _verified_basis(L)
     basis_b = _verified_basis(B)
     idx_a = {w: n for n, w in enumerate(basis_a)}
-    idx_l = {w: n for n, w in enumerate(basis_l)}
-    idx_b = {w: n for n, w in enumerate(basis_b)}
     n = QUOTIENT_DIM
     a_sys, l_sys, b_sys = A.system, L.system, B.system
 
@@ -471,27 +520,20 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
         rho[side] = [word_image(w, imgs, left_sys, right_sys, memo) for w in basis_a]
 
     prod = product_table(a_sys, basis_a)
-    # each image term as (A basis position, shift of its block of n columns)
-    rho_r = [[(idx_a[aw], idx_b[bw] * n) for aw, bw in image.terms] for image in rho["right"]]
-    rho_l = [[(idx_a[aw], idx_l[lw] * n) for lw, aw in image.terms] for image in rho["left"]]
-
-    rows_r = []
-    for prod_u in prod:
-        for rho_w in rho_r:
-            bits = 0
-            for a, shift in rho_w:
-                bits ^= prod_u[a] << shift
-            rows_r.append(bits)
-    rank_r = rank_f2(rows_r, n * n)
-
-    rows_l = []
-    for rho_u in rho_l:
-        for w in range(n):
-            bits = 0
-            for a, shift in rho_u:
-                bits ^= prod[a][w] << shift
-            rows_l.append(bits)
-    rank_l = rank_f2(rows_l, n * n)
+    pos_b = _block_positions(basis_b, b_sys.alphabet)
+    pos_l = _block_positions(basis_l, l_sys.alphabet)
+    blocks_r = [_image_blocks((idx_a[aw], pos_b[bw]) for aw, bw in image.terms)
+                for image in rho["right"]]
+    blocks_l = [_image_blocks((idx_a[aw], pos_l[lw]) for lw, aw in image.terms)
+                for image in rho["left"]]
+    # row (image k, table t): kappa_r pairs the image of basis word k with
+    # the products u * (.), row u of the table; kappa_l pairs the image of
+    # u = basis word k with the products (.) * w, column w of the table
+    rank_r = rank_f2([row for blocks in blocks_r for row in _declared_rows(blocks, prod, n)],
+                     n * n)
+    columns = list(zip(*prod))
+    rank_l = rank_f2([row for blocks in blocks_l for row in _declared_rows(blocks, columns, n)],
+                     n * n)
 
     return GaloisCertificate(
         rank_right=rank_r,

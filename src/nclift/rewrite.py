@@ -416,11 +416,11 @@ def _field_from_name(name) -> Field:
     if name in ("rational", "qq", "QQ"):
         return QQ
     if isinstance(name, str) and name.startswith("fp:"):
-        try:
-            p = int(name[3:])
-        except ValueError:
-            raise ValueError(f"unknown field {name!r}") from None
-        return prime_field(p)
+        # plain decimal digits only: int() would also read " 5", "+5", "05",
+        # "1_1" and non-ASCII digits
+        modulus = name[3:]
+        if modulus.isascii() and modulus.isdigit() and str(int(modulus)) == modulus:
+            return prime_field(int(modulus))
     raise ValueError(f"unknown field {name!r}")
 
 
@@ -817,26 +817,54 @@ def reduce_tensor(t: TensorPoly, left_sys: ReductionSystem,
 # GF(2) rank
 # ---------------------------------------------------------------------------
 
-def rank_f2(rows: Sequence[int], width: int | None = None) -> int:
-    """Rank over GF(2) of rows given as int bitsets.
+def rank_f2(rows: Sequence, width: int | None = None) -> int:
+    """Rank over GF(2) of rows given as int bitsets or as declared leads.
 
-    When ``width`` is supplied every row must fit in it; a wider row is a
-    width mismatch.  Elimination keeps one pivot row per leading bit, so the
-    cost is one big-int XOR per (row, pivot) pair actually hit.
+    A row is an int, which leads at ``bit_length() - 1``, or a triple
+    ``(lead, build, arg)``: the index of the row's top bit, or None when it
+    is not known, and a callable with its argument, ``build(arg)`` being the
+    row as an int.  Elimination keeps one pivot per leading bit.  A declared
+    row whose lead no pivot holds becomes that pivot without being built; a
+    row is built at most once, when its lead is unknown or meets a pivot's
+    (which is then built too), and a built row whose top bit is not its
+    declared lead raises ValueError.  So rows that all lead at bits of their
+    own cost no big int at all, and each collision costs one big-int XOR per
+    (row, pivot) pair hit.
+
+    When ``width`` is supplied every row and declared lead must fit in it.
     """
-    if width is not None:
-        for i, row in enumerate(rows):
-            if row < 0 or row.bit_length() > width:
-                raise ValueError(f"row {i} exceeds width {width}")
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
+    def fits(i, row):
+        if width is not None and (row < 0 or row.bit_length() > width):
+            raise ValueError(f"row {i} exceeds width {width}")
+        return row
+
+    def built(i, lead, build, arg):
+        row = fits(i, build(arg))
+        if lead is not None and row.bit_length() - 1 != lead:
+            raise ValueError(f"row {i} leads at bit {row.bit_length() - 1}, "
+                             f"not at its declared {lead}")
+        return row
+
+    pivots: dict = {}        # leading bit -> row, or (i, lead, build, arg) until built
+    for i, row in enumerate(rows):
+        if row.__class__ is int:
+            row = fits(i, row)
+        else:
+            lead, build, arg = row
+            if lead is not None:
+                if lead < 0 or width is not None and lead >= width:
+                    raise ValueError(f"row {i} declares lead {lead} outside width {width}")
+                if lead not in pivots:
+                    pivots[lead] = (i, lead, build, arg)
+                    continue
+            row = built(i, lead, build, arg)
         while row:
             p = row.bit_length() - 1
             other = pivots.get(p)
             if other is None:
                 pivots[p] = row
-                rank += 1
                 break
+            if other.__class__ is not int:
+                other = pivots[p] = built(*other)
             row ^= other
-    return rank
+    return len(pivots)

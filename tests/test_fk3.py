@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from nclift.ncpoly import F2, NcPoly, TensorPoly, parse_poly, prime_field
+from nclift.ncpoly import F2, NcPoly, TensorPoly, parse_poly, prime_field, xdeglex_key
 from nclift.rewrite import (
     COLLAPSED_TO_ZERO,
     CONFLUENT,
@@ -552,34 +552,42 @@ def test_galois_certificate_deformed_pair():
     assert cert.bijective
 
 
-def per_term_galois_rows(lam, mu):
+def per_term_galois_rows(lam, mu, same_image=None):
     """kappa_r and kappa_l rows built term by term with one nf_word call per
-    product, the construction before the product table; kappa_r's columns
-    are in (A word, B word) order here."""
+    product, the construction before the product table.  Rows come image by
+    image: (w, u) for kappa_r, (u, w) for kappa_l.  Column block k holds
+    the k-th outer word (B word for kappa_r, L word for kappa_l) in xdeglex
+    order, and each block is over the A basis.  A basis word w takes the
+    coaction image of ``same_image.get(w, w)``."""
+    same_image = same_image or {}
     A, L, B = build_cleft(lam, mu), build_lifting(lam, mu), bosonization_build()
     basis_a, basis_l, basis_b = A.basis(), L.basis(), B.basis()
     idx_a = {w: k for k, w in enumerate(basis_a)}
-    idx_l = {w: k for k, w in enumerate(basis_l)}
-    idx_b = {w: k for k, w in enumerate(basis_b)}
     n = len(basis_a)
     a_sys, l_sys, b_sys = A.system, L.system, B.system
+
+    def blocks(basis, alphabet):
+        return {w: k for k, w in enumerate(sorted(basis, key=lambda w: xdeglex_key(w, alphabet)))}
+
+    block_b, block_l = blocks(basis_b, b_sys.alphabet), blocks(basis_l, l_sys.alphabet)
     degrees = fk3.flavor_presentation(lam, T_PRIME_LAMBDA).degree_words()
     imgs_r = letter_images(a_sys.alphabet, b_sys.alphabet, F2, degrees)
     imgs_l = letter_images(l_sys.alphabet, a_sys.alphabet, F2, degrees)
 
     def images_of_basis(imgs, left_sys, right_sys):
-        return [apply_algebra_map(NcPoly.term(a_sys.alphabet, F2, w), imgs, left_sys, right_sys)
+        return [apply_algebra_map(NcPoly.term(a_sys.alphabet, F2, same_image.get(w, w)), imgs,
+                                  left_sys, right_sys)
                 for w in basis_a]
 
     rho_r = images_of_basis(imgs_r, a_sys, b_sys)
     rho_l = images_of_basis(imgs_l, l_sys, a_sys)
     rows_r = []
-    for u in basis_a:
-        for w_idx in range(n):
+    for w_idx in range(n):
+        for u in basis_a:
             bits = 0
             for (aw, bw) in rho_r[w_idx].terms:
                 for aw2 in a_sys.nf_word(u + aw):
-                    bits ^= 1 << (idx_a[aw2] * n + idx_b[bw])
+                    bits ^= 1 << (block_b[bw] * n + idx_a[aw2])
             rows_r.append(bits)
     rows_l = []
     for u_idx in range(n):
@@ -587,19 +595,42 @@ def per_term_galois_rows(lam, mu):
             bits = 0
             for (lw, aw) in rho_l[u_idx].terms:
                 for aw2 in a_sys.nf_word(aw + w):
-                    bits ^= 1 << (idx_l[lw] * n + idx_a[aw2])
+                    bits ^= 1 << (block_l[lw] * n + idx_a[aw2])
             rows_l.append(bits)
     return rows_r, rows_l
 
 
-def swap_column_blocks(row, n):
-    """Move the bit of column a*n + b to column b*n + a."""
-    out = 0
-    while row:
-        low = row & -row
-        a, b = divmod(low.bit_length() - 1, n)
-        out |= 1 << (b * n + a)
-        row ^= low
+def recording_rank(monkeypatch):
+    """Patch fk3's rank_f2 to record each call's rows, counting the builds."""
+    calls = []
+
+    def rank(rows, width=None):
+        record = {"rows": list(rows), "built": Counter()}
+        calls.append(record)
+
+        def counted(k, build):
+            def counted_build(arg):
+                record["built"][k] += 1
+                return build(arg)
+            return counted_build
+
+        return rank_f2([row if isinstance(row, int) else (row[0], counted(k, row[1]), row[2])
+                        for k, row in enumerate(record["rows"])], width)
+
+    monkeypatch.setattr(fk3, "rank_f2", rank)
+    return calls
+
+
+def built_rows(rows):
+    """Each row the certificate hands the kernel, as an int; a declared lead
+    must be the built row's top bit."""
+    out = []
+    for row in rows:
+        if not isinstance(row, int):
+            lead, build, arg = row
+            row = build(arg)
+            assert lead == row.bit_length() - 1
+        out.append(row)
     return out
 
 
@@ -608,20 +639,41 @@ def swap_column_blocks(row, n):
 def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_bits):
     lam = lambda_from_bits(lam_bits)
     mu = mu_from_bits(mu_bits, lam)
-    passed = []
-
-    def recording_rank(rows, width=None):
-        passed.append(list(rows))
-        return rank_f2(rows, width)
-
-    monkeypatch.setattr(fk3, "rank_f2", recording_rank)
+    calls = recording_rank(monkeypatch)
     cert = galois_certificate(lam, mu)
-    rows_r, rows_l = passed
+    assert [len(call["rows"]) for call in calls] == [5184, 5184]
+    # the kernel built no kappa_r row and 576 kappa_l rows, each once
+    assert [sum(call["built"].values()) for call in calls] == [0, 576]
+    assert max(calls[1]["built"].values()) == 1
     old_r, old_l = per_term_galois_rows(lam, mu)
-    assert [swap_column_blocks(row, 72) for row in old_r] == rows_r
-    assert old_l == rows_l
+    assert built_rows(calls[0]["rows"]) == old_r
+    assert built_rows(calls[1]["rows"]) == old_l
     assert rank_f2(old_r, 5184) == rank_f2(old_l, 5184) == 5184
     assert (cert.rank_right, cert.rank_left) == (5184, 5184)
+
+
+def test_galois_ranks_of_a_map_that_is_not_bijective(monkeypatch):
+    """Two basis words share one coaction image, so rows collide and the
+    kernel builds and eliminates them."""
+    lam = lambda_from_bits("000101110")
+    mu = mu_from_bits("100000000", lam)
+    basis = build_cleft(lam, mu).basis()
+    same_image = {basis[40]: basis[41]}
+
+    def sharing_word_image(word, images, left_sys, right_sys, memo):
+        return fulcrum.word_image(same_image.get(word, word), images, left_sys, right_sys, memo)
+
+    monkeypatch.setattr(fk3, "word_image", sharing_word_image)
+    calls = recording_rank(monkeypatch)
+    cert = galois_certificate(lam, mu)
+    old_r, old_l = per_term_galois_rows(lam, mu, same_image)
+    assert built_rows(calls[0]["rows"]) == old_r
+    assert built_rows(calls[1]["rows"]) == old_l
+    assert sum(calls[0]["built"].values()) > 0
+    assert max(max(call["built"].values()) for call in calls) == 1
+    assert cert.rank_right == rank_f2(old_r, 5184) < 5184
+    assert cert.rank_left == rank_f2(old_l, 5184) < 5184
+    assert not cert.bijective
 
 
 def image_from_the_empty_word(word, images, left_sys, right_sys):
