@@ -151,9 +151,14 @@ def _relation_core(alphabet: Alphabet, lam: LambdaMatrix, i: int, j: int) -> NcP
 def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: LambdaMatrix,
                       i: int, j: int, group_term: bool) -> NcPoly:
     """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term only."""
+    return _deformed_with(pres, lam, i, j, mu[i, j], group_term)
+
+
+def _deformed_with(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int,
+                   mu_ij, group_term: bool) -> NcPoly:
+    """``deformed_relation`` with mu_{i,j} given as a value."""
     f = lam.field
     rel = _relation_core(pres.alphabet, lam, i, j)
-    mu_ij = mu[i, j]
     if mu_ij != f.zero:
         rel = rel + NcPoly.term(pres.alphabet, f, (), mu_ij)
         if group_term:
@@ -171,13 +176,23 @@ def flavor_presentation(lam: LambdaMatrix, flavor: str) -> FulcrumPresentation:
     return FulcrumPresentation(flavor, standard_yd_data(), lam)
 
 
+@lru_cache(maxsize=None)
+def _shared_relation(lam: LambdaMatrix, flavor: str, i: int, j: int, mu_ij) -> NcPoly:
+    """The flavor's deformed relation of (i, j) for the value mu_ij: built
+    once per (lambda, flavor, i, j, mu_ij) and shared, so never changed in
+    place."""
+    return _deformed_with(flavor_presentation(lam, flavor), lam, i, j, mu_ij,
+                          flavor == T_LAMBDA)
+
+
 def deformed_relations(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> list[NcPoly]:
     """The nine deformed relations of the flavor's quotient, one per index
     pair, row-major.  All nine generate the ideal: for valid mu the three
     relations of an orbit coincide, for invalid mu their differences are
-    exactly what collapses the quotient."""
-    pres = flavor_presentation(lam, flavor)
-    return [deformed_relation(pres, lam, mu, i, j, flavor == T_LAMBDA)
+    exactly what collapses the quotient.  Each relation is built once per
+    (lambda, flavor, i, j, mu_{i,j}) and shared by every mu with that entry."""
+    entries = mu.entries
+    return [_shared_relation(lam, flavor, i, j, entries[i][j])
             for i in range(3) for j in range(3)]
 
 
@@ -188,11 +203,12 @@ def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> Complet
     mu is taken as-is, so that invalid choices can be seen to collapse the
     quotient.
 
-    The deformed relations are inserted into a copy of the cached base
-    rules.  That is exactly the system of all the relations at once, since
-    inter-reducing a flavor's rules changes none of them (tests/test_fk3.py
-    checks this for every base).  Many mu add the same rules to the base,
-    and those share one completion, which the base holds.
+    The deformed relations, each built once per (lambda, flavor, i, j,
+    mu_{i,j}), are inserted into a copy of the cached base rules.  That is
+    exactly the system of all the relations at once, since inter-reducing a
+    flavor's rules changes none of them (tests/test_fk3.py checks this for
+    every base).  Many mu add the same rules to the base, and those share
+    one completion, which the base holds.
     """
     base = flavor_presentation(lam, flavor).system()
     return base.completion_with(deformed_relations(lam, mu, flavor))

@@ -35,6 +35,11 @@ _RACK = dihedral_rack()
 #: corrections, the mu orbit identities and the isomorphism witnesses all
 #: read their orbits from here
 ORBIT_TRIPLES = tuple((i, j, _RACK.act(i, j)) for i in range(3) for j in range(3))
+#: (i, j, k, j|>k, i|>j, i|>k) for every index triple, row-major: the
+#: constraints of ``validate_lambda``
+_LAMBDA_TRIPLES = tuple((i, j, k, ORBIT_TRIPLES[3 * j + k][2], ORBIT_TRIPLES[3 * i + j][2],
+                         ORBIT_TRIPLES[3 * i + k][2])
+                        for i in range(3) for j in range(3) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -104,14 +109,8 @@ def validate_lambda(m: Sequence[Sequence], mode: str = GX_MODE,
     for all index triples; in S3 mode additionally lambda_{i,j} = lambda_{i,i|>j}."""
     e = as_entries(m, field)
     f = field
-    violations = []
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                lhs = f.add(e[i][_RACK.act(j, k)], e[j][k])
-                rhs = f.add(e[_RACK.act(i, j)][_RACK.act(i, k)], e[i][k])
-                if lhs != rhs:
-                    violations.append((i, j, k))
+    violations = [(i, j, k) for i, j, k, jk, ij, ik in _LAMBDA_TRIPLES
+                  if f.add(e[i][jk], e[j][k]) != f.add(e[ij][ik], e[i][k])]
     if mode == S3_MODE:
         violations += [("s3", i, j) for i, j in s3_violations(e)]
     elif mode != GX_MODE:

@@ -16,7 +16,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ncpoly import (
     F2,
@@ -61,8 +61,7 @@ class RewriteRule:
         return f"{self.tail.alphabet.word_str(self.lead)} -> {self.tail}"
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(NamedTuple):
     """Overlap of leads: lead1 = AB, lead2 = BC, B nonempty.
 
     Rules are kept inter-reduced, so no lead contains another and there are
@@ -419,7 +418,13 @@ def _field_from_name(name) -> Field:
         # plain decimal digits only: int() would also read " 5", "+5", "05",
         # "1_1" and non-ASCII digits
         modulus = name[3:]
-        if modulus.isascii() and modulus.isdigit() and str(int(modulus)) == modulus:
+        if modulus.isascii() and modulus.isdigit() and (modulus == "0" or modulus[0] != "0"):
+            # a modulus below 2**16 has at most five digits, and int() refuses
+            # more than 4,300
+            if len(modulus) > 5:
+                shown = modulus if len(modulus) <= 12 else \
+                    f"{modulus[:8]}... ({len(modulus)} digits)"
+                raise ValueError(f"modulus out of range: {shown}")
             return prime_field(int(modulus))
     raise ValueError(f"unknown field {name!r}")
 
@@ -503,23 +508,56 @@ class Presentation:
 # ambiguities and completion
 # ---------------------------------------------------------------------------
 
-def _pair_ambiguities(l1: Word, l2: Word) -> Iterable[Ambiguity]:
-    """Overlaps l1 = AB, l2 = BC with nonempty B."""
-    m = min(len(l1), len(l2))
-    for k in range(1, m):
-        if l1[len(l1) - k:] == l2[:k]:
-            yield Ambiguity(l1, l2, l1[:len(l1) - k], l2[:k], l2[k:])
+class _OverlapIndex:
+    """The nonempty proper prefixes and suffixes of a set of leads.
 
+    Every overlap lead1 = AB, lead2 = BC has B a proper suffix of lead1 and
+    a proper prefix of lead2, so the overlaps of a lead of length n with the
+    indexed leads take 2(n - 1) dict probes instead of a try per lead (Mora's
+    overlap lookup, with two dicts for an automaton).
+    """
 
-def _lead_ambiguities(lead: Word, others: Iterable[Word]) -> Iterable[Ambiguity]:
-    """The ambiguities of ``lead`` with itself and with each of ``others``."""
-    yield from _pair_ambiguities(lead, lead)
-    for other in others:
-        # l1 = AB overlaps l2 = BC only if l1 contains the first letter of l2
-        if other[0] in lead:
-            yield from _pair_ambiguities(lead, other)
-        if lead[0] in other:
-            yield from _pair_ambiguities(other, lead)
+    def __init__(self):
+        self._starting: dict = {}       # proper prefix -> leads that start with it
+        self._ending: dict = {}         # proper suffix -> leads that end with it
+
+    def add(self, lead: Word) -> None:
+        starting, ending = self._starting, self._ending
+        for k in range(1, len(lead)):
+            pre, suf = lead[:k], lead[-k:]
+            if pre in starting:
+                starting[pre].add(lead)
+            else:
+                starting[pre] = {lead}
+            if suf in ending:
+                ending[suf].add(lead)
+            else:
+                ending[suf] = {lead}
+
+    def discard(self, lead: Word) -> None:
+        """Drop ``lead`` if it is indexed; a one-letter lead never is."""
+        if lead not in self._starting.get(lead[:1], ()):
+            return
+        for k in range(1, len(lead)):
+            self._starting[lead[:k]].remove(lead)
+            self._ending[lead[-k:]].remove(lead)
+
+    def ambiguities(self, lead: Word) -> list[Ambiguity]:
+        """The overlaps of an indexed ``lead`` with itself and with every
+        other indexed lead, each once."""
+        n = len(lead)
+        starting, ending = self._starting, self._ending
+        out = []
+        for k in range(1, n):
+            b = lead[n - k:]
+            for other in starting.get(b, ()):
+                out.append(Ambiguity(lead, other, lead[:n - k], b, other[k:]))
+            b = lead[:k]
+            for other in ending.get(b, ()):
+                # the self-overlaps were all found as lead1 above
+                if other != lead:
+                    out.append(Ambiguity(other, lead, other[:len(other) - k], b, lead[k:]))
+        return out
 
 
 def _ambiguity_order(sys: ReductionSystem, amb: Ambiguity) -> tuple:
@@ -533,9 +571,11 @@ def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
     is filtered out: every ambiguity word is shorter than twice the longest
     lead, whatever the degree cap.
     """
-    leads = list(sys._rules)
-    out = [amb for n, lead in enumerate(leads)
-           for amb in _lead_ambiguities(lead, leads[:n])]
+    index = _OverlapIndex()
+    out = []
+    for lead in sys._rules:
+        index.add(lead)
+        out += index.ambiguities(lead)
     out.sort(key=lambda amb: _ambiguity_order(sys, amb))
     return out
 
@@ -629,6 +669,7 @@ def _complete(work: ReductionSystem) -> CompletionReport:
         return report
     ticks = itertools.count()
     version: dict = {}      # lead -> version of its current rule
+    index = _OverlapIndex()   # the leads whose ambiguities are queued
     queue: list = []
 
     def push(amb: Ambiguity) -> None:
@@ -643,14 +684,15 @@ def _complete(work: ReductionSystem) -> CompletionReport:
         return bool(over)
 
     def enqueue(fresh: list) -> None:
-        changed = set(fresh)
-        settled = [lead for lead in work._rules if lead not in changed]
+        # each fresh lead meets itself, the settled leads and the fresh
+        # leads before it; a lead whose tail changed is indexed already
         for lead in fresh:
+            index.discard(lead)
             version[lead] = next(ticks)
         for lead in fresh:
-            for amb in _lead_ambiguities(lead, settled):
+            index.add(lead)
+            for amb in index.ambiguities(lead):
                 push(amb)
-            settled.append(lead)
 
     if over_cap(list(work._rules)):
         return report
@@ -683,6 +725,7 @@ def _complete(work: ReductionSystem) -> CompletionReport:
                 return report
             for old in before.keys() - work._rules.keys():
                 del version[old]
+                index.discard(old)
             fresh = [lead for lead, tail in work._rules.items() if before.get(lead) != tail]
             if over_cap(fresh):
                 return report

@@ -145,6 +145,13 @@ def test_fulcrum_complete_rejects_a_modulus_that_is_not_plain_digits(tmp_path, c
     assert capsys.readouterr().err == "error: unknown field 'fp: 5'\n"
 
 
+def test_fulcrum_complete_rejects_a_modulus_of_5000_digits(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**PRESENTATION, "field": "fp:" + "7" * 5000}))
+    assert fulcrum_main(["complete", str(path)]) == 1
+    assert capsys.readouterr().err == "error: modulus out of range: 77777777... (5000 digits)\n"
+
+
 def test_fulcrum_complete_reports_where_the_cap_broke(tmp_path, capsys):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(dict(PRESENTATION, degree_cap=2)))

@@ -378,6 +378,32 @@ def test_census_of_one_lambda_is_pinned():
                                   "5127ff0eb4c3a19e85953463129020dc")
 
 
+def test_deformed_relations_are_built_once_and_match_a_fresh_build():
+    lam = lambda_from_bits("011000110")
+    mus = [mu_unchecked(matrix_from_bits(bits)) for bits in ALL_BITS]
+    snapshot = {}
+    for flavor in (T_LAMBDA, T_PRIME_LAMBDA):
+        pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
+        for mu in mus:
+            shared = fk3.deformed_relations(lam, mu, flavor)
+            fresh = [fk3.deformed_relation(pres, lam, mu, i, j, flavor == T_LAMBDA)
+                     for i in range(3) for j in range(3)]
+            assert [list(r.terms.items()) for r in shared] == \
+                [list(r.terms.items()) for r in fresh]
+            for rel in shared:
+                snapshot[id(rel)] = (rel, list(rel.terms.items()))
+    # one relation per (flavor, i, j, mu_ij): 2 x 9 x 2
+    assert len(snapshot) == 36
+    for mu in mus:
+        build_lifting(lam, mu).dimension()
+        build_cleft(lam, mu).dimension()
+    for flavor in (T_LAMBDA, T_PRIME_LAMBDA):
+        for mu in mus:
+            for rel in fk3.deformed_relations(lam, mu, flavor):
+                kept, terms = snapshot[id(rel)]
+                assert kept is rel and list(rel.terms.items()) == terms
+
+
 def test_census_of_all_lambdas_is_pinned():
     """The same digest over all 8 lambda, as the engine gave them before
     quotients that add the same rules shared one completion."""

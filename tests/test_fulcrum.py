@@ -74,6 +74,22 @@ def test_s3_condition_is_one_check_for_every_bit_pattern():
         assert satisfies_s3_condition(LambdaMatrix(as_entries(m, F2), F2)) == (not expected)
 
 
+def test_validate_lambda_matches_a_direct_evaluation_for_every_bit_pattern():
+    rack = dihedral_rack()
+    for n in range(512):
+        m = fk3.matrix_from_bits(format(n, "09b"))
+        triples = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+                   if (m[i][rack.act(j, k)] + m[j][k]) % 2
+                   != (m[rack.act(i, j)][rack.act(i, k)] + m[i][k]) % 2]
+        s3 = [("s3", i, j) for i in range(3) for j in range(3)
+              if m[i][j] != m[i][rack.act(i, j)]]
+        for mode, expected in (("gx", triples), ("s3", triples + s3)):
+            check = validate_lambda(m, mode)
+            assert check.violations == expected
+            assert check.ok == (not expected)
+            assert (check.matrix is None) == bool(expected)
+
+
 def test_extend_lambda_examples():
     ones = validate_lambda([[1] * 3] * 3).matrix
     assert extend_lambda(ones, (), 0) == 0

@@ -17,6 +17,7 @@ from nclift.rewrite import (
     CAP_EXCEEDED,
     COLLAPSED_TO_ZERO,
     CONFLUENT,
+    Ambiguity,
     CapExceededError,
     Presentation,
     ReductionSystem,
@@ -423,6 +424,58 @@ def test_no_lead_contains_another_lead(sys_):
     # which is why every ambiguity the engine lists is an overlap
     assert _nested_leads(sys_) == []
     assert _nested_leads(complete(sys_).system) == []
+
+
+def _all_pairs_ambiguities(leads):
+    """Reference overlap search: every ordered pair of leads, every overlap
+    length, by slicing."""
+    return [Ambiguity(l1, l2, l1[:len(l1) - k], l2[:k], l2[k:])
+            for l1 in leads for l2 in leads for k in range(1, min(len(l1), len(l2)))
+            if l1[len(l1) - k:] == l2[:k]]
+
+
+def _sorted_ambiguities(sys_, ambs):
+    return sorted(ambs, key=lambda amb: (sys_._key(amb.word), amb.lead1, amb.lead2, amb.a))
+
+
+@given(small_systems(caps=st.integers(1, 5)))
+@settings(max_examples=200, deadline=None)
+def test_ambiguities_match_an_all_pairs_search(sys_):
+    expected = _sorted_ambiguities(sys_, _all_pairs_ambiguities(list(sys_._rules)))
+    assert find_ambiguities(sys_) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete(fomin_kirillov(4, F2, 6)).system,
+    lambda: fk3.build_lifting(fk3.lambda_from_bits("000101110"),
+                              fk3.mu_from_bits("100000000",
+                                               fk3.lambda_from_bits("000101110"))).system,
+], ids=["completed-E4", "fk3-lifting"])
+def test_ambiguities_of_large_systems_match_an_all_pairs_search(build):
+    sys_ = build()
+    ambs = find_ambiguities(sys_)
+    assert ambs == _sorted_ambiguities(sys_, _all_pairs_ambiguities(list(sys_._rules)))
+    assert len(ambs) > 100
+
+
+@given(small_systems(caps=st.integers(1, 5)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_overlap_index_after_discards_matches_an_all_pairs_search(sys_, data):
+    # the completion queue adds and discards leads as rules come and go
+    leads = list(sys_._rules)
+    kept = data.draw(st.lists(st.sampled_from(leads), unique=True)) if leads else []
+    index = rewrite._OverlapIndex()
+    for lead in leads:
+        index.add(lead)
+    for lead in leads:
+        if lead not in kept:
+            index.discard(lead)
+            index.discard(lead)     # discarding a lead not indexed does nothing
+    reference = _all_pairs_ambiguities(kept)
+    for lead in kept:
+        found = index.ambiguities(lead)
+        assert len(found) == len(set(found))
+        assert set(found) == {a for a in reference if lead in (a.lead1, a.lead2)}
 
 
 @given(small_systems(caps=st.integers(1, 4)))
@@ -1100,6 +1153,18 @@ def test_a_prime_field_modulus_is_plain_decimal_digits(name, char):
             Presentation.from_json(doc)
     else:
         assert Presentation.from_json(doc).field.char == char
+
+
+@pytest.mark.parametrize("modulus, shown", [
+    ("65536", "65536"), ("100000", "100000"), ("1" + "0" * 11, "1" + "0" * 11),
+    ("1" + "0" * 12, "10000000... (13 digits)"), ("1" + "0" * 4300, "10000000... (4301 digits)"),
+    ("7" * 5000, "77777777... (5000 digits)")])
+def test_a_modulus_of_2_16_or_more_is_out_of_range(modulus, shown):
+    # past five digits it is refused before int(), which cannot read more
+    # than 4,300 of them
+    doc = {"alphabet": [{"id": "x0", "sort": "module"}], "relations": [], "field": "fp:" + modulus}
+    with pytest.raises(ValueError, match=f"^modulus out of range: {re.escape(shown)}$"):
+        Presentation.from_json(doc)
 
 
 def test_from_json_accepts_the_ids_nclift_builds():
