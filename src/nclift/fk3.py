@@ -177,12 +177,15 @@ def flavor_presentation(lam: LambdaMatrix, flavor: str) -> FulcrumPresentation:
 
 
 @lru_cache(maxsize=None)
-def _shared_relation(lam: LambdaMatrix, flavor: str, i: int, j: int, mu_ij) -> NcPoly:
-    """The flavor's deformed relation of (i, j) for the value mu_ij: built
-    once per (lambda, flavor, i, j, mu_ij) and shared, so never changed in
-    place."""
-    return _deformed_with(flavor_presentation(lam, flavor), lam, i, j, mu_ij,
-                          flavor == T_LAMBDA)
+def _relation_table(lam: LambdaMatrix, flavor: str) -> tuple:
+    """The flavor's deformed relations for lambda, one pair per index pair
+    (i, j), row-major: the relation for mu_{i,j} = 0, then for mu_{i,j} = 1.
+    Built once per (lambda, flavor) and shared, so never changed in place."""
+    pres = flavor_presentation(lam, flavor)
+    f = lam.field
+    return tuple(tuple(_deformed_with(pres, lam, i, j, v, flavor == T_LAMBDA)
+                       for v in (f.zero, f.one))
+                 for i in range(3) for j in range(3))
 
 
 def deformed_relations(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> list[NcPoly]:
@@ -190,10 +193,10 @@ def deformed_relations(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> list
     pair, row-major.  All nine generate the ideal: for valid mu the three
     relations of an orbit coincide, for invalid mu their differences are
     exactly what collapses the quotient.  Each relation is built once per
-    (lambda, flavor, i, j, mu_{i,j}) and shared by every mu with that entry."""
-    entries = mu.entries
-    return [_shared_relation(lam, flavor, i, j, entries[i][j])
-            for i in range(3) for j in range(3)]
+    (lambda, flavor, i, j, mu_{i,j}) and shared by every mu with that entry;
+    an F2 value of mu_{i,j}, 0 or 1, indexes its pair in the table."""
+    e = mu.entries
+    return [pair[v] for pair, v in zip(_relation_table(lam, flavor), e[0] + e[1] + e[2])]
 
 
 @lru_cache(maxsize=None)
@@ -204,11 +207,12 @@ def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> Complet
     quotient.
 
     The deformed relations, each built once per (lambda, flavor, i, j,
-    mu_{i,j}), are inserted into a copy of the cached base rules.  That is
-    exactly the system of all the relations at once, since inter-reducing a
-    flavor's rules changes none of them (tests/test_fk3.py checks this for
-    every base).  Many mu add the same rules to the base, and those share
-    one completion, which the base holds.
+    mu_{i,j}), extend the cached base rules.  That is exactly the system of
+    all the relations at once, since inter-reducing a flavor's rules changes
+    none of them (tests/test_fk3.py checks this for every base).  The base
+    holds the outcome of each relation in each state the inserts reach, so
+    the 512 mu of a census reduce a relation once per distinct state, not
+    once per mu, and many mu add the same rules and share one completion.
     """
     base = flavor_presentation(lam, flavor).system()
     return base.completion_with(deformed_relations(lam, mu, flavor))

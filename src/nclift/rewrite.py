@@ -110,7 +110,7 @@ class ReductionSystem:
         self._rules: dict = {}          # lead -> tail coefficient dict
         self._lengths: dict = {}        # last letter -> lead lengths, longest first
         self._memo: dict = {}
-        self._extensions: dict = {}     # see completion_with
+        self._extensions: _ExtensionTrie | None = None    # see completion_with
         self._frozen = False
         self._steps = 0
         self.extend(relations)
@@ -150,23 +150,21 @@ class ReductionSystem:
         inserts the table is this system's rules, unchanged and in order,
         followed by the added rules.  Inter-reduction and completion read
         only that table and ``collapsed`` (the memo and the length index
-        only cache), so ``collapsed`` and the added rules key the report
-        exactly, each tail in its term order, which later sums follow.
-        Relations that reduce to the same rules share one report.
+        only cache), so ``collapsed`` and the added rules fix the report,
+        each tail in its term order, which later sums follow.
+
+        The system keeps a trie of insert outcomes (``_ExtensionTrie``):
+        each relation is reduced once per distinct state it meets, each
+        state is completed once, and a call whose every step is known is a
+        dict probe per relation.  Relations that reduce to the same rules
+        share one report.  The relations are taken as values: once passed
+        in, one must not be changed in place.
         """
         if not self._frozen:
             raise RuntimeError("completion_with needs a frozen system")
-        work = self.copy()
-        for rel in relations:
-            work._insert(dict(rel.terms))
-        # empty after a collapse
-        added = itertools.islice(work._rules.items(), len(self._rules), None)
-        key = (work.collapsed, tuple((lead, tuple(tail.items())) for lead, tail in added))
-        report = self._extensions.get(key)
-        if report is None:
-            work._interreduce()
-            report = self._extensions[key] = complete(work)
-        return report
+        if self._extensions is None:
+            self._extensions = _ExtensionTrie()
+        return self._extensions.completion(self, relations)
 
     def rules(self) -> list[RewriteRule]:
         out = []
@@ -227,13 +225,17 @@ class ReductionSystem:
             return False
         lead, tail = self._orient(terms)
         if not lead:
-            self.collapsed = True
-            self._rules.clear()
-            self._lengths.clear()
-            self._memo.clear()
+            self._collapse()
             return True
         self._install(lead, tail)
         return True
+
+    def _collapse(self) -> None:
+        """A nonzero constant was derived: the algebra is zero."""
+        self.collapsed = True
+        self._rules.clear()
+        self._lengths.clear()
+        self._memo.clear()
 
     def _interreduce(self) -> None:
         """Re-reduce every rule against the others until stable.
@@ -739,6 +741,121 @@ def _complete(work: ReductionSystem) -> CompletionReport:
             if _resolve(work, amb):
                 push(amb)
     return report
+
+
+#: the node every collapse leads to, in any trie
+_COLLAPSED = -1
+
+
+def _flat(terms: dict) -> tuple:
+    """A coefficient dict as one tuple w1, c1, w2, c2, ... in its order."""
+    return tuple(itertools.chain.from_iterable(terms.items()))
+
+
+class _ExtensionTrie:
+    """The completions of a frozen system's extensions, as a trie of the
+    outcomes of inserting one relation (``ReductionSystem.completion_with``).
+
+    Node 0 is the base system and ``_COLLAPSED`` the collapsed one.  Any
+    other node is its parent with one more rule, the (lead, tail) that a
+    relation reduced and oriented to there.  Nodes are merged on (parent,
+    lead, tail terms in order), so a node stands for exactly the base's
+    rules followed by its added rules in table order.  A relation that
+    reduces to zero leaves the node as it is.  Relations are numbered once
+    per distinct term list, in order, and found by the identity of the
+    first relation seen with that term list, which is kept alive so that
+    its id stays its own.  Outcomes are keyed by the int
+    ``node << 32 | number`` (there are never 2**32 numbers), and each
+    node's report is kept once computed.  Int keys and flat tuples keep the
+    trie small: it lives as long as the base.
+
+    Reducing a relation needs the node's system.  It is built, as a copy of
+    the base with the node's rules installed, only when an outcome or the
+    report is not known yet, and from then on follows the walk; no node
+    keeps a system or a memo of its own.
+    """
+
+    def __init__(self):
+        self._by_id: dict = {}          # id(rel) -> number
+        self._kept: list = []           # the relations in _by_id
+        self._numbers: dict = {}        # _flat(rel.terms) -> number
+        self._outcomes: dict = {}       # node << 32 | number -> node
+        self._nodes: list = [None]      # node -> (parent, lead) + _flat(tail)
+        self._node_of: dict = {}        # (parent, lead) + _flat(tail) -> node
+        self._reports: dict = {}        # node -> CompletionReport
+
+    def completion(self, base: ReductionSystem, relations: Iterable[NcPoly]) -> CompletionReport:
+        by_id, outcomes = self._by_id, self._outcomes
+        node, work = 0, None        # work: the system of node, once built
+        for rel in relations:
+            number = by_id.get(id(rel))
+            if number is None:
+                number = self._number(rel)
+            key = node << 32 | number
+            nxt = outcomes.get(key)
+            if nxt is None:
+                if work is None:
+                    work = self._system(base, node)
+                nxt = outcomes[key] = self._step(work, node, rel)
+            elif work is not None and nxt != node:
+                self._follow(work, nxt)
+            node = nxt
+            if node == _COLLAPSED:
+                break               # every further relation reduces to zero
+        report = self._reports.get(node)
+        if report is None:
+            if work is None:
+                work = self._system(base, node)
+            work._interreduce()
+            # through complete's copy: the report keeps the copy's compact
+            # rule table and the memo of its completion alone
+            report = self._reports[node] = complete(work)
+        return report
+
+    def _number(self, rel: NcPoly) -> int:
+        """The number of ``rel``'s term list."""
+        terms = _flat(rel.terms)
+        number = self._numbers.get(terms)
+        if number is None:
+            number = self._numbers[terms] = self._by_id[id(rel)] = len(self._numbers)
+            self._kept.append(rel)
+        return number
+
+    def _system(self, base: ReductionSystem, node: int) -> ReductionSystem:
+        """An unfrozen copy of the base in the state of ``node``."""
+        work = base.copy()
+        path = []
+        while node > 0:
+            path.append(node)
+            node = self._nodes[node][0]
+        for child in reversed(path):
+            self._follow(work, child)
+        if node == _COLLAPSED:
+            work._collapse()
+        return work
+
+    def _follow(self, work: ReductionSystem, node: int) -> None:
+        """Take ``work`` from the parent of ``node`` to ``node``."""
+        if node == _COLLAPSED:
+            work._collapse()
+        else:
+            key = self._nodes[node]
+            work._install(key[1], dict(zip(key[2::2], key[3::2])))
+
+    def _step(self, work: ReductionSystem, node: int, rel: NcPoly) -> int:
+        """Insert ``rel`` into ``work``, the system of ``node``, and return
+        the node that the outcome leads to."""
+        if not work._insert(dict(rel.terms)):
+            return node
+        if work.collapsed:
+            return _COLLAPSED
+        lead = next(reversed(work._rules))      # a reduced relation's lead is new
+        key = (node, lead) + _flat(work._rules[lead])
+        child = self._node_of.get(key)
+        if child is None:
+            child = self._node_of[key] = len(self._nodes)
+            self._nodes.append(key)
+        return child
 
 
 def verify_confluent(sys: ReductionSystem) -> bool:

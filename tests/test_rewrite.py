@@ -723,39 +723,122 @@ def _commuting_base():
                            ).freeze()
 
 
-def test_relations_that_add_the_same_rules_share_a_completion():
+def _count_completions(monkeypatch):
+    """The systems that ``complete`` is called on from here on."""
+    completed = []
+
+    def counting(sys_):
+        completed.append(sys_)
+        return complete(sys_)
+
+    monkeypatch.setattr(rewrite, "complete", counting)
+    return completed
+
+
+def _count_reductions(monkeypatch):
+    """The term dicts that ``_nf_terms`` reduces from here on."""
+    reduced = []
+    nf_terms = ReductionSystem._nf_terms
+
+    def counting(self, terms):
+        reduced.append(terms)
+        return nf_terms(self, terms)
+
+    monkeypatch.setattr(ReductionSystem, "_nf_terms", counting)
+    return reduced
+
+
+def _extended(base, relations):
+    """The reference: ``complete`` of a copy of base extended by relations."""
+    work = base.copy()
+    work.extend(relations)
+    return complete(work)
+
+
+def test_relations_that_add_the_same_rules_share_a_completion(monkeypatch):
     base = _commuting_base()
+    completed = _count_completions(monkeypatch)
     report = base.completion_with([_parse("x0 x0 + x1")])
     # x2 x0 + x0 x2 reduces to zero and x1 x0 to x0 x1: the same rule is added
     assert base.completion_with([_parse("x0 x0 + x1 + x2 x0 + x0 x2")]) is report
     assert base.completion_with([_parse("x1 x0 + x0 x1"), _parse("x0 x0 + x1")]) is report
-    # the key: not collapsed, and the one added rule x0 x0 -> x1
-    assert list(base._extensions) == [(False, (((0, 0), (((1,), 1),)),))]
+    # one completion, of the base's rules followed by x0 x0 -> x1
+    assert len(completed) == 1
+    assert not completed[0].collapsed
+    assert list(completed[0]._rules.items()) == \
+        list(base._rules.items()) + [((0, 0), {(1,): F2.one})]
     assert report.status == CONFLUENT
 
 
-def test_the_same_leads_with_other_tails_do_not_share_a_completion():
+def test_the_same_leads_with_other_tails_do_not_share_a_completion(monkeypatch):
     base = _commuting_base()
+    completed = _count_completions(monkeypatch)
     with_x1 = base.completion_with([_parse("x0 x0 + x1")])
     with_x2 = base.completion_with([_parse("x0 x0 + x2")])
     assert with_x1 is not with_x2
     assert with_x1.system.rules() != with_x2.system.rules()
-    # both add one rule of lead x0 x0
-    assert [[lead for lead, _ in added] for _, added in base._extensions] == [[(0, 0)]] * 2
+    # both add one rule of lead x0 x0, and each is completed
+    assert [list(sys_._rules)[len(base._rules):] for sys_ in completed] == [[(0, 0)]] * 2
     # neither is taken for the other: each is its relation's own completion
     for text, report in (("x0 x0 + x1", with_x1), ("x0 x0 + x2", with_x2)):
-        work = base.copy()
-        work.extend([_parse(text)])
-        assert report.system.rules() == complete(work).system.rules()
+        assert report.system.rules() == _extended(base, [_parse(text)]).system.rules()
 
 
-def test_a_collapse_is_keyed_by_collapsed_alone():
+def test_a_collapse_is_keyed_by_collapsed_alone(monkeypatch):
     base = _commuting_base()
+    completed = _count_completions(monkeypatch)
     report = base.completion_with([_parse("x0 + 1"), _parse("x0")])
     assert report.status == COLLAPSED_TO_ZERO
-    assert list(base._extensions) == [(True, ())]
     # x1 x0 reduces to x0 x1, which leaves 1
     assert base.completion_with([_parse("x1 x0 + x0 x1 + 1")]) is report
+    # one completion, of a collapsed system with no rules
+    assert len(completed) == 1
+    assert completed[0].collapsed and not completed[0]._rules
+
+
+def test_a_collapse_after_added_rules_shares_the_report_of_one_at_the_first(monkeypatch):
+    base = _commuting_base()
+    at_first = base.completion_with([_parse("1"), _parse("x0 x0 + x1")])
+    completed = _count_completions(monkeypatch)
+    reduced = _count_reductions(monkeypatch)
+    # two rules are added, then x0 x0 + x1 + 1 reduces to 1 under x0 x0 -> x1;
+    # the relation after the collapse is not reduced at all
+    at_third = [_parse("x0 x0 + x1"), _parse("x2 x2"), _parse("x0 x0 + x1 + 1"), _parse("x1")]
+    assert base.completion_with(at_third) is at_first
+    assert at_first.status == COLLAPSED_TO_ZERO
+    assert completed == [] and len(reduced) == 3
+
+
+def test_a_repeated_completion_reduces_nothing(monkeypatch):
+    base = _commuting_base()
+    texts = ["x0 x0 + x1", "x2 x1 + x1 x2", "x1 x1 x1", "x0 + 1"]
+    relations = [_parse(text) for text in texts]
+    reports = [base.completion_with(relations[:k]) for k in range(len(relations) + 1)]
+    reduced = _count_reductions(monkeypatch)
+    completed = _count_completions(monkeypatch)
+    assert all(base.completion_with(relations[:k]) is report for k, report in enumerate(reports))
+    # relations built again, with the same terms in the same order, are known too
+    assert base.completion_with([_parse(text) for text in texts]) is reports[-1]
+    assert reduced == [] and completed == []
+
+
+def test_lists_that_share_a_prefix_reduce_it_once(monkeypatch):
+    base = _commuting_base()
+    prefix = [_parse("x0 x0 + x1"), _parse("x2 x1 + x1 x2"), _parse("x2 x2 + x0")]
+    ends = [_parse("x1 x1 x1"), _parse("x0 x1 + x2")]
+    stepped = []
+    step = rewrite._ExtensionTrie._step
+
+    def counting(self, work, node, rel):
+        stepped.append(rel)
+        return step(self, work, node, rel)
+
+    monkeypatch.setattr(rewrite._ExtensionTrie, "_step", counting)
+    reports = [base.completion_with(prefix + [end]) for end in ends]
+    # x2 x1 + x1 x2 reduces to zero, and still is reduced only once
+    assert [id(rel) for rel in stepped] == [id(rel) for rel in prefix + ends]
+    for end, report in zip(ends, reports):
+        assert report.to_json() == _extended(base, prefix + [end]).to_json()
 
 
 def test_completion_with_leaves_the_base_alone_and_freezes_its_report():
@@ -772,7 +855,7 @@ def test_completion_with_needs_a_frozen_system():
     sys_ = ReductionSystem(ALPHA, F2, [_parse("x1 x0 + x0 x1")])
     with pytest.raises(RuntimeError, match="frozen"):
         sys_.completion_with([_parse("x0 x0")])
-    assert sys_._extensions == {}
+    assert sys_._extensions is None
 
 
 # QQ is left out: one of its completions can run without bound
@@ -782,14 +865,19 @@ def test_completion_with_matches_completing_an_extended_copy(drawn, data):
     alpha, field, relations, cap = drawn
     k = data.draw(st.integers(0, len(relations)))
     base = ReductionSystem(alpha, field, relations[:k], degree_cap=cap).freeze()
-    report = base.completion_with(relations[k:])
-    work = base.copy()
-    work.extend(relations[k:])
-    ref = complete(work)
-    assert report.to_json() == ref.to_json()
-    assert report.dimension() == ref.dimension()
-    assert list(report.system._rules) == list(ref.system._rules)
-    assert base.completion_with(relations[k:]) is report
+    # a second list that shares a prefix with the first, then goes on with
+    # any of the relations, the base's included
+    first = relations[k:]
+    second = first[:data.draw(st.integers(0, len(first)))] + \
+        data.draw(st.lists(st.sampled_from(relations), max_size=3))
+    for added in (first, second):
+        report = base.completion_with(added)
+        ref = _extended(base, added)
+        assert report.to_json() == ref.to_json()
+        assert report.dimension() == ref.dimension()
+        # the rule table in order, each tail in its term order
+        assert list(report.system._rules.items()) == list(ref.system._rules.items())
+    assert base.completion_with(first) is base.completion_with(first[:])
 
 
 # ---------------------------------------------------------------------------
