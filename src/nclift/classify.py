@@ -217,11 +217,3 @@ def emit_table(classes: list[list[PairRecord]], fmt: str = JSON_FORMAT,
         lines = [header, ["---"] * len(header)] + cells
         return "".join("| " + " | ".join(map(str, line)) + " |\n" for line in lines)
     raise ValueError(f"unsupported format {fmt!r}")
-
-
-def read_table(text: str) -> dict:
-    """Round-trip reader for the JSON table."""
-    doc = json.loads(text)
-    if doc.get("schema") != 1:
-        raise ValueError("unknown table schema")
-    return doc

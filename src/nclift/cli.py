@@ -109,6 +109,9 @@ def _fk3_classify(args: argparse.Namespace) -> int:
 
 
 def _fk3_verify(args: argparse.Namespace) -> int:
+    # a path that cannot be written fails before the certificate is computed
+    if args.json_out and not _write("", args.json_out):
+        return 1
     cert = fk3_mod.certify(args.lam, args.mu, group_mode="s3", galois=args.galois)
     doc = cert.to_json()
     # the finite group backing the run, for reproducibility

@@ -9,7 +9,8 @@ bijectivity certificates for the two Galois maps between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import xor
 from typing import Sequence
 
 from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly, xdeglex_key
@@ -292,8 +293,8 @@ def cubic_formula(lam: LambdaMatrix, mu: LambdaMatrix, convention: str = ONE_BAS
 
     The closed form is stated with generators indexed 1, 2, 3 while
     everything here is indexed by Z_3; ``convention`` selects how the two
-    labelings line up and the winning choice is determined empirically
-    against completion output (see resolve_cubic_convention).
+    labelings line up.  The one-based reading is the one that matches
+    completion output (see resolve_cubic_convention).
     """
     if convention == ONE_BASED:
         sigma = {1: 0, 2: 1, 3: 2}
@@ -328,30 +329,12 @@ def cubic_formula(lam: LambdaMatrix, mu: LambdaMatrix, convention: str = ONE_BAS
     return NcPoly.from_terms(pad, f, items)
 
 
-@lru_cache(maxsize=None)
 def resolve_cubic_convention() -> str:
-    """Pick the index convention under which the closed form reproduces the
-    completion-derived rule, across a spread of parameter pairs."""
-    samples = [
-        ("000000000", "000000000"),
-        ("000000000", "100010001"),
-        ("000101110", "100000000"),
-        ("011000110", "000010000"),
-        ("111111111", "000000000"),
-        ("000101110", "111101110"),
-    ]
-    for convention in CONVENTIONS:
-        hits = 0
-        for lb, mb in samples:
-            lam = lambda_from_bits(lb)
-            mu = mu_from_bits(mb, lam)
-            derived = derived_cubic_relation(lam, mu)
-            expected = cubic_formula(lam, mu, convention)
-            if derived.terms == expected.terms:
-                hits += 1
-        if hits == len(samples):
-            return convention
-    raise RuntimeError("no index convention matches the derived cubic rule")
+    """The index convention under which the closed form reproduces the
+    completion-derived rule: always the one-based reading.  ``certify``
+    compares each pair's derived rule with the formula under it, and the
+    tests show that the other reading fails."""
+    return ONE_BASED
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +476,22 @@ def _built_row(blocks: list, n: int, entries: Sequence[int]) -> int:
     return row
 
 
+def _galois_rank(images: list, tables: Sequence, n: int) -> int:
+    """Rank of the Galois map with one row per (coaction image, table of
+    entries), each image given by its ``_image_blocks``: from the diagonal
+    blocks where they prove full rank (see ``galois_certificate``), else by
+    eliminating every row."""
+    tops = [blocks[0] for blocks in images if blocks]
+    if len(tops) == len(images) and len({block for block, _ in tops}) == len(tops):
+        diagonals = {frozenset(positions): positions for _, positions in tops}
+        ranks = (rank_f2([reduce(xor, [entries[a] for a in positions]) for entries in tables], n)
+                 for positions in diagonals.values())
+        if all(rank == len(tables) for rank in ranks):
+            return len(tables) * len(images)
+    return rank_f2([row for blocks in images for row in _declared_rows(blocks, tables, n)],
+                   n * n)
+
+
 def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate:
     """Ranks of the two Galois maps on the constant-deformed quotient.
 
@@ -504,12 +503,22 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     Columns come in dim-bit blocks, one per B word for kappa_r (each block
     holds the products a b_(0), over the A basis) and one per L word for
     kappa_l; the blocks are ordered by the xdeglex key of that outer word, so
-    an image's term with the most module letters lands in its top block.  A
-    row's lead is the top bit of its highest block whose XOR of table entries
-    is nonzero, and ``rank_f2`` builds the row only where that lead meets a
-    pivot's: none of kappa_r's rows and 576 of kappa_l's on the paper's class
-    representatives.  Ordering the columns differently does not change the
-    rank.
+    an image's term with the most module letters lands in its top block.
+
+    The rank comes from the block-triangular shape of the map.  The rows of
+    image k are zero in every block above its top block T_k, and on T_k they
+    form the diagonal block D_k: the table entries at T_k's A positions, a
+    single group element on the paper's pairs, so D_k is right (kappa_r) or
+    left (kappa_l) multiplication by it.  Restricted to the columns of the
+    top blocks, with the images sorted by T_k, the matrix is block
+    triangular with diagonal blocks D_k.  So when the T_k are distinct and
+    every D_k has full row rank, the rows are independent and the rank is
+    dim * (number of images), with one ``rank_f2`` call per distinct D_k:
+    six per map, 72 rows each, on the paper's pairs.  Otherwise the rank is
+    exact elimination of every row, declared as its lead (the top bit of its
+    highest block whose XOR of table entries is nonzero) and built by
+    ``rank_f2`` only where that lead meets a pivot's.  Ordering the columns
+    differently does not change the rank.
     """
     if lam.field != F2:
         raise ValueError("Galois certificates are computed over F2")
@@ -549,11 +558,8 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     # row (image k, table t): kappa_r pairs the image of basis word k with
     # the products u * (.), row u of the table; kappa_l pairs the image of
     # u = basis word k with the products (.) * w, column w of the table
-    rank_r = rank_f2([row for blocks in blocks_r for row in _declared_rows(blocks, prod, n)],
-                     n * n)
-    columns = list(zip(*prod))
-    rank_l = rank_f2([row for blocks in blocks_l for row in _declared_rows(blocks, columns, n)],
-                     n * n)
+    rank_r = _galois_rank(blocks_r, prod, n)
+    rank_l = _galois_rank(blocks_l, list(zip(*prod)), n)
 
     return GaloisCertificate(
         rank_right=rank_r,

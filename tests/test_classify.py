@@ -13,7 +13,6 @@ from nclift.classify import (
     enumerate_pairs,
     iso_related,
     partition_classes,
-    read_table,
 )
 from nclift.fk3 import matrix_from_bits
 from nclift.fulcrum import validate_lambda
@@ -243,7 +242,8 @@ def test_s3_mode_enumeration(classes):
 
 def test_emit_json_round_trip(classes):
     text = emit_table(classes, "json", "gx")
-    doc = read_table(text)
+    doc = json.loads(text)
+    assert doc["schema"] == 1
     assert doc["pair_count"] == 32
     assert doc["class_count"] == 10
     assert len(doc["pairs"]) == 32

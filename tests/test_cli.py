@@ -293,6 +293,17 @@ def test_classify_certify_checks_the_output_path_before_certifying(monkeypatch, 
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_verify_checks_the_output_path_before_certifying(monkeypatch, capsys):
+    def certify(*args, **kwargs):
+        raise AssertionError("a certificate was computed")
+
+    monkeypatch.setattr(cli.fk3_mod, "certify", certify)
+    out = "/nonexistent/x.json"
+    assert fk3_main(["verify", "--lambda", "000101110", "--mu", "100000000", "--galois",
+                     "--json", out]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def test_fulcrum_complete_missing_file(capsys):
     assert fulcrum_main(["complete", "/nonexistent/pres.json"]) == 1
     assert "error" in capsys.readouterr().err

@@ -578,13 +578,15 @@ def test_galois_certificate_deformed_pair():
     assert cert.bijective
 
 
-def per_term_galois_rows(lam, mu, same_image=None):
+def per_term_galois_rows(lam, mu, same_image=None, table=None):
     """kappa_r and kappa_l rows built term by term with one nf_word call per
     product, the construction before the product table.  Rows come image by
     image: (w, u) for kappa_r, (u, w) for kappa_l.  Column block k holds
     the k-th outer word (B word for kappa_r, L word for kappa_l) in xdeglex
     order, and each block is over the A basis.  A basis word w takes the
-    coaction image of ``same_image.get(w, w)``."""
+    coaction image of ``same_image.get(w, w)``.  Given a ``table``, the
+    product of basis words u and v is ``table[u][v]`` over basis positions
+    instead of a normal form."""
     same_image = same_image or {}
     A, L, B = build_cleft(lam, mu), build_lifting(lam, mu), bosonization_build()
     basis_a, basis_l, basis_b = A.basis(), L.basis(), B.basis()
@@ -605,6 +607,11 @@ def per_term_galois_rows(lam, mu, same_image=None):
                                   left_sys, right_sys)
                 for w in basis_a]
 
+    def times(u, v):
+        if table is not None:
+            return table[idx_a[u]][idx_a[v]]
+        return sum(1 << idx_a[w] for w in a_sys.nf_word(u + v))
+
     rho_r = images_of_basis(imgs_r, a_sys, b_sys)
     rho_l = images_of_basis(imgs_l, l_sys, a_sys)
     rows_r = []
@@ -612,16 +619,14 @@ def per_term_galois_rows(lam, mu, same_image=None):
         for u in basis_a:
             bits = 0
             for (aw, bw) in rho_r[w_idx].terms:
-                for aw2 in a_sys.nf_word(u + aw):
-                    bits ^= 1 << (block_b[bw] * n + idx_a[aw2])
+                bits ^= times(u, aw) << block_b[bw] * n
             rows_r.append(bits)
     rows_l = []
     for u_idx in range(n):
         for w in basis_a:
             bits = 0
             for (lw, aw) in rho_l[u_idx].terms:
-                for aw2 in a_sys.nf_word(aw + w):
-                    bits ^= 1 << (block_l[lw] * n + idx_a[aw2])
+                bits ^= times(aw, w) << block_l[lw] * n
             rows_l.append(bits)
     return rows_r, rows_l
 
@@ -631,7 +636,7 @@ def recording_rank(monkeypatch):
     calls = []
 
     def rank(rows, width=None):
-        record = {"rows": list(rows), "built": Counter()}
+        record = {"rows": list(rows), "width": width, "built": Counter()}
         calls.append(record)
 
         def counted(k, build):
@@ -660,22 +665,105 @@ def built_rows(rows):
     return out
 
 
+def recording_galois_rank(monkeypatch):
+    """Patch fk3's _galois_rank to record each map's coaction images and
+    tables of entries."""
+    maps = []
+    galois_rank = fk3._galois_rank
+
+    def recording(images, tables, n):
+        maps.append((images, tables))
+        return galois_rank(images, tables, n)
+
+    monkeypatch.setattr(fk3, "_galois_rank", recording)
+    return maps
+
+
+def top_blocks(rows, n=72):
+    """Each image's top block (the highest nonzero block of its n rows) and
+    its rows there."""
+    out = []
+    for k in range(0, len(rows), n):
+        image = rows[k:k + n]
+        top = max(row.bit_length() - 1 for row in image) // n
+        out.append((top, [row >> top * n & (1 << n) - 1 for row in image]))
+    return out
+
+
 @pytest.mark.parametrize("lam_bits, mu_bits", [("000000000", "000000000"),
                                                ("000101110", "100000000")])
 def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_bits):
     lam = lambda_from_bits(lam_bits)
     mu = mu_from_bits(mu_bits, lam)
+    maps = recording_galois_rank(monkeypatch)
     calls = recording_rank(monkeypatch)
     cert = galois_certificate(lam, mu)
-    assert [len(call["rows"]) for call in calls] == [5184, 5184]
-    # the kernel built no kappa_r row and 576 kappa_l rows, each once
-    assert [sum(call["built"].values()) for call in calls] == [0, 576]
-    assert max(calls[1]["built"].values()) == 1
+    # the kernel ranked six 72-row diagonal blocks per map and nothing else
+    assert [(len(call["rows"]), call["width"]) for call in calls] == [(72, 72)] * 12
+    assert all(isinstance(row, int) for call in calls for row in call["rows"])
     old_r, old_l = per_term_galois_rows(lam, mu)
-    assert built_rows(calls[0]["rows"]) == old_r
-    assert built_rows(calls[1]["rows"]) == old_l
+    for (images, tables), old, diagonals in zip(maps, (old_r, old_l), (calls[:6], calls[6:])):
+        declared = [row for blocks in images for row in fk3._declared_rows(blocks, tables, 72)]
+        assert built_rows(declared) == old
+        tops = top_blocks(old)
+        assert len({top for top, _ in tops}) == 72
+        assert ({tuple(rows) for _, rows in tops}
+                == {tuple(call["rows"]) for call in diagonals})
+        assert all(rank_f2(call["rows"], 72) == 72 for call in diagonals)
     assert rank_f2(old_r, 5184) == rank_f2(old_l, 5184) == 5184
     assert (cert.rank_right, cert.rank_left) == (5184, 5184)
+
+
+def test_block_argument_certifies_both_maps_on_every_pair(monkeypatch):
+    """On all 32 pairs the top blocks are distinct and every diagonal block
+    is invertible, so no row of either map is declared or eliminated."""
+    from nclift.classify import enumerate_pairs
+
+    def no_elimination(*args):
+        raise AssertionError("a Galois map fell back to eliminating every row")
+
+    monkeypatch.setattr(fk3, "_declared_rows", no_elimination)
+    calls = recording_rank(monkeypatch)
+    pairs = enumerate_pairs("gx")
+    assert len(pairs) == 32
+    for p in pairs:
+        lam = lambda_from_bits(p.lam_bits)
+        cert = galois_certificate(lam, mu_from_bits(p.mu_bits, lam))
+        assert (cert.rank_right, cert.rank_left) == (5184, 5184), p.key
+        assert cert.bijective
+    assert {(len(call["rows"]), call["width"]) for call in calls} == {(72, 72)}
+    assert len(calls) == 32 * 12
+
+
+def test_galois_ranks_when_a_diagonal_block_is_singular(monkeypatch):
+    """A product table whose row 1 repeats row 0 (the unit's): kappa_r's
+    top blocks stay distinct, but its diagonal blocks, right multiplication
+    by a group element, get two equal rows, so the kernel eliminates every
+    row, and the rank is that of eager elimination."""
+    lam = lambda_from_bits("000101110")
+    mu = mu_from_bits("100000000", lam)
+    product_table = fk3.product_table
+    tables = []
+
+    def patched_table(system, basis):
+        prod = product_table(system, basis)
+        prod[1] = list(prod[0])
+        tables.append(prod)
+        return prod
+
+    monkeypatch.setattr(fk3, "product_table", patched_table)
+    maps = recording_galois_rank(monkeypatch)
+    calls = recording_rank(monkeypatch)
+    cert = galois_certificate(lam, mu)
+    images_r = maps[0][0]
+    assert len({blocks[0][0] for blocks in images_r}) == len(images_r) == 72
+    assert [len(call["rows"]) for call in calls[:2]] == [72, 5184]
+    assert rank_f2(calls[0]["rows"], 72) < 72
+    old_r, old_l = per_term_galois_rows(lam, mu, table=tables[0])
+    assert built_rows(calls[1]["rows"]) == old_r
+    assert cert.rank_right == rank_f2(old_r, 5184) < 5184
+    assert cert.rank_left == rank_f2(old_l, 5184)
+    assert not cert.bijective
 
 
 def test_galois_ranks_of_a_map_that_is_not_bijective(monkeypatch):
