@@ -209,7 +209,10 @@ def _fulcrum_parser() -> argparse.ArgumentParser:
 def load_presentation(path: str) -> Presentation:
     """Read a presentation file; see ``Presentation.from_json`` for the format."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("presentation file nests too deeply") from None
     return Presentation.from_json(doc)
 
 

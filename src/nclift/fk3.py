@@ -9,7 +9,7 @@ bijectivity certificates for the two Galois maps between them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from operator import xor
 from typing import Sequence
 
@@ -149,15 +149,10 @@ def _relation_core(alphabet: Alphabet, lam: LambdaMatrix, i: int, j: int) -> NcP
     return quadratic_relation(alphabet, lam.field, i, j) + linear_correction(alphabet, lam, i, j)
 
 
-def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, mu: LambdaMatrix,
-                      i: int, j: int, group_term: bool) -> NcPoly:
-    """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term only."""
-    return _deformed_with(pres, lam, i, j, mu[i, j], group_term)
-
-
-def _deformed_with(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int,
-                   mu_ij, group_term: bool) -> NcPoly:
-    """``deformed_relation`` with mu_{i,j} given as a value."""
+def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int,
+                      mu_ij, group_term: bool) -> NcPoly:
+    """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term
+    only, for the value mu_ij of mu_{i,j}."""
     f = lam.field
     rel = _relation_core(pres.alphabet, lam, i, j)
     if mu_ij != f.zero:
@@ -184,7 +179,7 @@ def _relation_table(lam: LambdaMatrix, flavor: str) -> tuple:
     Built once per (lambda, flavor) and shared, so never changed in place."""
     pres = flavor_presentation(lam, flavor)
     f = lam.field
-    return tuple(tuple(_deformed_with(pres, lam, i, j, v, flavor == T_LAMBDA)
+    return tuple(tuple(deformed_relation(pres, lam, i, j, v, flavor == T_LAMBDA)
                        for v in (f.zero, f.one))
                  for i in range(3) for j in range(3))
 
@@ -350,7 +345,7 @@ def skew_primitivity(lam: LambdaMatrix, mu: LambdaMatrix) -> dict:
     G = pres.yd.group
     out = {}
     for i, j in relation_orbit_reps():
-        rel = deformed_relation(pres, lam, mu, i, j, group_term=True)
+        rel = deformed_relation(pres, lam, i, j, mu[i, j], group_term=True)
         gij = G.mul(G.distinguished[i], G.distinguished[j])
         out[(i, j)] = check_skew_primitive(pres, rel, gij)
     return out
@@ -444,29 +439,9 @@ def _image_blocks(terms) -> list:
     return sorted(blocks.items(), reverse=True)
 
 
-def _declared_rows(blocks: list, tables: Sequence, n: int) -> list:
-    """The Galois rows of one coaction image, one per table of entries, as
-    ``rank_f2`` takes them: 0, or (lead, build, entries).
-
-    Block b of a row is the XOR of ``entries[a]`` over the positions a in b,
-    shifted by b * n; the lead is the top bit of the highest nonzero block.
-    """
-    build = partial(_built_row, blocks, n)
-    rows = []
-    for entries in tables:
-        for block, positions in blocks:
-            bits = 0
-            for a in positions:
-                bits ^= entries[a]
-            if bits:
-                rows.append((block * n + bits.bit_length() - 1, build, entries))
-                break
-        else:
-            rows.append(0)
-    return rows
-
-
 def _built_row(blocks: list, n: int, entries: Sequence[int]) -> int:
+    """One Galois row: block b is the XOR of ``entries[a]`` over the
+    positions a in b, shifted by b * n."""
     row = 0
     for block, positions in blocks:
         bits = 0
@@ -488,7 +463,7 @@ def _galois_rank(images: list, tables: Sequence, n: int) -> int:
                  for positions in diagonals.values())
         if all(rank == len(tables) for rank in ranks):
             return len(tables) * len(images)
-    return rank_f2([row for blocks in images for row in _declared_rows(blocks, tables, n)],
+    return rank_f2([_built_row(blocks, n, entries) for blocks in images for entries in tables],
                    n * n)
 
 
@@ -514,11 +489,9 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     triangular with diagonal blocks D_k.  So when the T_k are distinct and
     every D_k has full row rank, the rows are independent and the rank is
     dim * (number of images), with one ``rank_f2`` call per distinct D_k:
-    six per map, 72 rows each, on the paper's pairs.  Otherwise the rank is
-    exact elimination of every row, declared as its lead (the top bit of its
-    highest block whose XOR of table entries is nonzero) and built by
-    ``rank_f2`` only where that lead meets a pivot's.  Ordering the columns
-    differently does not change the rank.
+    six per map, 72 rows each, on the paper's pairs.  Otherwise every row
+    is built and eliminated.  Ordering the columns differently does not
+    change the rank.
     """
     if lam.field != F2:
         raise ValueError("Galois certificates are computed over F2")

@@ -977,54 +977,22 @@ def reduce_tensor(t: TensorPoly, left_sys: ReductionSystem,
 # GF(2) rank
 # ---------------------------------------------------------------------------
 
-def rank_f2(rows: Sequence, width: int | None = None) -> int:
-    """Rank over GF(2) of rows given as int bitsets or as declared leads.
+def rank_f2(rows: Sequence[int], width: int | None = None) -> int:
+    """Rank over GF(2) of rows given as int bitsets.
 
-    A row is an int, which leads at ``bit_length() - 1``, or a triple
-    ``(lead, build, arg)``: the index of the row's top bit, or None when it
-    is not known, and a callable with its argument, ``build(arg)`` being the
-    row as an int.  Elimination keeps one pivot per leading bit.  A declared
-    row whose lead no pivot holds becomes that pivot without being built; a
-    row is built at most once, when its lead is unknown or meets a pivot's
-    (which is then built too), and a built row whose top bit is not its
-    declared lead raises ValueError.  So rows that all lead at bits of their
-    own cost no big int at all, and each collision costs one big-int XOR per
-    (row, pivot) pair hit.
-
-    When ``width`` is supplied every row and declared lead must fit in it.
+    Elimination keeps one pivot per leading bit: each row is reduced by the
+    pivots its top bit meets until it is zero or leads at a free bit.  When
+    ``width`` is supplied every row must fit in it.
     """
-    def fits(i, row):
+    pivots: dict = {}        # leading bit -> row
+    for i, row in enumerate(rows):
         if width is not None and (row < 0 or row.bit_length() > width):
             raise ValueError(f"row {i} exceeds width {width}")
-        return row
-
-    def built(i, lead, build, arg):
-        row = fits(i, build(arg))
-        if lead is not None and row.bit_length() - 1 != lead:
-            raise ValueError(f"row {i} leads at bit {row.bit_length() - 1}, "
-                             f"not at its declared {lead}")
-        return row
-
-    pivots: dict = {}        # leading bit -> row, or (i, lead, build, arg) until built
-    for i, row in enumerate(rows):
-        if row.__class__ is int:
-            row = fits(i, row)
-        else:
-            lead, build, arg = row
-            if lead is not None:
-                if lead < 0 or width is not None and lead >= width:
-                    raise ValueError(f"row {i} declares lead {lead} outside width {width}")
-                if lead not in pivots:
-                    pivots[lead] = (i, lead, build, arg)
-                    continue
-            row = built(i, lead, build, arg)
         while row:
             p = row.bit_length() - 1
             other = pivots.get(p)
             if other is None:
                 pivots[p] = row
                 break
-            if other.__class__ is not int:
-                other = pivots[p] = built(*other)
             row ^= other
     return len(pivots)

@@ -116,7 +116,7 @@ def test_criterion_05_skew_primitivity(pairs):
         pres = fk3.flavor_presentation(lam, T_LAMBDA)
         for i, j in fk3.relation_orbit_reps():
             # the exact displayed identity on the quadratic-plus-linear core
-            core = fk3.deformed_relation(pres, lam, mu0, i, j, group_term=True)
+            core = fk3.deformed_relation(pres, lam, i, j, mu0[i, j], group_term=True)
             gij = G.mul(G.distinguished[i], G.distinguished[j])
             assert check_skew_primitive(pres, core, gij), (p.key, (i, j))
         # and the full deformed relation, which in char 2 is equivalent

@@ -340,6 +340,13 @@ def test_fulcrum_complete_rejects_malformed_file(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_fulcrum_complete_rejects_a_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert fulcrum_main(["complete", str(path)]) == 1
+    assert capsys.readouterr().err == "error: presentation file nests too deeply\n"
+
+
 def _valid_pair():
     lam = fk3.lambda_from_bits("000101110")
     return lam, fk3.mu_from_bits("100000000", lam)

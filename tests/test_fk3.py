@@ -386,7 +386,7 @@ def test_deformed_relations_are_built_once_and_match_a_fresh_build():
         pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
         for mu in mus:
             shared = fk3.deformed_relations(lam, mu, flavor)
-            fresh = [fk3.deformed_relation(pres, lam, mu, i, j, flavor == T_LAMBDA)
+            fresh = [fk3.deformed_relation(pres, lam, i, j, mu[i, j], flavor == T_LAMBDA)
                      for i in range(3) for j in range(3)]
             assert [list(r.terms.items()) for r in shared] == \
                 [list(r.terms.items()) for r in fresh]
@@ -441,7 +441,7 @@ def _from_scratch(lam, mu, flavor):
     """The quotient's relations and its completion from a system of them all."""
     pres = FulcrumPresentation(flavor, standard_yd_data(), lam)
     relations = pres.relations + [
-        fk3.deformed_relation(pres, lam, mu, i, j, flavor == T_LAMBDA)
+        fk3.deformed_relation(pres, lam, i, j, mu[i, j], flavor == T_LAMBDA)
         for i in range(3) for j in range(3)]
     system = ReductionSystem(pres.alphabet, pres.field, relations,
                              pres.degree_cap, pres.order)
@@ -632,37 +632,15 @@ def per_term_galois_rows(lam, mu, same_image=None, table=None):
 
 
 def recording_rank(monkeypatch):
-    """Patch fk3's rank_f2 to record each call's rows, counting the builds."""
+    """Patch fk3's rank_f2 to record each call's rows and width."""
     calls = []
 
     def rank(rows, width=None):
-        record = {"rows": list(rows), "width": width, "built": Counter()}
-        calls.append(record)
-
-        def counted(k, build):
-            def counted_build(arg):
-                record["built"][k] += 1
-                return build(arg)
-            return counted_build
-
-        return rank_f2([row if isinstance(row, int) else (row[0], counted(k, row[1]), row[2])
-                        for k, row in enumerate(record["rows"])], width)
+        calls.append({"rows": list(rows), "width": width})
+        return rank_f2(calls[-1]["rows"], width)
 
     monkeypatch.setattr(fk3, "rank_f2", rank)
     return calls
-
-
-def built_rows(rows):
-    """Each row the certificate hands the kernel, as an int; a declared lead
-    must be the built row's top bit."""
-    out = []
-    for row in rows:
-        if not isinstance(row, int):
-            lead, build, arg = row
-            row = build(arg)
-            assert lead == row.bit_length() - 1
-        out.append(row)
-    return out
 
 
 def recording_galois_rank(monkeypatch):
@@ -703,8 +681,8 @@ def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_b
     assert all(isinstance(row, int) for call in calls for row in call["rows"])
     old_r, old_l = per_term_galois_rows(lam, mu)
     for (images, tables), old, diagonals in zip(maps, (old_r, old_l), (calls[:6], calls[6:])):
-        declared = [row for blocks in images for row in fk3._declared_rows(blocks, tables, 72)]
-        assert built_rows(declared) == old
+        assert [fk3._built_row(blocks, 72, entries)
+                for blocks in images for entries in tables] == old
         tops = top_blocks(old)
         assert len({top for top, _ in tops}) == 72
         assert ({tuple(rows) for _, rows in tops}
@@ -716,13 +694,13 @@ def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_b
 
 def test_block_argument_certifies_both_maps_on_every_pair(monkeypatch):
     """On all 32 pairs the top blocks are distinct and every diagonal block
-    is invertible, so no row of either map is declared or eliminated."""
+    is invertible, so no row of either map is built or eliminated."""
     from nclift.classify import enumerate_pairs
 
     def no_elimination(*args):
         raise AssertionError("a Galois map fell back to eliminating every row")
 
-    monkeypatch.setattr(fk3, "_declared_rows", no_elimination)
+    monkeypatch.setattr(fk3, "_built_row", no_elimination)
     calls = recording_rank(monkeypatch)
     pairs = enumerate_pairs("gx")
     assert len(pairs) == 32
@@ -760,15 +738,15 @@ def test_galois_ranks_when_a_diagonal_block_is_singular(monkeypatch):
     assert [len(call["rows"]) for call in calls[:2]] == [72, 5184]
     assert rank_f2(calls[0]["rows"], 72) < 72
     old_r, old_l = per_term_galois_rows(lam, mu, table=tables[0])
-    assert built_rows(calls[1]["rows"]) == old_r
+    assert calls[1]["rows"] == old_r
     assert cert.rank_right == rank_f2(old_r, 5184) < 5184
     assert cert.rank_left == rank_f2(old_l, 5184)
     assert not cert.bijective
 
 
 def test_galois_ranks_of_a_map_that_is_not_bijective(monkeypatch):
-    """Two basis words share one coaction image, so rows collide and the
-    kernel builds and eliminates them."""
+    """Two basis words share one coaction image, so two top blocks
+    coincide and the kernel eliminates every row."""
     lam = lambda_from_bits("000101110")
     mu = mu_from_bits("100000000", lam)
     basis = build_cleft(lam, mu).basis()
@@ -781,13 +759,31 @@ def test_galois_ranks_of_a_map_that_is_not_bijective(monkeypatch):
     calls = recording_rank(monkeypatch)
     cert = galois_certificate(lam, mu)
     old_r, old_l = per_term_galois_rows(lam, mu, same_image)
-    assert built_rows(calls[0]["rows"]) == old_r
-    assert built_rows(calls[1]["rows"]) == old_l
-    assert sum(calls[0]["built"].values()) > 0
-    assert max(max(call["built"].values()) for call in calls) == 1
+    assert calls[0]["rows"] == old_r
+    assert calls[1]["rows"] == old_l
     assert cert.rank_right == rank_f2(old_r, 5184) < 5184
     assert cert.rank_left == rank_f2(old_l, 5184) < 5184
     assert not cert.bijective
+
+
+def test_galois_ranks_when_an_image_has_no_top_block(monkeypatch):
+    """One basis word's coaction image is zero, so its image has no top
+    block and the kernel eliminates every row: each map loses that word's
+    72 rows."""
+    lam = lambda_from_bits("000101110")
+    mu = mu_from_bits("100000000", lam)
+    zero_word = build_cleft(lam, mu).basis()[40]
+
+    def zero_word_image(word, images, left_sys, right_sys, memo):
+        image = fulcrum.word_image(word, images, left_sys, right_sys, memo)
+        return TensorPoly(image.left, image.right, F2, {}) if word == zero_word else image
+
+    monkeypatch.setattr(fk3, "word_image", zero_word_image)
+    calls = recording_rank(monkeypatch)
+    cert = galois_certificate(lam, mu)
+    assert [len(call["rows"]) for call in calls] == [5184, 5184]
+    assert cert.rank_right == cert.rank_left == 5112
+    assert cert.bijective is False
 
 
 def image_from_the_empty_word(word, images, left_sys, right_sys):

@@ -183,7 +183,7 @@ def test_full_relation_is_skew_primitive_but_bare_word_is_not(yd):
     lam = fk3.lambda_from_bits("000101110")
     mu = fk3.zero_mu()
     pres = FulcrumPresentation(T_LAMBDA, yd, lam)
-    core = fk3.deformed_relation(pres, lam, mu, 0, 1, group_term=True)
+    core = fk3.deformed_relation(pres, lam, 0, 1, mu[0, 1], group_term=True)
     g01 = yd.group.mul(yd.group.distinguished[0], yd.group.distinguished[1])
     assert check_skew_primitive(pres, core, g01)
     bare = NcPoly.term(pres.alphabet, F2, (0, 1))
