@@ -12,7 +12,6 @@ the partition is a union-find over each pair and its images.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass
@@ -208,6 +207,8 @@ def emit_table(classes: list[list[PairRecord]], fmt: str = JSON_FORMAT,
     # one cell list per row, empty where a value is unknown
     cells = [["" if row[key] is None else row[key] for key in header] for row in rows]
     if fmt == CSV_FORMAT:
+        import csv      # here, so that importing the CLI never loads it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

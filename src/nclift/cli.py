@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .fulcrum import s3_violations
 from .rackgroup import s3_quotient
@@ -91,6 +90,9 @@ def _fk3_classify(args: argparse.Namespace) -> int:
                      if not s3_violations(fk3_mod.matrix_from_bits(p.lam_bits)))
                 for cls in classes]
         if args.jobs > 1:
+            # imported here, so that a run without a pool never loads it
+            from concurrent.futures import ProcessPoolExecutor
+
             # a forking pool starts all its workers at once, used or not
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(reps))) as pool:
                 certificates = dict(pool.map(_certify_worker, reps))

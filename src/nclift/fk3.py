@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 from operator import xor
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly, xdeglex_key
 from .rewrite import (
@@ -382,47 +382,88 @@ def _verified_basis(build: CompletionReport) -> list:
     return words
 
 
-def product_table(system: ReductionSystem, basis: list) -> list:
-    """Structure constants of an algebra over F2 in an irreducible-word basis.
+def _mapped(bits: int, m: list) -> int:
+    """The bitset ``bits`` mapped through ``m``: the XOR of row k of ``m``
+    over the bits k set in ``bits``."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= m[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
-    Entry [i][j] is the normal form of basis[i] basis[j] as a bitset over
-    basis positions (bit k set when basis[k] occurs).  The table comes from
-    the regular representation: for each letter a that ends a basis word,
-    row k of the right-multiplication matrix M_a is NF(basis[k] a), one
-    ``nf_word`` call per (basis word, letter).  The column of the empty word
-    is the identity, and the column of v = v' a is the column of v' mapped
-    through M_a.
+
+class _Products:
+    """Structure constants of an algebra over F2 in an irreducible-word
+    basis, each line composed on first use.
+
+    The product of basis words u and v is NF(u v) as a bitset over basis
+    positions (bit k set when basis[k] occurs).  Everything comes from the
+    regular representation: row k of the right-multiplication matrix M_a
+    is NF(basis[k] a), one ``nf_word`` call per basis word, and M_a is
+    built the first time a line needs the letter a.  The column of basis
+    word v, NF(u v) for every u, is the identity for v = () and the column
+    of v' mapped through M_a for v = v' a; columns are kept.  The row of
+    basis word u, NF(u w) for every w, is composed the same way along the
+    prefixes of each w, from the bit of u.
 
     ``system`` must be confluent and ``basis`` its irreducible words: then
     normal forms are multiplicative, NF(u v' a) = NF(NF(u v') a), and the
     basis is prefix-closed.  A nonempty basis word whose prefix is not in
-    ``basis`` raises ValueError.
+    ``basis`` raises ValueError.  Lines are shared: never change one.
     """
-    if system.field != F2:
-        raise ValueError("product tables are bitsets over F2")
-    idx = {w: k for k, w in enumerate(basis)}
-    for v in basis:
-        if v and v[:-1] not in idx:
-            raise ValueError(f"basis is not prefix-closed: {v[:-1]} is missing")
-    right = {a: [sum(1 << idx[w] for w in system.nf_word(u + (a,))) for u in basis]
-             for a in {v[-1] for v in basis if v}}
-    columns: dict = {}
-    # prefixes first: irreducible words come by length, other bases may not
-    for v in sorted(basis, key=len):
-        if not v:
-            columns[v] = [1 << k for k in range(len(basis))]
-            continue
-        m = right[v[-1]]
-        column = []
-        for entry in columns[v[:-1]]:
-            acc = 0
-            while entry:
-                low = entry & -entry
-                acc ^= m[low.bit_length() - 1]
-                entry ^= low
-            column.append(acc)
-        columns[v] = column
-    return [list(row) for row in zip(*(columns[v] for v in basis))]
+
+    def __init__(self, system: ReductionSystem, basis: list):
+        if system.field != F2:
+            raise ValueError("product tables are bitsets over F2")
+        idx = {w: k for k, w in enumerate(basis)}
+        for v in basis:
+            if v and v[:-1] not in idx:
+                raise ValueError(f"basis is not prefix-closed: {v[:-1]} is missing")
+        self._system, self._basis, self._idx = system, basis, idx
+        # prefixes first: irreducible words come by length, other bases may not
+        self._by_length = sorted(basis, key=len)
+        self._right: dict = {}          # letter a -> M_a
+        self._columns: dict = {(): [1 << k for k in range(len(basis))]}
+
+    def _times(self, a: int) -> list:
+        m = self._right.get(a)
+        if m is None:
+            idx, nf_word = self._idx, self._system.nf_word
+            m = self._right[a] = [sum(1 << idx[w] for w in nf_word(u + (a,)))
+                                  for u in self._basis]
+        return m
+
+    def _column(self, v: tuple) -> list:
+        column = self._columns.get(v)
+        if column is None:
+            m = self._times(v[-1])
+            column = self._columns[v] = [_mapped(e, m) for e in self._column(v[:-1])]
+        return column
+
+    def column(self, k: int) -> list:
+        """NF(u basis[k]) for every basis word u, in basis order."""
+        return self._column(self._basis[k])
+
+    def row(self, k: int) -> list:
+        """NF(basis[k] w) for every basis word w, in basis order."""
+        entries = {(): 1 << k}
+        for w in self._by_length:
+            if w:
+                entries[w] = _mapped(entries[w[:-1]], self._times(w[-1]))
+        return [entries[w] for w in self._basis]
+
+    def table(self) -> list:
+        """The full table from every column: entry [i][j] is
+        NF(basis[i] basis[j])."""
+        return [list(row) for row in zip(*map(self.column, range(len(self._basis))))]
+
+
+def product_table(system: ReductionSystem, basis: list) -> list:
+    """Structure constants of an algebra over F2 in an irreducible-word
+    basis: entry [i][j] is NF(basis[i] basis[j]) as a bitset over basis
+    positions, every column composed as ``_Products`` describes."""
+    return _Products(system, basis).table()
 
 
 def _block_positions(basis: list, alphabet: Alphabet) -> dict:
@@ -451,19 +492,23 @@ def _built_row(blocks: list, n: int, entries: Sequence[int]) -> int:
     return row
 
 
-def _galois_rank(images: list, tables: Sequence, n: int) -> int:
+def _galois_rank(images: list, line: Callable[[int], list], tables: Callable[[], Sequence],
+                 n: int) -> int:
     """Rank of the Galois map with one row per (coaction image, table of
-    entries), each image given by its ``_image_blocks``: from the diagonal
-    blocks where they prove full rank (see ``galois_certificate``), else by
-    eliminating every row."""
+    entries), n tables of n entries, each image given by its
+    ``_image_blocks``.  ``line(a)`` is entry a of every table, in table
+    order, and ``tables()`` the tables themselves.  The rank comes from the
+    diagonal blocks, each the XOR of the lines at its positions, where they
+    prove full rank (see ``galois_certificate``); only otherwise are the
+    tables built and every row eliminated."""
     tops = [blocks[0] for blocks in images if blocks]
     if len(tops) == len(images) and len({block for block, _ in tops}) == len(tops):
         diagonals = {frozenset(positions): positions for _, positions in tops}
-        ranks = (rank_f2([reduce(xor, [entries[a] for a in positions]) for entries in tables], n)
+        ranks = (rank_f2([reduce(xor, bits) for bits in zip(*map(line, positions))], n)
                  for positions in diagonals.values())
-        if all(rank == len(tables) for rank in ranks):
-            return len(tables) * len(images)
-    return rank_f2([_built_row(blocks, n, entries) for blocks in images for entries in tables],
+        if all(rank == n for rank in ranks):
+            return n * len(images)
+    return rank_f2([_built_row(blocks, n, entries) for blocks in images for entries in tables()],
                    n * n)
 
 
@@ -474,7 +519,7 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     kappa_l: A (x) A -> L (x) A, a (x) b -> a_(-1) (x) a_(0) b, both expanded
     in the frozen irreducible-word bases; bijectivity is rank dim^2.
 
-    Every product in A comes from one ``product_table`` of ``basis_a``.
+    Every product in A comes from one ``_Products`` of ``basis_a``.
     Columns come in dim-bit blocks, one per B word for kappa_r (each block
     holds the products a b_(0), over the A basis) and one per L word for
     kappa_l; the blocks are ordered by the xdeglex key of that outer word, so
@@ -489,9 +534,12 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     triangular with diagonal blocks D_k.  So when the T_k are distinct and
     every D_k has full row rank, the rows are independent and the rank is
     dim * (number of images), with one ``rank_f2`` call per distinct D_k:
-    six per map, 72 rows each, on the paper's pairs.  Otherwise every row
-    is built and eliminated.  Ordering the columns differently does not
-    change the rank.
+    six per map, 72 rows each, on the paper's pairs.  D_k is the XOR of the
+    product columns (kappa_r) or rows (kappa_l) at T_k's A positions, so on
+    the paper's pairs a certificate composes the columns and the rows of
+    six group elements; only the fallback, where every row is built and
+    eliminated, composes the full table.  Ordering the columns differently
+    does not change the rank.
     """
     if lam.field != F2:
         raise ValueError("Galois certificates are computed over F2")
@@ -521,7 +569,7 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
             raise ValueError(f"{side} coaction does not descend on: {failed[0]}")
         rho[side] = [word_image(w, imgs, left_sys, right_sys, memo) for w in basis_a]
 
-    prod = product_table(a_sys, basis_a)
+    prod = _Products(a_sys, basis_a)
     pos_b = _block_positions(basis_b, b_sys.alphabet)
     pos_l = _block_positions(basis_l, l_sys.alphabet)
     blocks_r = [_image_blocks((idx_a[aw], pos_b[bw]) for aw, bw in image.terms)
@@ -529,10 +577,11 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     blocks_l = [_image_blocks((idx_a[aw], pos_l[lw]) for lw, aw in image.terms)
                 for image in rho["left"]]
     # row (image k, table t): kappa_r pairs the image of basis word k with
-    # the products u * (.), row u of the table; kappa_l pairs the image of
-    # u = basis word k with the products (.) * w, column w of the table
-    rank_r = _galois_rank(blocks_r, prod, n)
-    rank_l = _galois_rank(blocks_l, list(zip(*prod)), n)
+    # the products u * (.), row u of the table, so its line of position a
+    # is column a; kappa_l pairs the image of u = basis word k with the
+    # products (.) * w, column w of the table, so its line of a is row a
+    rank_r = _galois_rank(blocks_r, prod.column, prod.table, n)
+    rank_l = _galois_rank(blocks_l, prod.row, lambda: list(zip(*prod.table())), n)
 
     return GaloisCertificate(
         rank_right=rank_r,

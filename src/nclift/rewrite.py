@@ -121,8 +121,15 @@ class ReductionSystem:
         if self._frozen:
             raise RuntimeError("cannot modify a frozen system")
         for rel in relations:
+            self._check_words(rel.terms)
             self._insert(dict(rel.terms))
         self._interreduce()
+
+    def _check_words(self, terms: dict) -> None:
+        """Raise ValueError unless every word of ``terms`` is over the
+        alphabet: the words ``nf_word`` may later find in the memo."""
+        for w in terms:
+            self.alphabet.check_word(w)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -386,7 +393,20 @@ class ReductionSystem:
     # own step budget
 
     def nf_word(self, word: Word) -> dict:
-        """Normal form of a single word (shared-cache fast path)."""
+        """Normal form of a single word, as a coefficient dict shared with
+        the memo: never change it.
+
+        A memo hit is returned before the word is checked: every memo key
+        is a word that the system built from words it had already checked,
+        the arguments of ``nf_word`` and the words of each polynomial that
+        ``extend``, ``completion_with`` or ``normal_form`` takes in
+        (``NcPoly.__init__`` does not check ordinals, so those do).  A word
+        with an ordinal outside the alphabet misses and raises ValueError.
+        A miss is checked, made a tuple and reduced on a fresh step budget.
+        """
+        hit = self._memo.get(word) if type(word) is tuple else None
+        if hit is not None:
+            return hit
         self.alphabet.check_word(word)
         self._steps = 0
         return self._nf_word(tuple(word))
@@ -404,6 +424,7 @@ class ReductionSystem:
         if p.alphabet != self.alphabet or (
                 p.field is not self.field and p.field != self.field):
             raise ValueError("polynomial over a different alphabet or field")
+        self._check_words(p.terms)
         return NcPoly(self.alphabet, self.field, self._nf_terms(p.terms))
 
 
@@ -790,7 +811,7 @@ class _ExtensionTrie:
         for rel in relations:
             number = by_id.get(id(rel))
             if number is None:
-                number = self._number(rel)
+                number = self._number(base, rel)
             key = node << 32 | number
             nxt = outcomes.get(key)
             if nxt is None:
@@ -812,11 +833,13 @@ class _ExtensionTrie:
             report = self._reports[node] = complete(work)
         return report
 
-    def _number(self, rel: NcPoly) -> int:
-        """The number of ``rel``'s term list."""
+    def _number(self, base: ReductionSystem, rel: NcPoly) -> int:
+        """The number of ``rel``'s term list, whose words are checked
+        against the alphabet when it is new."""
         terms = _flat(rel.terms)
         number = self._numbers.get(terms)
         if number is None:
+            base._check_words(rel.terms)
             number = self._numbers[terms] = self._by_id[id(rel)] = len(self._numbers)
             self._kept.append(rel)
         return number

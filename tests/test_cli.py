@@ -1,7 +1,13 @@
 """Console entry points: exit codes, artifacts, determinism."""
 
+import ast
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,7 +222,8 @@ def test_classify_jobs_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
         raise AssertionError("a certificate or worker pool was started")
 
     monkeypatch.setattr(cli, "_certify_worker", refuse)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    # the CLI imports the pool class where it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.raises(SystemExit) as exc:
         fk3_main(["classify", "--certify", "--jobs", jobs])
     assert exc.value.code == 2
@@ -239,11 +246,25 @@ def test_classify_starts_no_more_workers_than_certificates(monkeypatch, tmp_path
         def map(self, fn, keys):
             return map(fn, keys)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli, "_certify_worker", lambda key: (key, {"valid": True}))
     assert fk3_main(["classify", "--group", "gx", "--certify", "--jobs", "64",
                      "--out", str(tmp_path / "table.json")]) == 0
     assert started == [10]
+
+
+def test_importing_the_cli_loads_no_pool_and_no_csv():
+    """A fresh interpreter imports ``nclift.cli`` without the process pool
+    or the csv module: a run loads each only where it uses it."""
+    code = ("import sys; before = set(sys.modules); import nclift.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    added = set(ast.literal_eval(out.stdout))
+    assert "nclift.cli" in added
+    for name in ("concurrent.futures", "multiprocessing", "csv"):
+        assert name not in added, name
 
 
 #: sha256 of four artifacts as the engine wrote them before its reduction

@@ -644,14 +644,14 @@ def recording_rank(monkeypatch):
 
 
 def recording_galois_rank(monkeypatch):
-    """Patch fk3's _galois_rank to record each map's coaction images and
-    tables of entries."""
+    """Patch fk3's _galois_rank to record each map's coaction images, its
+    lines of entries and the function that builds its tables of entries."""
     maps = []
     galois_rank = fk3._galois_rank
 
-    def recording(images, tables, n):
-        maps.append((images, tables))
-        return galois_rank(images, tables, n)
+    def recording(images, line, tables, n):
+        maps.append((images, line, tables))
+        return galois_rank(images, line, tables, n)
 
     monkeypatch.setattr(fk3, "_galois_rank", recording)
     return maps
@@ -680,9 +680,9 @@ def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_b
     assert [(len(call["rows"]), call["width"]) for call in calls] == [(72, 72)] * 12
     assert all(isinstance(row, int) for call in calls for row in call["rows"])
     old_r, old_l = per_term_galois_rows(lam, mu)
-    for (images, tables), old, diagonals in zip(maps, (old_r, old_l), (calls[:6], calls[6:])):
+    for (images, _, tables), old, diagonals in zip(maps, (old_r, old_l), (calls[:6], calls[6:])):
         assert [fk3._built_row(blocks, 72, entries)
-                for blocks in images for entries in tables] == old
+                for blocks in images for entries in tables()] == old
         tops = top_blocks(old)
         assert len({top for top, _ in tops}) == 72
         assert ({tuple(rows) for _, rows in tops}
@@ -694,13 +694,18 @@ def test_galois_rows_match_the_per_term_construction(monkeypatch, lam_bits, mu_b
 
 def test_block_argument_certifies_both_maps_on_every_pair(monkeypatch):
     """On all 32 pairs the top blocks are distinct and every diagonal block
-    is invertible, so no row of either map is built or eliminated."""
+    is invertible, so no row of either map is built or eliminated, and the
+    full product table is never composed."""
     from nclift.classify import enumerate_pairs
 
     def no_elimination(*args):
         raise AssertionError("a Galois map fell back to eliminating every row")
 
+    def no_table(*args):
+        raise AssertionError("a certificate composed the full product table")
+
     monkeypatch.setattr(fk3, "_built_row", no_elimination)
+    monkeypatch.setattr(fk3._Products, "table", no_table)
     calls = recording_rank(monkeypatch)
     pairs = enumerate_pairs("gx")
     assert len(pairs) == 32
@@ -713,6 +718,40 @@ def test_block_argument_certifies_both_maps_on_every_pair(monkeypatch):
     assert len(calls) == 32 * 12
 
 
+def test_diagonal_blocks_are_xors_of_product_lines(monkeypatch):
+    """On the 10 class representatives, every diagonal block the kernel
+    ranked is the XOR, over the A positions of its top block, of the
+    columns (kappa_r) or the rows (kappa_l) of the full product table."""
+    from nclift.classify import enumerate_pairs, partition_classes
+    from nclift.fulcrum import s3_violations
+
+    classes = partition_classes(enumerate_pairs("gx"))
+    reps = [next(p for p in cls if not s3_violations(matrix_from_bits(p.lam_bits)))
+            for cls in classes]
+    assert len(reps) == 10
+    maps = recording_galois_rank(monkeypatch)
+    calls = recording_rank(monkeypatch)
+    for p in reps:
+        lam = lambda_from_bits(p.lam_bits)
+        mu = mu_from_bits(p.mu_bits, lam)
+        maps.clear()
+        calls.clear()
+        assert galois_certificate(lam, mu).bijective
+        A = build_cleft(lam, mu)
+        prod = fk3.product_table(A.system, A.basis())
+        columns = [list(column) for column in zip(*prod)]
+        assert len(calls) == 12
+        for (images, _, _), lines, diagonals in zip(maps, (columns, prod), (calls[:6], calls[6:])):
+            expected = set()
+            for blocks in images:
+                bits = [0] * 72
+                for a in blocks[0][1]:
+                    bits = [b ^ x for b, x in zip(bits, lines[a])]
+                expected.add(tuple(bits))
+            assert len(expected) == 6, p.key
+            assert {tuple(call["rows"]) for call in diagonals} == expected, p.key
+
+
 def test_galois_ranks_when_a_diagonal_block_is_singular(monkeypatch):
     """A product table whose row 1 repeats row 0 (the unit's): kappa_r's
     top blocks stay distinct, but its diagonal blocks, right multiplication
@@ -720,16 +759,23 @@ def test_galois_ranks_when_a_diagonal_block_is_singular(monkeypatch):
     row, and the rank is that of eager elimination."""
     lam = lambda_from_bits("000101110")
     mu = mu_from_bits("100000000", lam)
-    product_table = fk3.product_table
     tables = []
 
-    def patched_table(system, basis):
-        prod = product_table(system, basis)
-        prod[1] = list(prod[0])
-        tables.append(prod)
-        return prod
+    class RepeatedRow(fk3._Products):
+        # the repeated row in every column, row and full table
+        def column(self, k):
+            column = list(super().column(k))
+            column[1] = column[0]
+            return column
 
-    monkeypatch.setattr(fk3, "product_table", patched_table)
+        def row(self, k):
+            return super().row(0 if k == 1 else k)
+
+        def table(self):
+            tables.append(super().table())
+            return tables[-1]
+
+    monkeypatch.setattr(fk3, "_Products", RepeatedRow)
     maps = recording_galois_rank(monkeypatch)
     calls = recording_rank(monkeypatch)
     cert = galois_certificate(lam, mu)
@@ -737,6 +783,7 @@ def test_galois_ranks_when_a_diagonal_block_is_singular(monkeypatch):
     assert len({blocks[0][0] for blocks in images_r}) == len(images_r) == 72
     assert [len(call["rows"]) for call in calls[:2]] == [72, 5184]
     assert rank_f2(calls[0]["rows"], 72) < 72
+    assert tables[0][1] == tables[0][0]
     old_r, old_l = per_term_galois_rows(lam, mu, table=tables[0])
     assert calls[1]["rows"] == old_r
     assert cert.rank_right == rank_f2(old_r, 5184) < 5184

@@ -68,6 +68,70 @@ def test_normal_form_accepts_an_equal_field_instance():
         parse_poly("2 x0 x1", a, prime_field(5))
 
 
+MALFORMED = r"^malformed word: ordinal -?\d+ outside alphabet$"
+
+
+COMMUTING = ["x1 x0 + x0 x1", "x2 x0 + x0 x2", "x2 x1 + x1 x2"]
+
+
+def _commuting_system(warm=False):
+    """The commutative polynomials in x0, x1, x2, on an empty memo, or on
+    a memo that holds a few words and their prefixes."""
+    sys_ = ReductionSystem(ALPHA, F2, map(_parse, COMMUTING)).copy()
+    assert not sys_._memo
+    if warm:
+        for word in [(0,), (1, 0), (2, 1, 0), (1, 0, 2, 0)]:
+            sys_.nf_word(word)
+        assert sys_._memo
+    return sys_
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
+@pytest.mark.parametrize("word", [(3,), (0, 7), (1, 0, 3), (-1,), (1, -1), (1, 0, -2)])
+def test_nf_word_rejects_an_ordinal_outside_the_alphabet(word, warm):
+    sys_ = _commuting_system(warm)
+    with pytest.raises(ValueError, match=MALFORMED):
+        sys_.nf_word(word)
+    with pytest.raises(ValueError, match=MALFORMED):
+        sys_.nf_word(list(word))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
+def test_nf_word_of_a_list_is_that_of_its_tuple(warm):
+    sys_ = _commuting_system(warm)
+    for word in [(), (0,), (1, 0), (2, 1, 0), (1, 2, 1, 0)]:
+        got = sys_.nf_word(list(word))
+        assert got == sys_.nf_word(word) == _commuting_system().nf_word(word)
+        assert got == {tuple(sorted(word)): F2.one}
+
+
+def test_nf_word_of_a_collapsed_system_is_zero():
+    sys_ = ReductionSystem(ALPHA, F2, [_parse("x0 + 1"), _parse("x0")])
+    assert sys_.collapsed
+    for word in [(), (0,), [1, 0], (2, 2, 1)]:
+        assert sys_.nf_word(word) == {}
+    with pytest.raises(ValueError, match=MALFORMED):
+        sys_.nf_word((3,))
+
+
+def test_polynomials_with_an_ordinal_outside_the_alphabet_are_refused():
+    """Polynomials made with NcPoly's constructor are not checked, so the
+    system checks each one it takes in: none can put a malformed word in
+    the memo, where nf_word would find it before checking."""
+    bad = NcPoly(ALPHA, F2, {(1, 3): F2.one, (0,): F2.one})
+    sys_ = _commuting_system(warm=True)
+    with pytest.raises(ValueError, match=MALFORMED):
+        sys_.normal_form(bad)
+    with pytest.raises(ValueError, match=MALFORMED):
+        sys_.nf_word((1, 3))
+    with pytest.raises(ValueError, match=MALFORMED):
+        ReductionSystem(ALPHA, F2, [_parse(COMMUTING[0]), bad])
+    base = ReductionSystem(ALPHA, F2, map(_parse, COMMUTING[:2])).freeze()
+    with pytest.raises(ValueError, match=MALFORMED):
+        base.completion_with([_parse(COMMUTING[2]), bad])
+    assert base.completion_with([_parse(COMMUTING[2])]).status == CONFLUENT
+
+
 def test_normal_form_idempotent_and_linear(fk_completed):
     sys_ = fk_completed.system
     rng = random.Random(3)
