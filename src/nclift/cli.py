@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 
 from .fulcrum import s3_violations
 from .rackgroup import s3_quotient
@@ -37,6 +39,33 @@ def _write(text: str, path: str | None) -> bool:
         print(f"error: {exc}", file=sys.stderr)
         return False
     return True
+
+
+@contextmanager
+def _probed(path: str | None):
+    """Check, before any work, that ``path`` can be written, leaving a file
+    already there as it is: the probe opens it for appending.  Yields False,
+    after an ``error:`` line, when it cannot be written, else True.  A run
+    that raises inside removes the file when the probe created it, so a
+    refused run leaves the path as it found it.
+    """
+    if not path:
+        yield True
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        yield False
+        return
+    try:
+        yield True
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
 
 
 def _dump_json(doc: dict, path: str | None) -> bool:
@@ -81,26 +110,27 @@ def _fk3_classify(args: argparse.Namespace) -> int:
     classes = classify_mod.partition_classes(pairs)
     certificates: dict = {}
     # a path that cannot be written fails before any certificate is computed
-    if args.out and not _write("", args.out):
-        return 1
-    if args.certify:
-        # every enumerated lambda is a cocycle: the first that satisfies the
-        # finite-quotient condition represents its class
-        reps = [next(p.key for p in cls
-                     if not s3_violations(fk3_mod.matrix_from_bits(p.lam_bits)))
-                for cls in classes]
-        if args.jobs > 1:
-            # imported here, so that a run without a pool never loads it
-            from concurrent.futures import ProcessPoolExecutor
+    with _probed(args.out) as writable:
+        if not writable:
+            return 1
+        if args.certify:
+            # every enumerated lambda is a cocycle: the first that satisfies
+            # the finite-quotient condition represents its class
+            reps = [next(p.key for p in cls
+                         if not s3_violations(fk3_mod.matrix_from_bits(p.lam_bits)))
+                    for cls in classes]
+            if args.jobs > 1:
+                # imported here, so that a run without a pool never loads it
+                from concurrent.futures import ProcessPoolExecutor
 
-            # a forking pool starts all its workers at once, used or not
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(reps))) as pool:
-                certificates = dict(pool.map(_certify_worker, reps))
-        else:
-            certificates = dict(map(_certify_worker, reps))
-    table = classify_mod.emit_table(classes, args.format, args.group, certificates)
-    if not _write(table, args.out):
-        return 1
+                # a forking pool starts all its workers at once, used or not
+                with ProcessPoolExecutor(max_workers=min(args.jobs, len(reps))) as pool:
+                    certificates = dict(pool.map(_certify_worker, reps))
+            else:
+                certificates = dict(map(_certify_worker, reps))
+        table = classify_mod.emit_table(classes, args.format, args.group, certificates)
+        if not _write(table, args.out):
+            return 1
     n_pairs = sum(len(c) for c in classes)
     print(f"pairs: {n_pairs}  classes: {len(classes)}", file=sys.stderr)
     if args.group == "gx" and (n_pairs, len(classes)) != (32, 10):
@@ -112,9 +142,10 @@ def _fk3_classify(args: argparse.Namespace) -> int:
 
 def _fk3_verify(args: argparse.Namespace) -> int:
     # a path that cannot be written fails before the certificate is computed
-    if args.json_out and not _write("", args.json_out):
-        return 1
-    cert = fk3_mod.certify(args.lam, args.mu, group_mode="s3", galois=args.galois)
+    with _probed(args.json_out) as writable:
+        if not writable:
+            return 1
+        cert = fk3_mod.certify(args.lam, args.mu, group_mode="s3", galois=args.galois)
     doc = cert.to_json()
     # the finite group backing the run, for reproducibility
     doc["group_table"] = s3_quotient().to_json()

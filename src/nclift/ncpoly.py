@@ -26,8 +26,9 @@ class AlphabetMismatchError(ValueError):
 class Field:
     """Base class for the exact coefficient fields.
 
-    Scalars are plain Python values (ints for GF(2)/GF(p), Fraction for the
-    rationals); the field object supplies the arithmetic.
+    Scalars are plain Python values (ints for GF(2)/GF(p); for the
+    rationals an int when integral, else a Fraction); the field object
+    supplies the arithmetic.
     """
 
     char: int
@@ -163,29 +164,50 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
 
+def _integral(q):
+    """A rational as an int when it is integral, else as the Fraction."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class RationalField(Field):
-    """Arbitrary-precision rationals; Fraction keeps values reduced with a
-    positive denominator, which is exactly the canonical form required."""
+    """Arbitrary-precision rationals: an integral value is an int, any other
+    a Fraction, which keeps itself reduced with a positive denominator.
+    Every result is put in that form, so each value has one.  An int and a
+    Fraction of the same value compare and hash equal and print alike, so
+    values and outputs are those of Fractions alone, while the integral
+    values, most coefficients, skip Fraction arithmetic."""
 
     char = 0
     name = "QQ"
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def neg(self, a):
-        return -a
+        return _integral(-a)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in QQ")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
+
+    def add_scaled(self, acc: dict, terms: Mapping, coeff) -> dict:
+        # Field.add_scaled with the integral sums turned into ints
+        for k, c in terms.items():
+            s = acc.get(k, 0) + coeff * c
+            if not s:
+                acc.pop(k, None)
+            elif type(s) is int or s.denominator != 1:
+                acc[k] = s
+            else:
+                acc[k] = s.numerator
+        return acc
 
 
 F2 = BinaryField()

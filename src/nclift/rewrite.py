@@ -79,6 +79,18 @@ class Ambiguity(NamedTuple):
         return self.a + self.b + self.c
 
 
+def _letters(word: Word) -> str:
+    """``word`` as a string, ordinal a as chr(a + 1); chr(0) never occurs."""
+    return "".join([chr(a + 1) for a in word])
+
+
+def _rule_text(lead: Word, tail: dict) -> str:
+    """The lead and tail words of a rule in one string, each word as in
+    ``_letters`` and followed by chr(0): a word occurs in one of them
+    exactly when its ``_letters`` occur in this string."""
+    return "".join([chr(a + 1) for w in (lead, *tail) for a in w + (-1,)])
+
+
 class ReductionSystem:
     """Oriented rewrite rules over a fixed alphabet and monomial order.
 
@@ -109,6 +121,8 @@ class ReductionSystem:
         self.collapsed = False
         self._rules: dict = {}          # lead -> tail coefficient dict
         self._lengths: dict = {}        # last letter -> lead lengths, longest first
+        self._reduced: dict = {}        # lead -> _rule_text, see _interreduce
+        self._unchecked: list = []      # leads installed since _check_reduced
         self._memo: dict = {}
         self._extensions: _ExtensionTrie | None = None    # see completion_with
         self._frozen = False
@@ -135,13 +149,15 @@ class ReductionSystem:
 
     def copy(self) -> "ReductionSystem":
         """An unfrozen copy with the same rules, in the same order, the same
-        length index, stale lengths included, and an empty memo.  Tails and
-        length tuples are shared: both are only ever replaced, never changed
-        in place."""
+        length index, stale lengths included, the same rules known reduced
+        (see ``_interreduce``) and an empty memo.  Tails and length tuples
+        are shared: both are only ever replaced, never changed in place."""
         dup = ReductionSystem(self.alphabet, self.field, (), self.degree_cap, self.order)
         dup.collapsed = self.collapsed
         dup._rules = dict(self._rules)
         dup._lengths = dict(self._lengths)
+        dup._reduced = dict(self._reduced)
+        dup._unchecked = list(self._unchecked)
         return dup
 
     def freeze(self) -> "ReductionSystem":
@@ -190,6 +206,25 @@ class ReductionSystem:
         if len(lead) not in lengths:
             self._lengths[lead[-1]] = tuple(sorted(lengths + (len(lead),), reverse=True))
         self._memo.clear()
+        if self._reduced:
+            # the strings made so far meet the new lead in _check_reduced;
+            # the ones made after it are made with the lead in place
+            self._reduced.pop(lead, None)
+            self._unchecked.append(lead)
+
+    def _check_reduced(self) -> None:
+        """Drop the string of every rule that a lead installed since the
+        last check occurs in.  A miss takes one search of all the strings
+        joined, and only a hit searches them one by one."""
+        reduced, unchecked = self._reduced, self._unchecked
+        if unchecked:
+            words = "".join(reduced.values())
+            for lead in unchecked:
+                text = _letters(lead)
+                if text in words:
+                    for old in [old for old, w in reduced.items() if text in w]:
+                        del reduced[old]
+            unchecked.clear()
 
     def _remove(self, lead: Word, inner: tuple | None) -> None:
         """Drop the rule of ``lead``, where ``inner`` is
@@ -209,6 +244,7 @@ class ReductionSystem:
         memo is cleared.
         """
         del self._rules[lead]
+        self._reduced.pop(lead, None)
         if inner is None:
             self._memo.clear()
 
@@ -243,6 +279,8 @@ class ReductionSystem:
         self._rules.clear()
         self._lengths.clear()
         self._memo.clear()
+        self._reduced.clear()
+        self._unchecked.clear()
 
     def _interreduce(self) -> None:
         """Re-reduce every rule against the others until stable.
@@ -252,11 +290,28 @@ class ReductionSystem:
         reduced in place: a rule never fires on a word below its own lead, so
         reducing the tail against the whole system is reducing it against the
         others, and the memo stays valid unless the tail changed.
+
+        A rule found reduced keeps its words as one string (``_rule_text``)
+        in ``_reduced``.  ``_install`` records each new lead, and before any
+        rule is visited ``_check_reduced`` drops every string that a
+        recorded lead occurs in.  A rule that still has its string contains
+        no other lead in its lead and no lead in its tail, so its visit
+        would find both lead checks failing and its tail normal: it is
+        skipped, in the same sorted order, and a pass that would skip every
+        rule is not made.  The strings survive ``copy()``, so the copies
+        that completions and ``completion_with`` make of a base revisit only
+        the rules that their added leads reach.
         """
+        known = self._reduced
+        self._check_reduced()
         changed = True
         while changed and not self.collapsed:
+            if self._rules.keys() <= known.keys():
+                return      # the pass would skip every rule
             changed = False
             for lead in sorted(self._rules, key=self._key):
+                if lead in known:
+                    continue
                 tail = self._rules.get(lead)
                 if tail is None:
                     continue
@@ -269,6 +324,7 @@ class ReductionSystem:
                     poly = {w: f.neg(c) for w, c in tail.items()}
                     poly[lead] = f.one
                     self._insert(poly)
+                    self._check_reduced()
                     changed = True
                     if self.collapsed:
                         return
@@ -278,6 +334,7 @@ class ReductionSystem:
                     self._rules[lead] = reduced
                     self._memo.clear()
                     changed = True
+                known[lead] = _rule_text(lead, reduced)
 
     # -- reduction -----------------------------------------------------------
 
@@ -680,6 +737,9 @@ def complete(sys: ReductionSystem) -> CompletionReport:
     since caches share reports.
     """
     report = _complete(sys.copy())
+    # the report's system is frozen, never inter-reduced again: its rule
+    # strings would only take memory
+    report.system._reduced.clear()
     report.system.freeze()
     return report
 

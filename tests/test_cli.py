@@ -325,6 +325,35 @@ def test_verify_checks_the_output_path_before_certifying(monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def _refused_classify(argv):
+    """``fk3 classify --certify`` whose certificates raise after the probe."""
+    def certify_worker(key):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_certify_worker", certify_worker)
+        with pytest.raises(ValueError, match="refused"):
+            fk3_main(argv)
+    return 1
+
+
+@pytest.mark.parametrize("run", [
+    # fk3_main turns the ValueError of the invalid lambda into an exit code
+    lambda out: fk3_main(["verify", "--lambda", "100000000", "--mu", "000000000",
+                          "--json", out]),
+    lambda out: _refused_classify(["classify", "--group", "gx", "--certify", "--out", out]),
+], ids=["fk3-verify", "fk3-classify"])
+def test_a_refused_run_leaves_the_output_path_as_it_was(tmp_path, run):
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"kept": true}\n')
+    assert run(str(old)) == 1
+    assert old.read_bytes() == b'{"kept": true}\n'
+    new = tmp_path / "new.json"
+    assert run(str(new)) == 1
+    assert not new.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+
 def test_fulcrum_complete_missing_file(capsys):
     assert fulcrum_main(["complete", "/nonexistent/pres.json"]) == 1
     assert "error" in capsys.readouterr().err

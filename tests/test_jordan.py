@@ -110,6 +110,17 @@ def test_half_integer_coefficients_all_flavors():
         assert half_integer_coefficients(build_jordan(flavor, 6))
 
 
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_rule_coefficients_are_ints_exactly_when_integral(flavor):
+    # QQ keeps an integral value as an int, which prints and hashes as the
+    # Fraction of that value
+    pres = build_jordan(flavor, 6)
+    coeffs = [c for rule in pres.complete().system.rules() for c in rule.tail.terms.values()]
+    assert coeffs and all((type(c) is int) == (Fraction(c).denominator == 1) for c in coeffs)
+    assert any(type(c) is Fraction for c in coeffs)
+    assert half_integer_coefficients(pres)
+
+
 def test_confluence_post_check():
     for flavor in FLAVORS:
         assert verify_confluent(build_jordan(flavor, 6).complete().system)

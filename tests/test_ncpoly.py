@@ -61,6 +61,75 @@ def test_rationals_always_reduced():
         assert val.denominator > 0
 
 
+#: rationals in either form the field takes in: ints, and Fractions whose
+#: value may be integral
+rationals = st.one_of(st.integers(-40, 40), st.fractions(-20, 20, max_denominator=6))
+RATIONAL_KEYS = [(), (0,), (1, 0), (2, 2, 1)]
+
+
+def assert_rational(got, want: Fraction):
+    """``got`` is ``want``, as an int exactly when it is integral, and
+    prints and hashes as the Fraction does."""
+    assert got == want
+    assert (type(got) is int) == (want.denominator == 1)
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+
+
+@given(rationals, rationals)
+@settings(max_examples=300, deadline=None)
+def test_rational_arithmetic_matches_fraction(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_rational(QQ.add(a, b), fa + fb)
+    assert_rational(QQ.mul(a, b), fa * fb)
+    assert_rational(QQ.neg(a), -fa)
+    if a:
+        assert_rational(QQ.inv(a), 1 / fa)
+        assert_rational(QQ.div(b, a), fb / fa)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(a)
+
+
+@given(st.integers(-60, 60), st.integers(-12, 12).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_rational_parse_matches_fraction(num, den):
+    assert_rational(QQ.parse(str(num)), Fraction(num))
+    assert_rational(QQ.parse(f"{num}/{den}"), Fraction(num, den))
+    assert_rational(QQ.from_int(num), Fraction(num))
+
+
+@given(st.dictionaries(st.sampled_from(RATIONAL_KEYS), rationals.filter(bool)),
+       st.dictionaries(st.sampled_from(RATIONAL_KEYS), rationals), rationals)
+@settings(max_examples=300, deadline=None)
+def test_rational_add_scaled_matches_fraction(acc, terms, coeff):
+    expected = {k: Fraction(c) for k, c in acc.items()}
+    for k, c in terms.items():
+        s = expected.get(k, 0) + Fraction(coeff) * Fraction(c)
+        if s:
+            expected[k] = s
+        else:
+            expected.pop(k, None)
+    got = QQ.add_scaled({k: QQ.add(c, 0) for k, c in acc.items()}, terms, coeff)
+    # the same keys in the same order, no zero stored, each value in its form
+    assert list(got) == list(expected)
+    for k, c in got.items():
+        assert c
+        assert_rational(c, expected[k])
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(0, 2), max_size=3).map(tuple), rationals),
+                max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_rational_polynomials_print_and_hash_as_with_fractions(items):
+    p = NcPoly.from_terms(ALPHA3, QQ, items)
+    as_fractions = NcPoly(ALPHA3, QQ, {w: Fraction(c) for w, c in p.terms.items()})
+    assert all((type(c) is int) == (c.denominator == 1) for c in p.terms.values())
+    assert p == as_fractions
+    assert hash(p) == hash(as_fractions)
+    assert str(p) == str(as_fractions)
+
+
 def test_prime_field_is_cached_per_modulus():
     assert prime_field(101) is prime_field(101)
     with pytest.raises(ValueError):
