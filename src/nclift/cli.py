@@ -192,9 +192,14 @@ def jordan_main(argv=None) -> int:
     max_len = args.max_len
     if max_len < 0:
         parser.error("--max-len must be >= 0")
-    reports = [jordan_mod.verify_pbw(jordan_mod.build_jordan(fl, max_len), max_len)
-               for fl in jordan_mod.FLAVORS]
-    coactions = jordan_mod.jordan_coactions(max_len)
+    # a path that cannot be written fails before the completions and the
+    # coaction check
+    with _probed(args.json_out) as writable:
+        if not writable:
+            return 1
+        reports = [jordan_mod.verify_pbw(jordan_mod.build_jordan(fl, max_len), max_len)
+                   for fl in jordan_mod.FLAVORS]
+        coactions = jordan_mod.jordan_coactions(max_len)
     doc = {
         "schema": 1,
         "max_len": max_len,
@@ -256,7 +261,13 @@ def fulcrum_main(argv=None) -> int:
         parser.error("--max-len must be >= 0")
     try:
         pres = load_presentation(args.presentation)
-        report = pres.complete()
+        # a path that cannot be written fails after the file loads, so that
+        # a malformed file gets its own message, and before the completion;
+        # a completion that raises leaves no file the probe created
+        with _probed(args.json_out) as writable:
+            if not writable:
+                return 1
+            report = pres.complete()
     except (OSError, ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -400,10 +400,11 @@ class _Products:
     The product of basis words u and v is NF(u v) as a bitset over basis
     positions (bit k set when basis[k] occurs).  Everything comes from the
     regular representation: row k of the right-multiplication matrix M_a
-    is NF(basis[k] a), one ``nf_word`` call per basis word, and M_a is
-    built the first time a line needs the letter a.  The column of basis
-    word v, NF(u v) for every u, is the identity for v = () and the column
-    of v' mapped through M_a for v = v' a; columns are kept.  The row of
+    is NF(basis[k] a), one ``_nf_times`` step per basis word (a normal
+    word times one letter), and M_a is built the first time a line needs
+    the letter a.  The column of basis word v, NF(u v) for every u, is the
+    identity for v = () and the column of v' mapped through M_a for
+    v = v' a; columns are kept.  The row of
     basis word u, NF(u w) for every w, is composed the same way along the
     prefixes of each w, from the bit of u.
 
@@ -429,8 +430,8 @@ class _Products:
     def _times(self, a: int) -> list:
         m = self._right.get(a)
         if m is None:
-            idx, nf_word = self._idx, self._system.nf_word
-            m = self._right[a] = [sum(1 << idx[w] for w in nf_word(u + (a,)))
+            idx, nf_times = self._idx, self._system._nf_times
+            m = self._right[a] = [sum(1 << idx[w] for w in nf_times(u, a))
                                   for u in self._basis]
         return m
 
@@ -519,7 +520,11 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
     kappa_l: A (x) A -> L (x) A, a (x) b -> a_(-1) (x) a_(0) b, both expanded
     in the frozen irreducible-word bases; bijectivity is rank dim^2.
 
-    Every product in A comes from one ``_Products`` of ``basis_a``.
+    The images of the basis words come from ``word_image``, on one memo
+    per coaction that the descent check (``unannihilated_relations``) fills
+    first; each letter step is formed in normal form, so no image is
+    reduced after the fact.  Every product in A comes from one
+    ``_Products`` of ``basis_a``, its matrices M_a from ``_nf_times``.
     Columns come in dim-bit blocks, one per B word for kappa_r (each block
     holds the products a b_(0), over the A basis) and one per L word for
     kappa_l; the blocks are ordered by the xdeglex key of that outer word, so

@@ -227,23 +227,53 @@ class FulcrumPresentation(Presentation):
 # letter maps: comultiplication, coactions, skew-primitivity
 # ---------------------------------------------------------------------------
 
+def _nf_after(system: ReductionSystem, word: Word, letters: Word) -> dict:
+    """NF(word letters) for a word normal in ``system``, one ``_nf_times``
+    step per letter.  The factor words of ``letter_images`` have one letter
+    or none; longer ones are folded letter by letter."""
+    if len(letters) == 1:
+        return system._nf_times(word, letters[0])
+    f = system.field
+    nf = {word: f.one}
+    for a in letters:
+        acc: dict = {}
+        for u, c in nf.items():
+            f.add_scaled(acc, system._nf_times(u, a), c)
+        nf = acc
+    return nf
+
+
 def word_image(word: Word, images: dict, left_sys: ReductionSystem,
                right_sys: ReductionSystem, memo: dict) -> TensorPoly:
     """The reduced image of ``word``: that of w' a is the image of w' times
     images[a], reduced.
 
+    Each step is formed in normal form.  Every term wl (x) wr of the image
+    of w' is normal, so for each term il (x) ir of images[a] it adds
+    NF(wl il) (x) NF(wr ir), by ``_nf_times`` one letter of il or ir at a
+    time, through ``add_outer``.  Reduction is linear, so this is the
+    reduced product, and no unreduced tensor is built.
+
     ``memo`` holds images under this one letter map and pair of systems, the
-    empty word's 1 (x) 1 among them.  The fold starts from the longest prefix
-    of ``word`` in it and stores each longer one; every step is the one a
-    fold from the empty word takes, so the image does not depend on the memo.
+    empty word's normal 1 (x) 1 among them.  The fold starts from the
+    longest prefix of ``word`` in it and stores each longer one; every step
+    is the one a fold from the empty word takes, so the image does not
+    depend on the memo.
     """
     n = len(word)
     while n and word[:n] not in memo:
         n -= 1
     acc = memo[word[:n]]
+    f = acc.field
     for k in range(n, len(word)):
-        acc = reduce_tensor(acc * images[word[k]], left_sys, right_sys)
-        memo[word[:k + 1]] = acc
+        image = images[word[k]]
+        acc._check_compatible(image)
+        terms: dict = {}
+        for (wl, wr), c in acc.terms.items():
+            for (il, ir), d in image.terms.items():
+                f.add_outer(terms, _nf_after(left_sys, wl, il), _nf_after(right_sys, wr, ir),
+                            f.mul(c, d))
+        acc = memo[word[:k + 1]] = TensorPoly(acc.left, acc.right, f, terms)
     return acc
 
 
@@ -252,17 +282,20 @@ def apply_algebra_map(p: NcPoly, images: dict, left_sys: ReductionSystem,
     """Extend letter images multiplicatively to a polynomial, in normal form.
 
     ``images`` maps each ordinal of ``p.alphabet`` to a TensorPoly over the
-    systems' alphabets.  Factors are reduced after every letter, which keeps
-    intermediate supports small.
+    systems' alphabets.  Each word image is normal (``word_image``), so
+    their sum, weighted by ``add_scaled``, is too.  The empty word's image
+    1 (x) 1 is normal unless a system has collapsed, where it is 0.
     """
     f = p.field
     left, right = left_sys.alphabet, right_sys.alphabet
     memo = {} if _memo is None else _memo
-    memo.setdefault((), TensorPoly(left, right, f, {((), ()): f.one}))
-    out = TensorPoly.zero(left, right, f)
+    if () not in memo:
+        unit = {} if left_sys.collapsed or right_sys.collapsed else {((), ()): f.one}
+        memo[()] = TensorPoly(left, right, f, unit)
+    out: dict = {}
     for word, coeff in p.terms.items():
-        out = out + word_image(word, images, left_sys, right_sys, memo).scale(coeff)
-    return reduce_tensor(out, left_sys, right_sys)
+        f.add_scaled(out, word_image(word, images, left_sys, right_sys, memo).terms, coeff)
+    return TensorPoly(left, right, f, out)
 
 
 def letter_images(left: Alphabet, right: Alphabet, field: Field,

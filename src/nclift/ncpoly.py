@@ -28,7 +28,9 @@ class Field:
 
     Scalars are plain Python values (ints for GF(2)/GF(p); for the
     rationals an int when integral, else a Fraction); the field object
-    supplies the arithmetic.
+    supplies the arithmetic, and two in-place accumulation kernels:
+    ``add_scaled`` for sums and normal forms, ``add_outer`` for tensors.
+    GF(2) and QQ override both.
     """
 
     char: int
@@ -77,6 +79,29 @@ class Field:
                 acc.pop(k, None)
             else:
                 acc[k] = s
+        return acc
+
+    def add_outer(self, acc: dict, left: Mapping, right: Mapping, coeff) -> dict:
+        """``acc[(l, r)] += coeff * left[l] * right[r]`` in place, never
+        storing a zero; returns ``acc``.
+
+        The one tensor accumulation kernel: it takes both factors as they
+        are, so a pure tensor needs no dict of its own.  Keys are visited
+        left term by left term, each over the order of ``right``.
+        """
+        z = self.zero
+        if coeff == z:
+            return acc
+        add, mul = self.add, self.mul
+        for l, cl in left.items():
+            c = mul(coeff, cl)
+            for r, cr in right.items():
+                k = (l, r)
+                s = add(acc.get(k, z), mul(c, cr))
+                if s == z:
+                    acc.pop(k, None)
+                else:
+                    acc[k] = s
         return acc
 
     def parse(self, text: str):
@@ -130,6 +155,20 @@ class BinaryField(Field):
                         del acc[k]
                     else:
                         acc[k] = 1
+        return acc
+
+    def add_outer(self, acc: dict, left: Mapping, right: Mapping, coeff) -> dict:
+        # the key toggle of add_scaled, over every pair of stored terms
+        if coeff:
+            for l, cl in left.items():
+                if cl:
+                    for r, cr in right.items():
+                        if cr:
+                            k = (l, r)
+                            if k in acc:
+                                del acc[k]
+                            else:
+                                acc[k] = 1
         return acc
 
 
@@ -207,6 +246,22 @@ class RationalField(Field):
                 acc[k] = s
             else:
                 acc[k] = s.numerator
+        return acc
+
+    def add_outer(self, acc: dict, left: Mapping, right: Mapping, coeff) -> dict:
+        # Field.add_outer with the integral sums turned into ints
+        if coeff:
+            for l, cl in left.items():
+                c = coeff * cl
+                for r, cr in right.items():
+                    k = (l, r)
+                    s = acc.get(k, 0) + c * cr
+                    if not s:
+                        acc.pop(k, None)
+                    elif type(s) is int or s.denominator != 1:
+                        acc[k] = s
+                    else:
+                        acc[k] = s.numerator
         return acc
 
 
@@ -487,14 +542,12 @@ class TensorPoly:
         if p.field is not q.field and p.field != q.field:
             raise AlphabetMismatchError("tensor factors over different fields")
         f = p.field
-        acc: dict = {}
-        for wp, cp in p.terms.items():
-            for wq, cq in q.terms.items():
-                acc[(wp, wq)] = f.mul(cp, cq)
-        return cls(p.alphabet, q.alphabet, f, acc)
+        return cls(p.alphabet, q.alphabet, f, f.add_outer({}, p.terms, q.terms, f.one))
 
     def _check_compatible(self, other: "TensorPoly") -> None:
-        if (self.left != other.left or self.right != other.right
+        # identity first: this runs on every step of a coaction image
+        if ((self.left is not other.left and self.left != other.left)
+                or (self.right is not other.right and self.right != other.right)
                 or (self.field is not other.field and self.field != other.field)):
             raise AlphabetMismatchError("tensor operands over different alphabets or fields")
 

@@ -385,14 +385,19 @@ class ReductionSystem:
             return result
         # the prefix before the first redex to end is normal: fold on from there
         i, lead = redex
-        stack = [self._rewrite(word, word[:i], lead, word[i + len(lead):])]
+        return self._run(word, word[:i], lead, word[i + len(lead):])
+
+    def _run(self, word: Word, pre: Word, lead: Word, suf: Word) -> dict:
+        """Run ``_rewrite`` of word = pre lead suf, and the rewrites it
+        yields, on an explicit stack; return the memoized NF(word)."""
+        stack = [self._rewrite(word, pre, lead, suf)]
         while stack:
             sub = next(stack[-1], None)
             if sub is None:
                 stack.pop()
             else:
                 stack.append(sub)
-        return memo[word]
+        return self._memo[word]
 
     def _rewrite(self, word: Word, pre: Word, lead: Word, suf: Word):
         """Generator that memoizes NF(word) for word = pre lead suf, pre normal.
@@ -401,12 +406,12 @@ class ReductionSystem:
         onto ``pre`` one letter at a time.  An NF(u a) the memo lacks is u a
         itself when ``_lead_ending`` finds no lead ending it; otherwise this
         generator yields the ``_rewrite`` of u a at that lead to the stack in
-        ``_nf_word`` and, resumed, reads the result from the memo.
+        ``_run`` and, resumed, reads the result from the memo.
         NF(pre t suf) is memoized too when ``suf`` is not empty: the words
         that ``complete`` reduces through ``_nf_terms``, the two resolutions
         of an ambiguity and the relations ``extend`` inserts, share such
-        rests.  A normal word followed by one letter, as in
-        ``fk3.product_table`` and ``reduce_tensor``, has none.
+        rests.  A normal word followed by one letter, as in ``_nf_times``,
+        has none.
         """
         self._steps += 1
         if self._steps > STEP_BUDGET:
@@ -446,8 +451,8 @@ class ReductionSystem:
                 f.add_scaled(result, acc, tc)
         memo[word] = result
 
-    # nf_word and _nf_terms are the two entries into _nf_word: each starts its
-    # own step budget
+    # nf_word and _nf_terms are the two entries into _nf_word, and _nf_times
+    # the one fold step taken alone: each starts its own step budget
 
     def nf_word(self, word: Word) -> dict:
         """Normal form of a single word, as a coefficient dict shared with
@@ -467,6 +472,30 @@ class ReductionSystem:
         self.alphabet.check_word(word)
         self._steps = 0
         return self._nf_word(tuple(word))
+
+    def _nf_times(self, u: Word, a: int) -> dict:
+        """NF(u a) for a tuple u normal in this system, as a coefficient dict
+        shared with the memo: never change it.
+
+        This is one step of the fold, and equals ``nf_word(u + (a,))`` in
+        any system, confluent or not: u contains no lead, so the first
+        redex of u a to end is the longest lead ending it.  A miss checks
+        ``a`` against the alphabet, as ``nf_word`` checks its word, and runs
+        on a fresh step budget.
+        """
+        word = u + (a,)
+        hit = self._memo.get(word)
+        if hit is not None:
+            return hit
+        self.alphabet.check_word((a,))
+        if self.collapsed:
+            return {}
+        self._steps = 0
+        lead = self._lead_ending(word, len(word))
+        if lead is None:
+            result = self._memo[word] = {word: self.field.one}
+            return result
+        return self._run(word, word[:-len(lead)], lead, ())
 
     def _nf_terms(self, terms: dict) -> dict:
         """Normal form of a coefficient dict, as a fresh coefficient dict."""
@@ -1038,21 +1067,17 @@ def count_irreducible(sys: ReductionSystem, max_len: int) -> IrreducibleCounts:
 
 def reduce_tensor(t: TensorPoly, left_sys: ReductionSystem,
                   right_sys: ReductionSystem) -> TensorPoly:
-    """Reduce both tensor factors independently, never across the symbol."""
+    """Reduce both tensor factors independently, never across the symbol:
+    NF(l) (x) NF(r) for each term l (x) r, accumulated by ``add_outer``.
+
+    Coaction images never come here: ``fulcrum.word_image`` reduces each
+    fold step as it forms it."""
     if t.left != left_sys.alphabet or t.right != right_sys.alphabet:
         raise ValueError("tensor alphabets do not match the reduction systems")
     f = t.field
-    z = f.zero
     acc: dict = {}
     for (wl, wr), c in t.terms.items():
-        for nl, cl in left_sys.nf_word(wl).items():
-            for nr, cr in right_sys.nf_word(wr).items():
-                k = (nl, nr)
-                s = f.add(acc.get(k, z), f.mul(c, f.mul(cl, cr)))
-                if s == z:
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
+        f.add_outer(acc, left_sys.nf_word(wl), right_sys.nf_word(wr), c)
     return TensorPoly(t.left, t.right, f, acc)
 
 

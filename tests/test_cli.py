@@ -325,6 +325,57 @@ def test_verify_checks_the_output_path_before_certifying(monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def _never(what):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+    return call
+
+
+@pytest.mark.parametrize("target, argv", [
+    ((Presentation, "complete"), ["complete", "{pres}", "--json", "{out}"]),
+    ((cli.jordan_mod, "build_jordan"), ["verify", "--json", "{out}"]),
+    ((cli.jordan_mod, "jordan_coactions"), ["verify", "--json", "{out}"]),
+], ids=["fulcrum-completion", "jordan-completions", "jordan-coactions"])
+def test_fulcrum_and_jordan_check_the_output_path_first(monkeypatch, tmp_path, capsys,
+                                                        target, argv):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(PRESENTATION))
+    monkeypatch.setattr(*target, _never(target[1]))
+    main = fulcrum_main if argv[0] == "complete" else jordan_main
+    out = "/nonexistent/x.json"
+    assert main([arg.format(pres=pres, out=out) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_fulcrum_reports_a_malformed_file_before_the_output_path(tmp_path, capsys):
+    pres = tmp_path / "pres.json"
+    pres.write_text("[")
+    assert fulcrum_main(["complete", str(pres), "--json", "/nonexistent/x.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nonexistent" not in err
+
+
+def _refused_fulcrum(out):
+    """``fulcrum complete`` whose completion raises ValueError after the
+    probe, which it reports as an ``error:`` line."""
+    def complete(self):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_presentation", lambda path: Presentation.from_json(PRESENTATION))
+        patch.setattr(Presentation, "complete", complete)
+        return fulcrum_main(["complete", "pres.json", "--json", out])
+
+
+def _refused_jordan(out):
+    """``jordan verify`` whose coaction check raises after the probe."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.jordan_mod, "jordan_coactions", _never("refused"))
+        with pytest.raises(AssertionError, match="refused"):
+            jordan_main(["verify", "--max-len", "2", "--json", out])
+    return 1
+
+
 def _refused_classify(argv):
     """``fk3 classify --certify`` whose certificates raise after the probe."""
     def certify_worker(key):
@@ -342,7 +393,9 @@ def _refused_classify(argv):
     lambda out: fk3_main(["verify", "--lambda", "100000000", "--mu", "000000000",
                           "--json", out]),
     lambda out: _refused_classify(["classify", "--group", "gx", "--certify", "--out", out]),
-], ids=["fk3-verify", "fk3-classify"])
+    _refused_fulcrum,
+    _refused_jordan,
+], ids=["fk3-verify", "fk3-classify", "fulcrum-complete", "jordan-verify"])
 def test_a_refused_run_leaves_the_output_path_as_it_was(tmp_path, run):
     old = tmp_path / "old.json"
     old.write_bytes(b'{"kept": true}\n')

@@ -299,11 +299,128 @@ def test_word_images_do_not_depend_on_the_memo(yd):
              for _ in range(60)]
     memo = {(): unit}
     for word in words:
-        fresh = unit
-        for letter in word:
-            fresh = reduce_tensor(fresh * images[letter], raw, bos)
+        fresh = old_word_image(word, images, raw, bos, {(): unit})
         assert word_image(word, images, raw, bos, memo) == fresh, word
         assert word_image(word, images, raw, bos, {(): unit}) == fresh, word
+
+
+def old_word_image(word, images, left_sys, right_sys, memo):
+    """``word_image`` as each step once was: the unreduced product of the
+    prefix's image and the letter's, then ``reduce_tensor``."""
+    n = len(word)
+    while n and word[:n] not in memo:
+        n -= 1
+    acc = memo[word[:n]]
+    for k in range(n, len(word)):
+        acc = reduce_tensor(acc * images[word[k]], left_sys, right_sys)
+        memo[word[:k + 1]] = acc
+    return acc
+
+
+def old_apply_algebra_map(p, images, left_sys, right_sys, memo):
+    """``apply_algebra_map`` as it once was, with its final reduction."""
+    f = p.field
+    left, right = left_sys.alphabet, right_sys.alphabet
+    memo.setdefault((), TensorPoly(left, right, f, {((), ()): f.one}))
+    out = TensorPoly.zero(left, right, f)
+    for word, coeff in p.terms.items():
+        out = out + old_word_image(word, images, left_sys, right_sys, memo).scale(coeff)
+    return reduce_tensor(out, left_sys, right_sys)
+
+
+def assert_images_as_before(words, relations, images, left_sys, right_sys):
+    """Word images, relation images and the relations a map does not kill,
+    each as the unreduced product then reduction gave them, on a shared memo
+    and on a fresh one."""
+    f = left_sys.field
+    unit = TensorPoly(left_sys.alphabet, right_sys.alphabet, f, {((), ()): f.one})
+    memo, old_memo = {(): unit}, {(): unit}
+    old_failed = [rel for rel in relations
+                  if old_apply_algebra_map(rel, images, left_sys, right_sys, old_memo)]
+    assert unannihilated_relations(relations, images, left_sys, right_sys, _memo=memo) == \
+        old_failed
+    for word in words:
+        old = old_word_image(word, images, left_sys, right_sys, old_memo)
+        assert word_image(word, images, left_sys, right_sys, memo) == old, word
+        assert word_image(word, images, left_sys, right_sys, {(): unit}) == old, word
+    for rel in relations:
+        assert apply_algebra_map(rel, images, left_sys, right_sys) == \
+            old_apply_algebra_map(rel, images, left_sys, right_sys, {}), rel
+
+
+@pytest.mark.parametrize("lam_bits, mu_bits", [("000101110", "100000000"),
+                                               ("111111111", "111111111")])
+def test_galois_coaction_images_are_those_of_the_reduced_products(lam_bits, mu_bits):
+    """Both coactions of a certificate, on the 72 basis words of A and on
+    the relations of the descent check."""
+    lam = fk3.lambda_from_bits(lam_bits)
+    mu = fk3.mu_from_bits(mu_bits, lam)
+    A, L, B = fk3.build_cleft(lam, mu), fk3.build_lifting(lam, mu), fk3.bosonization_build()
+    basis = A.basis()
+    assert len(basis) == 72
+    prime = fk3.flavor_presentation(lam, T_PRIME_LAMBDA)
+    relations = prime.relations + fk3.deformed_relations(lam, mu, T_PRIME_LAMBDA)
+    for left_sys, right_sys in ((A.system, B.system), (L.system, A.system)):
+        images = letter_images(left_sys.alphabet, right_sys.alphabet, F2, prime.degree_words())
+        assert_images_as_before(basis, relations, images, left_sys, right_sys)
+        # factor words of two letters, folded one letter at a time
+        squares = {o: image * image for o, image in images.items()}
+        assert_images_as_before(basis[:30], relations, squares, left_sys, right_sys)
+
+
+def test_jordan_coaction_images_are_those_of_the_reduced_products():
+    """Both coactions of the Jordan check over QQ, on every word of length
+    at most 3 and on the relations with rational coefficients added."""
+    from nclift import jordan
+    from nclift.ncpoly import QQ
+
+    prime, deformed, bos = (jordan.build_jordan(flavor, 6) for flavor in
+                            (jordan.U_PRIME, jordan.U_JORDAN, jordan.BOSONIZATION))
+    size = len(prime.alphabet)
+    words = [()]
+    for _ in range(3):
+        words += [w + (a,) for w in words if len(w) == len(words[-1]) for a in range(size)]
+    extra = parse_poly("1/2 y1*y2 - 3 g*y1 + 2/3 y2*G + 5", prime.alphabet, QQ)
+    relations = prime.relations + [rel + extra for rel in prime.relations[:3]]
+    for left, right in ((prime, bos), (deformed, prime)):
+        left_sys, right_sys = left.complete().system, right.complete().system
+        images = letter_images(left.alphabet, right.alphabet, QQ, jordan.DEGREES)
+        assert_images_as_before(words, relations, images, left_sys, right_sys)
+        squares = {o: image * image for o, image in images.items()}
+        assert_images_as_before(words[:21], relations, squares, left_sys, right_sys)
+
+
+def test_images_into_a_collapsed_target_are_zero():
+    """Over a collapsed system NF(1) = 0, so even the empty word's image,
+    1 (x) 1 elsewhere, is 0."""
+    from nclift.ncpoly import Alphabet
+    from nclift.rewrite import ReductionSystem
+
+    alpha = Alphabet.from_parts(["x0", "x1"])
+    ok = ReductionSystem(alpha, F2, [parse_poly("x1 x0 + x0 x1", alpha, F2)])
+    dead = ReductionSystem(alpha, F2, [parse_poly("x0 + 1", alpha, F2),
+                                       parse_poly("x0", alpha, F2)])
+    assert dead.collapsed and not ok.collapsed
+    p = parse_poly("1 + x0 + x1 x0", alpha, F2)
+    images = letter_images(alpha, alpha, F2, [(1,), (1,)])
+    for left, right in ((dead, ok), (ok, dead), (dead, dead)):
+        assert not apply_algebra_map(p, images, left, right)
+        assert not old_apply_algebra_map(p, images, left, right, {})
+    assert apply_algebra_map(p, images, ok, ok) == old_apply_algebra_map(p, images, ok, ok, {})
+
+
+def test_images_over_other_alphabets_are_refused():
+    from nclift.ncpoly import Alphabet, AlphabetMismatchError
+    from nclift.rewrite import ReductionSystem
+
+    alpha = Alphabet.from_parts(["x0", "x1"])
+    other = Alphabet.from_parts(["y0", "y1"])
+    system = ReductionSystem(alpha, F2, [parse_poly("x1 x0 + x0 x1", alpha, F2)])
+    p = parse_poly("x0 x1 + 1", alpha, F2)
+    for left, right in ((other, alpha), (alpha, other)):
+        images = letter_images(left, right, F2, [(1,), (1,)])
+        with pytest.raises(AlphabetMismatchError):
+            apply_algebra_map(p, images, system, system)
 
 
 def test_validate_lambda_odd_characteristic_smoke():

@@ -205,6 +205,79 @@ def test_add_scaled_kernel_matches_the_general_loop(field, data):
     assert_same_accumulation(field, acc, terms, data.draw(scalars))
 
 
+def reference_add_outer(field, acc, left, right, coeff):
+    """The naive double loop over both factors, through add and mul."""
+    z = field.zero
+    for l, cl in left.items():
+        for r, cr in right.items():
+            k = (l, r)
+            s = field.add(acc.get(k, z), field.mul(coeff, field.mul(cl, cr)))
+            if s == z:
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+    return acc
+
+
+#: factor words, few enough that products meet the keys already in acc
+OUTER_WORDS = [(), (0,), (1, 0), (2,)]
+
+
+@pytest.mark.parametrize("field", [F2, prime_field(5), QQ], ids=str)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_add_outer_kernel_matches_the_naive_double_loop(field, data):
+    scalars = kernel_scalars(field)
+    nonzero = scalars.filter(lambda c: c != field.zero)
+    words = st.sampled_from(OUTER_WORDS)
+    pairs = st.tuples(words, words)
+    # stored values in the field's own form: QQ keeps integral ones as ints
+    drawn = data.draw(st.dictionaries(pairs, nonzero))
+    acc = {k: field.add(c, field.zero) for k, c in drawn.items()}
+    left = data.draw(st.dictionaries(words, nonzero, max_size=3))
+    right = data.draw(st.dictionaries(words, nonzero, max_size=3))
+    coeff = data.draw(scalars)
+    expected = reference_add_outer(field, dict(acc), left, right, coeff)
+    got = dict(acc)
+    assert field.add_outer(got, left, right, coeff) is got
+    assert list(got.items()) == list(expected.items())
+    assert all(c != field.zero for c in got.values())
+    if field is QQ:
+        assert all(type(c) is int or c.denominator != 1 for c in got.values())
+    # a zero coefficient changes nothing, over any factors
+    unchanged = dict(acc)
+    field.add_outer(unchanged, left, right, field.zero)
+    assert list(unchanged.items()) == list(acc.items())
+
+
+@pytest.mark.parametrize("field", [F2, prime_field(5), QQ], ids=str)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pure_tensors_and_tensor_reduction_match_the_old_loops(field, data):
+    from nclift.rewrite import ReductionSystem, reduce_tensor
+
+    scalars = kernel_scalars(field).filter(lambda c: c != field.zero)
+    words = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+    polys = st.dictionaries(words, scalars, max_size=4).map(
+        lambda terms: NcPoly(ALPHA3, field, terms))
+    p, q = data.draw(polys), data.draw(polys)
+    # TensorPoly.of, as one product per pair of terms
+    old = {(wp, wq): field.mul(cp, cq) for wp, cp in p.terms.items() for wq, cq in q.terms.items()}
+    assert TensorPoly.of(p, q) == TensorPoly(ALPHA3, ALPHA3, field, old)
+    # reduce_tensor, as the triple loop over each term's two normal forms
+    relations = [parse_poly(text, ALPHA3, field)
+                 for text in ("x1 x0 - x0 x1", "x2 x0 - x0 x2", "x2 x1 - x1 x2",
+                              "x2 x2 - 2 x0 - 1")]
+    system = ReductionSystem(ALPHA3, field, relations)
+    t = TensorPoly.of(p, q) + TensorPoly.of(q, p)
+    old = {}
+    for (wl, wr), c in t.terms.items():
+        for nl, cl in system.nf_word(wl).items():
+            for nr, cr in system.nf_word(wr).items():
+                reference_add_scaled(field, old, {(nl, nr): field.mul(cl, cr)}, c)
+    assert reduce_tensor(t, system, system) == TensorPoly(ALPHA3, ALPHA3, field, old)
+
+
 # ---------------------------------------------------------------------------
 # alphabet and deglex
 # ---------------------------------------------------------------------------

@@ -115,6 +115,28 @@ def test_nf_word_of_a_collapsed_system_is_zero():
         sys_.nf_word((3,))
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
+@pytest.mark.parametrize("letter", [3, 7, -1])
+def test_nf_times_rejects_a_letter_outside_the_alphabet(letter, warm):
+    sys_ = _commuting_system(warm)
+    keys = set(sys_._memo)
+    for u in [(), (0,), (1, 2)]:
+        with pytest.raises(ValueError, match=MALFORMED):
+            sys_._nf_times(u, letter)
+        # no memo key was left behind, so nf_word still refuses the word
+        assert set(sys_._memo) == keys
+        with pytest.raises(ValueError, match=MALFORMED):
+            sys_.nf_word(u + (letter,))
+
+
+def test_nf_times_of_a_collapsed_system_is_zero():
+    sys_ = ReductionSystem(ALPHA, F2, [_parse("x0 + 1"), _parse("x0")])
+    assert sys_.collapsed
+    assert sys_._nf_times((), 0) == sys_._nf_times((1, 2), 2) == {}
+    with pytest.raises(ValueError, match=MALFORMED):
+        sys_._nf_times((), 3)
+
+
 def test_polynomials_with_an_ordinal_outside_the_alphabet_are_refused():
     """Polynomials made with NcPoly's constructor are not checked, so the
     system checks each one it takes in: none can put a malformed word in
@@ -567,6 +589,24 @@ def test_lead_lookups_match_brute_force(sys_):
             levels.append(level)
         expected = [[]] if system.collapsed else levels
         assert rewrite.irreducible_words_by_length(system, 6) == expected
+
+
+@given(small_systems(caps=st.integers(1, 4)))
+@settings(max_examples=150, deadline=None)
+def test_nf_times_is_nf_word_of_the_word_one_letter_longer(sys_):
+    """The fold step against a whole normal form, in systems taken as built:
+    inter-reduced, but in general not confluent."""
+    size = len(sys_.alphabet)
+    irreducible = [w for n in range(5) for w in itertools.product(range(size), repeat=n)
+                   if sys_._find_redex(w) is None]
+    steps, words = sys_.copy(), sys_.copy()
+    for u in irreducible:
+        for a in range(size):
+            assert steps._nf_times(u, a) == words.nf_word(u + (a,)), (u, a)
+    # and on one memo, whichever entry filled it
+    for u in irreducible:
+        for a in range(size):
+            assert words._nf_times(u, a) == steps.nf_word(u + (a,))
 
 
 # ---------------------------------------------------------------------------
