@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 from operator import xor
 from typing import Callable, Sequence
 
-from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly, xdeglex_key
+from .ncpoly import Alphabet, F2, Field, NcPoly, xdeglex_key
 from .rewrite import (
     CONFLUENT,
     CompletionReport,
@@ -568,7 +568,7 @@ def galois_certificate(lam: LambdaMatrix, mu: LambdaMatrix) -> GaloisCertificate
                                             ("left", imgs_l, l_sys, a_sys)):
         # one memo per coaction: the descent check and the basis images
         # share their prefixes
-        memo = {(): TensorPoly(left_sys.alphabet, right_sys.alphabet, F2, {((), ()): F2.one})}
+        memo: dict = {}
         failed = unannihilated_relations(relations, imgs, left_sys, right_sys, _memo=memo)
         if failed:
             raise ValueError(f"{side} coaction does not descend on: {failed[0]}")

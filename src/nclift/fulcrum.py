@@ -228,19 +228,14 @@ class FulcrumPresentation(Presentation):
 # ---------------------------------------------------------------------------
 
 def _nf_after(system: ReductionSystem, word: Word, letters: Word) -> dict:
-    """NF(word letters) for a word normal in ``system``, one ``_nf_times``
-    step per letter.  The factor words of ``letter_images`` have one letter
-    or none; longer ones are folded letter by letter."""
+    """NF(word letters) for a word normal in ``system``.  The factor words
+    of ``letter_images`` have one letter, one ``_nf_times`` step, or none;
+    a longer one goes through ``nf_word``."""
     if len(letters) == 1:
         return system._nf_times(word, letters[0])
-    f = system.field
-    nf = {word: f.one}
-    for a in letters:
-        acc: dict = {}
-        for u, c in nf.items():
-            f.add_scaled(acc, system._nf_times(u, a), c)
-        nf = acc
-    return nf
+    if not letters:
+        return {} if system.collapsed else {word: system.field.one}
+    return system.nf_word(word + letters)
 
 
 def word_image(word: Word, images: dict, left_sys: ReductionSystem,
@@ -250,20 +245,29 @@ def word_image(word: Word, images: dict, left_sys: ReductionSystem,
 
     Each step is formed in normal form.  Every term wl (x) wr of the image
     of w' is normal, so for each term il (x) ir of images[a] it adds
-    NF(wl il) (x) NF(wr ir), by ``_nf_times`` one letter of il or ir at a
-    time, through ``add_outer``.  Reduction is linear, so this is the
-    reduced product, and no unreduced tensor is built.
+    NF(wl il) (x) NF(wr ir), by ``_nf_times`` when il or ir is one letter,
+    through ``add_outer``.  Reduction is linear, so this is the reduced
+    product, and no unreduced tensor is built.
 
-    ``memo`` holds images under this one letter map and pair of systems, the
-    empty word's normal 1 (x) 1 among them.  The fold starts from the
-    longest prefix of ``word`` in it and stores each longer one; every step
-    is the one a fold from the empty word takes, so the image does not
-    depend on the memo.
+    ``memo`` holds images under this one letter map and pair of systems.
+    The fold starts from the longest prefix of ``word`` in it, or from the
+    empty word's image, 1 (x) 1 unless a system has collapsed (then 0),
+    and stores each longer one; every step is the one a fold from the empty
+    word takes, so the image does not depend on the memo.  The image it
+    starts from must be over the systems' alphabets (ValueError).
     """
     n = len(word)
     while n and word[:n] not in memo:
         n -= 1
-    acc = memo[word[:n]]
+    left, right = left_sys.alphabet, right_sys.alphabet
+    acc = memo.get(word[:n])
+    if acc is None:
+        f = left_sys.field
+        unit = {} if left_sys.collapsed or right_sys.collapsed else {((), ()): f.one}
+        acc = memo[()] = TensorPoly(left, right, f, unit)
+    elif ((acc.left is not left and acc.left != left)
+          or (acc.right is not right and acc.right != right)):
+        raise ValueError("tensor alphabets do not match the reduction systems")
     f = acc.field
     for k in range(n, len(word)):
         image = images[word[k]]
@@ -273,7 +277,7 @@ def word_image(word: Word, images: dict, left_sys: ReductionSystem,
             for (il, ir), d in image.terms.items():
                 f.add_outer(terms, _nf_after(left_sys, wl, il), _nf_after(right_sys, wr, ir),
                             f.mul(c, d))
-        acc = memo[word[:k + 1]] = TensorPoly(acc.left, acc.right, f, terms)
+        acc = memo[word[:k + 1]] = TensorPoly(left, right, f, terms)
     return acc
 
 
@@ -283,19 +287,14 @@ def apply_algebra_map(p: NcPoly, images: dict, left_sys: ReductionSystem,
 
     ``images`` maps each ordinal of ``p.alphabet`` to a TensorPoly over the
     systems' alphabets.  Each word image is normal (``word_image``), so
-    their sum, weighted by ``add_scaled``, is too.  The empty word's image
-    1 (x) 1 is normal unless a system has collapsed, where it is 0.
+    their sum, weighted by ``add_scaled``, is too.
     """
     f = p.field
-    left, right = left_sys.alphabet, right_sys.alphabet
     memo = {} if _memo is None else _memo
-    if () not in memo:
-        unit = {} if left_sys.collapsed or right_sys.collapsed else {((), ()): f.one}
-        memo[()] = TensorPoly(left, right, f, unit)
     out: dict = {}
     for word, coeff in p.terms.items():
         f.add_scaled(out, word_image(word, images, left_sys, right_sys, memo).terms, coeff)
-    return TensorPoly(left, right, f, out)
+    return TensorPoly(left_sys.alphabet, right_sys.alphabet, f, out)
 
 
 def letter_images(left: Alphabet, right: Alphabet, field: Field,

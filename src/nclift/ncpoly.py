@@ -30,7 +30,8 @@ class Field:
     rationals an int when integral, else a Fraction); the field object
     supplies the arithmetic, and two in-place accumulation kernels:
     ``add_scaled`` for sums and normal forms, ``add_outer`` for tensors.
-    GF(2) and QQ override both.
+    GF(2) overrides both, QQ only ``add_scaled`` (its ``add`` and ``mul``
+    already keep integral values as ints).
     """
 
     char: int
@@ -246,22 +247,6 @@ class RationalField(Field):
                 acc[k] = s
             else:
                 acc[k] = s.numerator
-        return acc
-
-    def add_outer(self, acc: dict, left: Mapping, right: Mapping, coeff) -> dict:
-        # Field.add_outer with the integral sums turned into ints
-        if coeff:
-            for l, cl in left.items():
-                c = coeff * cl
-                for r, cr in right.items():
-                    k = (l, r)
-                    s = acc.get(k, 0) + c * cr
-                    if not s:
-                        acc.pop(k, None)
-                    elif type(s) is int or s.denominator != 1:
-                        acc[k] = s
-                    else:
-                        acc[k] = s.numerator
         return acc
 
 

@@ -409,6 +409,46 @@ def test_images_into_a_collapsed_target_are_zero():
     assert apply_algebra_map(p, images, ok, ok) == old_apply_algebra_map(p, images, ok, ok, {})
 
 
+def test_word_images_from_a_caller_memo():
+    """A caller's memo: an empty one gets the empty word's image, 0 over a
+    collapsed system; a nonzero 1 (x) 1 supplied over a collapsed system
+    still gives 0 for a longer word, as reducing each step did; a start
+    over other alphabets of the same size is refused with the message of
+    ``reduce_tensor``."""
+    from nclift.ncpoly import Alphabet
+    from nclift.rewrite import ReductionSystem
+
+    alpha = Alphabet.from_parts(["x0", "x1"])
+    other = Alphabet.from_parts(["y0", "y1"])
+    ok = ReductionSystem(alpha, F2, [parse_poly("x1 x0 + x0 x1", alpha, F2)])
+    dead = ReductionSystem(alpha, F2, [parse_poly("x0 + 1", alpha, F2),
+                                       parse_poly("x0", alpha, F2)])
+    images = letter_images(alpha, alpha, F2, [(1,), (1,)])
+    unit = TensorPoly(alpha, alpha, F2, {((), ()): F2.one})
+    for left, right in ((dead, ok), (ok, dead)):
+        memo: dict = {}
+        assert not word_image((), images, left, right, memo)
+        assert not memo[()]
+        for word in ((0,), (1, 0), (0, 1, 1)):
+            assert not word_image(word, images, left, right, {})
+            assert not word_image(word, images, left, right, {(): unit})
+            assert not old_word_image(word, images, left, right, {(): unit})
+    memo = {}
+    assert word_image((), images, ok, ok, memo) == unit == memo[()]
+    p = parse_poly("x0 x1 + x1", alpha, F2)
+    relations = [p, parse_poly("x1 x0 + x0 x1", alpha, F2)]
+    assert unannihilated_relations(relations, images, ok, ok, _memo={}) == [p]
+    assert unannihilated_relations(relations, images, ok, ok, _memo={(): unit}) == [p]
+    for start in (TensorPoly(other, alpha, F2, {((), ()): F2.one}),
+                  TensorPoly(alpha, other, F2, {((), ()): F2.one})):
+        with pytest.raises(ValueError, match="do not match"):
+            word_image((1, 0), images, ok, ok, {(): start})
+        with pytest.raises(ValueError, match="do not match"):
+            unannihilated_relations(relations, images, ok, ok, _memo={(): start})
+        with pytest.raises(ValueError):
+            old_word_image((1, 0), images, ok, ok, {(): start})
+
+
 def test_images_over_other_alphabets_are_refused():
     from nclift.ncpoly import Alphabet, AlphabetMismatchError
     from nclift.rewrite import ReductionSystem
