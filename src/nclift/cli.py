@@ -72,11 +72,6 @@ def _dump_json(doc: dict, path: str | None) -> bool:
     return _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
-def _certify_worker(key: tuple) -> tuple:
-    cert = fk3_mod.certify(*key, group_mode="s3", galois=True)
-    return key, cert.to_json()
-
-
 # ---------------------------------------------------------------------------
 # fk3
 # ---------------------------------------------------------------------------
@@ -92,12 +87,10 @@ def _fk3_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--format", choices=["json", "csv", "md"], default="json")
     p_cls.add_argument("--certify", action="store_true",
                        help="run dimension and Galois certificates per class representative")
-    p_cls.add_argument("--jobs", type=int, default=1)
 
     p_ver = sub.add_parser("verify", help="verify one (lambda, mu) pair")
     p_ver.add_argument("--lambda", dest="lam", required=True, metavar="BITS")
     p_ver.add_argument("--mu", required=True, metavar="BITS")
-    p_ver.add_argument("--group", choices=["s3"], default="s3")
     p_ver.add_argument("--galois", action="store_true")
     p_ver.add_argument("--json", dest="json_out", default=None)
 
@@ -119,15 +112,8 @@ def _fk3_classify(args: argparse.Namespace) -> int:
             reps = [next(p.key for p in cls
                          if not s3_violations(fk3_mod.matrix_from_bits(p.lam_bits)))
                     for cls in classes]
-            if args.jobs > 1:
-                # imported here, so that a run without a pool never loads it
-                from concurrent.futures import ProcessPoolExecutor
-
-                # a forking pool starts all its workers at once, used or not
-                with ProcessPoolExecutor(max_workers=min(args.jobs, len(reps))) as pool:
-                    certificates = dict(pool.map(_certify_worker, reps))
-            else:
-                certificates = dict(map(_certify_worker, reps))
+            certificates = {key: fk3_mod.certify(*key, group_mode="s3", galois=True).to_json()
+                            for key in reps}
         table = classify_mod.emit_table(classes, args.format, args.group, certificates)
         if not _write(table, args.out):
             return 1
@@ -153,11 +139,8 @@ def _fk3_verify(args: argparse.Namespace) -> int:
 
 
 def fk3_main(argv=None) -> int:
-    parser = _fk3_parser()
-    args = parser.parse_args(argv)
+    args = _fk3_parser().parse_args(argv)
     if args.command == "classify":
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         return _fk3_classify(args)
     if args.command == "verify":
         try:

@@ -460,13 +460,6 @@ class _Products:
         return [list(row) for row in zip(*map(self.column, range(len(self._basis))))]
 
 
-def product_table(system: ReductionSystem, basis: list) -> list:
-    """Structure constants of an algebra over F2 in an irreducible-word
-    basis: entry [i][j] is NF(basis[i] basis[j]) as a bitset over basis
-    positions, every column composed as ``_Products`` describes."""
-    return _Products(system, basis).table()
-
-
 def _block_positions(basis: list, alphabet: Alphabet) -> dict:
     """Each basis word's column block: its place in xdeglex order."""
     ordered = sorted(basis, key=lambda w: xdeglex_key(w, alphabet))

@@ -144,16 +144,6 @@ def verify_pbw(pres: Presentation, max_len: int) -> PbwReport:
                      per_length, expected, sum(per_length), ok)
 
 
-def half_integer_coefficients(pres: Presentation) -> bool:
-    """Every coefficient in every completed rule has denominator dividing 2."""
-    report = pres.complete()
-    for rule in report.system.rules():
-        for coeff in rule.tail.terms.values():
-            if Fraction(coeff).denominator not in (1, 2):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # coactions
 # ---------------------------------------------------------------------------

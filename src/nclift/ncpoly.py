@@ -30,8 +30,8 @@ class Field:
     rationals an int when integral, else a Fraction); the field object
     supplies the arithmetic, and two in-place accumulation kernels:
     ``add_scaled`` for sums and normal forms, ``add_outer`` for tensors.
-    GF(2) overrides both, QQ only ``add_scaled`` (its ``add`` and ``mul``
-    already keep integral values as ints).
+    GF(2) overrides both; GF(p) and QQ take the general loops (QQ's ``add``
+    and ``mul`` already keep integral values as ints).
     """
 
     char: int
@@ -236,18 +236,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in QQ")
         return _integral(1 / Fraction(a))
-
-    def add_scaled(self, acc: dict, terms: Mapping, coeff) -> dict:
-        # Field.add_scaled with the integral sums turned into ints
-        for k, c in terms.items():
-            s = acc.get(k, 0) + coeff * c
-            if not s:
-                acc.pop(k, None)
-            elif type(s) is int or s.denominator != 1:
-                acc[k] = s
-            else:
-                acc[k] = s.numerator
-        return acc
 
 
 F2 = BinaryField()

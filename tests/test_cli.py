@@ -1,7 +1,6 @@
 """Console entry points: exit codes, artifacts, determinism."""
 
 import ast
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -67,7 +66,7 @@ def test_classify_artifacts_are_byte_identical(tmp_path):
 def test_verify_pair_writes_certificate(tmp_path):
     out = tmp_path / "cert.json"
     code = fk3_main(["verify", "--lambda", "000000000", "--mu", "111111111",
-                     "--group", "s3", "--json", str(out)])
+                     "--json", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["valid"] is True
@@ -106,15 +105,6 @@ def test_classify_certify_annotates_class_representatives(tmp_path):
     assert len(certified) == 10
     assert all(r["dim"] == 72 for r in certified)
     assert all(r["galois_r"] == 5184 and r["galois_l"] == 5184 for r in certified)
-
-
-def test_classify_certify_table_is_the_same_with_two_jobs(tmp_path):
-    # --jobs 2 certifies the class representatives in two worker processes
-    one, two = tmp_path / "one.json", tmp_path / "two.json"
-    assert fk3_main(["classify", "--group", "gx", "--certify", "--out", str(one)]) == 0
-    assert fk3_main(["classify", "--group", "gx", "--certify", "--jobs", "2",
-                     "--out", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
 
 
 def test_usage_error_exit_code():
@@ -216,43 +206,6 @@ def test_negative_max_len_is_a_usage_error(capsys, main, argv):
     assert "--max-len must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_classify_jobs_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a certificate or worker pool was started")
-
-    monkeypatch.setattr(cli, "_certify_worker", refuse)
-    # the CLI imports the pool class where it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    with pytest.raises(SystemExit) as exc:
-        fk3_main(["classify", "--certify", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "--jobs must be >= 1" in capsys.readouterr().err
-
-
-def test_classify_starts_no_more_workers_than_certificates(monkeypatch, tmp_path):
-    started = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, keys):
-            return map(fn, keys)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(cli, "_certify_worker", lambda key: (key, {"valid": True}))
-    assert fk3_main(["classify", "--group", "gx", "--certify", "--jobs", "64",
-                     "--out", str(tmp_path / "table.json")]) == 0
-    assert started == [10]
-
-
 def test_importing_the_cli_loads_no_pool_and_no_csv():
     """A fresh interpreter imports ``nclift.cli`` without the process pool
     or the csv module: a run loads each only where it uses it."""
@@ -302,15 +255,13 @@ def test_unwritable_output_path_is_an_error(tmp_path, capsys, main, argv):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_classify_certify_checks_the_output_path_before_certifying(monkeypatch, capsys, jobs):
-    def certify_worker(key):
+def test_classify_certify_checks_the_output_path_before_certifying(monkeypatch, capsys):
+    def certify(*args, **kwargs):
         raise AssertionError("a certificate was computed")
 
-    monkeypatch.setattr(cli, "_certify_worker", certify_worker)
+    monkeypatch.setattr(cli.fk3_mod, "certify", certify)
     out = "/nonexistent/x.json"
-    assert fk3_main(["classify", "--group", "gx", "--certify", "--jobs", jobs,
-                     "--out", out]) == 1
+    assert fk3_main(["classify", "--group", "gx", "--certify", "--out", out]) == 1
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
@@ -378,11 +329,11 @@ def _refused_jordan(out):
 
 def _refused_classify(argv):
     """``fk3 classify --certify`` whose certificates raise after the probe."""
-    def certify_worker(key):
+    def certify(*args, **kwargs):
         raise ValueError("refused")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_certify_worker", certify_worker)
+        patch.setattr(cli.fk3_mod, "certify", certify)
         with pytest.raises(ValueError, match="refused"):
             fk3_main(argv)
     return 1

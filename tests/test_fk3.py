@@ -738,7 +738,7 @@ def test_diagonal_blocks_are_xors_of_product_lines(monkeypatch):
         calls.clear()
         assert galois_certificate(lam, mu).bijective
         A = build_cleft(lam, mu)
-        prod = fk3.product_table(A.system, A.basis())
+        prod = fk3._Products(A.system, A.basis()).table()
         columns = [list(column) for column in zip(*prod)]
         assert len(calls) == 12
         for (images, _, _), lines, diagonals in zip(maps, (columns, prod), (calls[:6], calls[6:])):
@@ -874,7 +874,7 @@ def test_product_table_is_associative_and_unital():
     A = build_cleft(lam, mu_from_bits("100000000", lam))
     basis = A.basis()
     n = len(basis)
-    prod = fk3.product_table(A.system, basis)
+    prod = fk3._Products(A.system, basis).table()
     assert n == 72 and basis[0] == ()
     for v in range(n):
         assert prod[0][v] == prod[v][0] == 1 << v
@@ -908,22 +908,22 @@ def test_product_table_matches_one_normal_form_per_product(lam_bits, mu_bits):
     for build in (build_cleft(lam, mu), build_lifting(lam, mu), bosonization_build()):
         basis = build.basis()
         assert len(basis) == 72
-        assert fk3.product_table(build.system, basis) == per_product_table(build.system, basis)
+        assert fk3._Products(build.system, basis).table() == per_product_table(build.system, basis)
     # a basis that is not ordered by length gives the same products
     shuffled = build.basis()
     random.Random(31).shuffle(shuffled)
     assert shuffled[0] != ()
-    assert fk3.product_table(build.system, shuffled) == per_product_table(build.system, shuffled)
+    assert fk3._Products(build.system, shuffled).table() == per_product_table(build.system, shuffled)
 
 
 def test_product_table_rejects_a_basis_that_is_not_prefix_closed():
     system = bosonization_build().system
     basis = bosonization_build().basis()
     with pytest.raises(ValueError, match="prefix"):
-        fk3.product_table(system, basis[1:])
+        fk3._Products(system, basis[1:]).table()
     short = next(w for w in basis if len(w) == 1 and any(v[:1] == w for v in basis if len(v) > 1))
     with pytest.raises(ValueError, match="prefix"):
-        fk3.product_table(system, [w for w in basis if w != short])
+        fk3._Products(system, [w for w in basis if w != short]).table()
 
 
 def test_rank_of_zero_map_is_zero():
