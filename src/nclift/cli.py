@@ -15,7 +15,6 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .fulcrum import s3_violations
 from .rackgroup import s3_quotient
 from .rewrite import CAP_EXCEEDED, CONFLUENT, CapExceededError, Presentation, count_irreducible
 from . import classify as classify_mod
@@ -107,13 +106,10 @@ def _fk3_classify(args: argparse.Namespace) -> int:
         if not writable:
             return 1
         if args.certify:
-            # every enumerated lambda is a cocycle: the first that satisfies
-            # the finite-quotient condition represents its class
-            reps = [next(p.key for p in cls
-                         if not s3_violations(fk3_mod.matrix_from_bits(p.lam_bits)))
-                    for cls in classes]
-            certificates = {key: fk3_mod.certify(*key, group_mode="s3", galois=True).to_json()
-                            for key in reps}
+            # the first pair represents its class; over F2 every enumerated
+            # lambda meets the finite-quotient condition certify checks
+            reps = [cls[0].key for cls in classes]
+            certificates = {key: fk3_mod.certify(*key, galois=True).to_json() for key in reps}
         table = classify_mod.emit_table(classes, args.format, args.group, certificates)
         if not _write(table, args.out):
             return 1
@@ -131,7 +127,7 @@ def _fk3_verify(args: argparse.Namespace) -> int:
     with _probed(args.json_out) as writable:
         if not writable:
             return 1
-        cert = fk3_mod.certify(args.lam, args.mu, group_mode="s3", galois=args.galois)
+        cert = fk3_mod.certify(args.lam, args.mu, galois=args.galois)
     doc = cert.to_json()
     # the finite group backing the run, for reproducibility
     doc["group_table"] = s3_quotient().to_json()

@@ -2,9 +2,9 @@
 
 The only rack that matters downstream is the affine rack (Z_3, 2) with
 i |> j = 2i - j, realized in S_3 as the conjugation action on transpositions.
-The finite quotient group is built by coset enumeration over its presentation
-rather than from hand-coded permutations, and every group axiom is checked
-exhaustively at construction time.
+The finite quotient group is generated by the rack's own left translations
+rather than hand-coded, and every group axiom, the rack compatibility and
+every canonical word are checked exhaustively at construction time.
 """
 
 from __future__ import annotations
@@ -67,103 +67,6 @@ def rack_automorphisms(r: RackData) -> list[RackAutomorphism]:
             out.append(RackAutomorphism(perm))
     return out
 
-
-# ---------------------------------------------------------------------------
-# coset enumeration
-# ---------------------------------------------------------------------------
-
-def _coset_enumeration(ngens: int, relators: list, max_cosets: int):
-    """Enumerate the cosets of the trivial subgroup for a group presentation.
-
-    Relators are tuples of signed generator letters (2k for g_k, 2k+1 for its
-    inverse).  Returns the transition table of live cosets under the 2*ngens
-    letters, with coset 0 the identity.  Raises if more than ``max_cosets``
-    cosets get defined.
-    """
-    nletters = 2 * ngens
-    labels: list[int] = []
-    neighbors: list[list[int]] = []
-    live = 0
-
-    def new_coset() -> int:
-        nonlocal live
-        live += 1
-        if live > max_cosets or len(labels) >= 64 * max_cosets:
-            raise CosetLimitError(f"coset enumeration exceeded {max_cosets} live cosets")
-        labels.append(len(labels))
-        neighbors.append([-1] * nletters)
-        return len(labels) - 1
-
-    def find(c: int) -> int:
-        root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
-        return root
-
-    def unify(c1: int, c2: int) -> None:
-        nonlocal live
-        queue = [(c1, c2)]
-        while queue:
-            a, b = queue.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            a, b = min(a, b), max(a, b)
-            labels[b] = a
-            live -= 1
-            for letter in range(nletters):
-                n1 = neighbors[a][letter]
-                n2 = neighbors[b][letter]
-                if n1 == -1:
-                    neighbors[a][letter] = n2
-                elif n2 != -1:
-                    queue.append((n1, n2))
-
-    def follow(c: int, letter: int) -> int:
-        c = find(c)
-        d = neighbors[c][letter]
-        if d == -1:
-            d = new_coset()
-            neighbors[c][letter] = d
-            neighbors[d][letter ^ 1] = c
-        return find(d)
-
-    new_coset()
-    visited = 0
-    while visited < len(labels):
-        c = visited
-        visited += 1
-        if find(c) != c:
-            continue
-        for rel in relators:
-            end = c
-            for letter in rel:
-                end = follow(end, letter)
-            unify(end, c)
-
-    live = sorted({find(c) for c in range(len(labels)) if find(c) == c})
-    index = {c: i for i, c in enumerate(live)}
-    table = []
-    for c in live:
-        row = []
-        for letter in range(nletters):
-            d = neighbors[c][letter]
-            if d == -1:
-                raise RuntimeError("incomplete coset table")
-            row.append(index[find(d)])
-        table.append(row)
-    return table
-
-
-class CosetLimitError(RuntimeError):
-    """The enumeration grew past its hard cap."""
-
-
-# ---------------------------------------------------------------------------
-# group tables
-# ---------------------------------------------------------------------------
 
 class GroupTable:
     """A finite group as a multiplication table with rack-indexed elements.
@@ -242,59 +145,42 @@ class GroupTable:
         }
 
 
-def _group_from_cosets(rack: RackData, coset_table) -> GroupTable:
-    order = len(coset_table)
-    # BFS over generator edges gives shortest-lex canonical words
-    words: list = [None] * order
-    words[0] = ()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(rack.size):
-                d = coset_table[c][2 * i]
-                if words[d] is None:
-                    words[d] = words[c] + (i,)
-                    nxt.append(d)
-        frontier = nxt
-    if any(w is None for w in words):
-        raise RuntimeError("generators do not generate: unreachable coset")
-
-    # renumber elements in shortlex order of their canonical words
-    by_word = sorted(range(order), key=lambda c: (len(words[c]), words[c]))
-    index = {c: i for i, c in enumerate(by_word)}
-
-    def walk(c, word):
-        for i in word:
-            c = coset_table[c][2 * i]
-        return c
-
-    table = [[index[walk(by_word[a], words[by_word[b]])] for b in range(order)]
-             for a in range(order)]
-    distinguished = [index[coset_table[0][2 * i]] for i in range(rack.size)]
-    sorted_words = [words[c] for c in by_word]
-    return GroupTable(order, table, distinguished, sorted_words, rack)
-
-
 @lru_cache(maxsize=None)
 def s3_quotient() -> GroupTable:
-    """The order-6 quotient of the enveloping group of (Z_3, 2).
+    """The order-6 quotient < g_i | g_i g_j = g_{i |> j} g_i, g_0^2 = 1 >
+    of the enveloping group of (Z_3, 2), as the group generated by the left
+    translations phi_i: j -> i |> j.
 
-    Built by coset enumeration over
-    < g_0, g_1, g_2 | g_i g_j = g_{i |> j} g_i,  g_0^2 = 1 >
-    with a hard cap of 24 cosets.
+    Every g_i is conjugate to g_0 (g_2 g_0 g_2^{-1} = g_1, and
+    g_1 g_0 g_1^{-1} = g_2), so every g_i is an involution.  With a = g_0 and
+    b = g_2, g_0 g_2 g_0 = g_1 = g_2 g_0 g_2 gives (ab)^3 = 1, so the
+    presented group is a quotient of < a, b | a^2, b^2, (ab)^3 > = S_3.  The
+    translations satisfy the relations (self-distributivity) and generate a
+    group of order 6, so g_i -> phi_i is an isomorphism.
+
+    Elements are numbered breadth-first from the identity, right-multiplying
+    by phi_0, phi_1, phi_2; each element's canonical word is its parent's
+    word plus the generator, which is already shortlex order.
     """
     rack = dihedral_rack()
-    relators = []
-    for i in range(rack.size):
-        for j in range(rack.size):
-            if i == j:
-                continue
-            # g_i g_j g_i^{-1} g_{i|>j}^{-1}
-            relators.append((2 * i, 2 * j, 2 * i + 1, 2 * rack.act(i, j) + 1))
-    relators.append((0, 0))
-    cosets = _coset_enumeration(rack.size, relators, max_cosets=24)
-    return _group_from_cosets(rack, cosets)
+    gens = rack.table
+
+    def compose(p, q):
+        return tuple(p[k] for k in q)
+
+    elements = [tuple(range(rack.size))]
+    words = [()]
+    index = {elements[0]: 0}
+    for p, word in zip(elements, words):
+        for i, phi in enumerate(gens):
+            q = compose(p, phi)
+            if q not in index:
+                index[q] = len(elements)
+                elements.append(q)
+                words.append(word + (i,))
+    table = [[index[compose(p, q)] for q in elements] for p in elements]
+    distinguished = [index[phi] for phi in gens]
+    return GroupTable(len(elements), table, distinguished, words, rack)
 
 
 def conjugation_action(g: int, i: int, group: GroupTable) -> int:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nclift.ncpoly import F2, Alphabet, parse_poly
 from nclift.rackgroup import (
     GroupTable,
     RackData,
@@ -10,6 +11,7 @@ from nclift.rackgroup import (
     rack_automorphisms,
     s3_quotient,
 )
+from nclift.rewrite import CONFLUENT, Presentation
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +111,24 @@ def test_json_round_trip(group):
     assert doc["order"] == 6
     assert doc["table"][0] == list(range(6))
     assert doc["distinguished"] == {"0": 1, "1": 2, "2": 3}
+
+
+def test_presentation_completes_to_the_group(group, rack):
+    # the order is computed by the Diamond Lemma from the presentation
+    # < g_i | g_i g_j = g_{i|>j} g_i, g_0^2 = 1 >, independently of the
+    # translations the table is built from; without the inverse letters
+    # G_i the presented monoid has 8 elements
+    ids = ["g0", "g1", "g2", "G0", "G1", "G2"]
+    alphabet = Alphabet.from_parts([], ids)
+    texts = ["g0 g0 + 1"]
+    for i in range(3):
+        texts += [f"g{i} G{i} + 1", f"G{i} g{i} + 1"]
+        texts += [f"g{i} g{j} + g{rack.act(i, j)} g{i}" for j in range(3) if j != i]
+    relations = [parse_poly(t, alphabet, F2) for t in texts]
+    report = Presentation(alphabet, F2, relations, degree_cap=4).complete()
+    assert report.status == CONFLUENT
+    basis = report.basis()
+    assert len(basis) == group.order == 6
+    # a basis word with an inverse letter has no rack index and fails here
+    rack_index = {alphabet.ordinal(f"g{i}"): i for i in range(3)}
+    assert {tuple(rack_index[o] for o in w) for w in basis} == set(group.words)
