@@ -1,6 +1,7 @@
 """Exact noncommutative rewriting toolkit: deformed smash products over
-finite-quotient groups in characteristic 2 and over the integers in
-characteristic 0, with completion-based basis certificates."""
+finite-quotient groups in characteristic 2 and over the infinite cyclic
+group, with rational coefficients, in characteristic 0, with
+completion-based basis certificates."""
 
 __version__ = "0.1.0"
 

@@ -6,8 +6,10 @@ with a 3x3 mu matrix satisfying the orbit and joint constraints.  Two pairs
 give isomorphic deformations exactly when a rack automorphism and three
 shift scalars transform one into the other.  Each of the 48 candidates
 carries a pair to exactly one image, so the witnesses are found by listing a
-pair's images rather than by testing candidates against every other pair, and
-the partition is a union-find over each pair and its images.
+pair's images rather than by testing candidates against every other pair.
+Isomorphisms form a groupoid, so a pair's images are its class: the partition
+reads the classes off the images and checks that every member of a class has
+the same images.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .rackgroup import RackAutomorphism, dihedral_rack, rack_automorphisms
+from .rackgroup import dihedral_rack, rack_automorphisms
 from .fulcrum import GX_MODE, ORBIT_TRIPLES, S3_MODE, validate_lambda
 from .fk3 import matrix_from_bits, validate_mu
 
@@ -41,9 +43,10 @@ class IsoWitness:
     """A rack automorphism and shift scalars carrying one pair to another.
 
     Over GF(2) the overall scale is forced to 1, so a witness is the
-    permutation plus the triple (shift_0, shift_1, shift_2)."""
+    permutation, as the tuple of images of 0, 1, 2, plus the triple
+    (shift_0, shift_1, shift_2)."""
 
-    auto: RackAutomorphism
+    auto: tuple
     shifts: tuple
 
 
@@ -90,8 +93,7 @@ def _witness_images(p: PairRecord):
     candidate whose image fails the third condition is skipped.
     """
     lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
-    for auto in _AUTOS:
-        a = auto.perm
+    for a in _AUTOS:
         for s in _SHIFTS:
             lq = [[0] * 3 for _ in range(3)]
             mq = [[0] * 3 for _ in range(3)]
@@ -100,7 +102,7 @@ def _witness_images(p: PairRecord):
                 mq[a[i]][a[j]] = (mp[i][j] + s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
             if all((s[i] * lq[a[i]][a[j]] + s[ij] * lq[a[ij]][a[i]]
                     + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in ORBIT_TRIPLES):
-                yield IsoWitness(auto, s), (_bits(lq), _bits(mq))
+                yield IsoWitness(a, s), (_bits(lq), _bits(mq))
 
 
 def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:
@@ -118,45 +120,33 @@ def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:
     return next((w for w, key in _witness_images(p) if key == q.key), None)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def partition_classes(pairs: list[PairRecord]) -> list[list[PairRecord]]:
-    """Union-find over the symmetric closure of the witness relation.
-
-    Classes come back sorted by descending size, ties broken by the smallest
-    (lambda, mu) key; class ids are assigned in that order.  The result does
-    not depend on the input order of ``pairs``.
+    """The isomorphism classes of ``pairs``: the class of p is p with those
+    of its witness images that are in ``pairs``.  Isomorphisms form a
+    groupoid, so every member must have the same set; one that does not (a
+    wrong witness condition) or a repeated (lambda, mu) key is a ValueError.
+    Members are sorted by key, classes by descending size, then smallest key;
+    class ids follow that order, whatever the input order of ``pairs``.
     """
     if len({p.mode for p in pairs}) > 1:
         raise ValueError("pairs from different modes")
-    items = sorted(pairs, key=lambda p: p.key)
-    n = len(items)
-    index = {p.key: k for k, p in enumerate(items)}
-    uf = _UnionFind(n)
-    # every witness image of every pair: the symmetric closure of the relation
-    for a, p in enumerate(items):
-        for _, key in _witness_images(p):
-            b = index.get(key)
-            if b is not None:
-                uf.union(a, b)
-    groups: dict = {}
-    for idx in range(n):
-        groups.setdefault(uf.find(idx), []).append(items[idx])
-    classes = sorted(groups.values(), key=lambda c: (-len(c), c[0].key))
+    by_key: dict = {}
+    for p in pairs:
+        if p.key in by_key:
+            raise ValueError(f"pair {p.key} is listed twice")
+        by_key[p.key] = p
+    orbits = {key: frozenset([key, *(k for _, k in _witness_images(p) if k in by_key)])
+              for key, p in by_key.items()}
+    classes = []
+    for key in sorted(by_key):
+        orbit = orbits[key]
+        for k in sorted(orbit):
+            if orbits[k] != orbit:
+                raise ValueError(f"the witness images of pair {key} and of pair {k} "
+                                 "are not one isomorphism class")
+        if key == min(orbit):
+            classes.append([by_key[k] for k in sorted(orbit)])
+    classes.sort(key=lambda c: (-len(c), c[0].key))
     for cid, cls in enumerate(classes):
         for rec in cls:
             rec.class_id = cid

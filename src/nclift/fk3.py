@@ -33,7 +33,7 @@ from .fulcrum import (
     check_skew_primitive,
     fulcrum_alphabet,
     letter_images,
-    satisfies_s3_condition,
+    s3_violations,
     standard_yd_data,
     unannihilated_relations,
     validate_lambda,
@@ -141,20 +141,13 @@ def linear_correction(alphabet: Alphabet, lam: LambdaMatrix, i: int, j: int) -> 
     return NcPoly.from_terms(alphabet, lam.field, items)
 
 
-@lru_cache(maxsize=None)
-def _relation_core(alphabet: Alphabet, lam: LambdaMatrix, i: int, j: int) -> NcPoly:
-    """R_{i,j} + r_{i,j}, the part of a deformed relation that mu leaves
-    alone: built once per alphabet, lambda and index pair, and shared, so
-    never changed in place."""
-    return quadratic_relation(alphabet, lam.field, i, j) + linear_correction(alphabet, lam, i, j)
-
-
 def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int,
                       mu_ij, group_term: bool) -> NcPoly:
     """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term
     only, for the value mu_ij of mu_{i,j}."""
     f = lam.field
-    rel = _relation_core(pres.alphabet, lam, i, j)
+    rel = (quadratic_relation(pres.alphabet, f, i, j)
+           + linear_correction(pres.alphabet, lam, i, j))
     if mu_ij != f.zero:
         rel = rel + NcPoly.term(pres.alphabet, f, (), mu_ij)
         if group_term:
@@ -651,7 +644,7 @@ def certify(lam_bits: str, mu_bits: str, group_mode: str = "s3",
         raise ValueError("dimension verification always runs over the finite quotient")
     lam = lambda_from_bits(lam_bits)
     mu = mu_from_bits(mu_bits, lam)
-    if not satisfies_s3_condition(lam):
+    if s3_violations(lam.entries):
         raise ValueError("lambda does not satisfy the finite-quotient condition")
     L = build_lifting(lam, mu)
     A = build_cleft(lam, mu)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly, Word
 from .rackgroup import GroupTable, RackData, conjugation_action, dihedral_rack, s3_quotient
-from .rewrite import CONFLUENT, Presentation, ReductionSystem, reduce_tensor
+from .rewrite import CONFLUENT, Presentation, ReductionSystem
 
 T_LAMBDA = "t_lambda"
 T_PRIME_LAMBDA = "t_prime_lambda"
@@ -124,10 +124,6 @@ def s3_violations(m: Sequence[Sequence]) -> list:
     """The pairs (i, j), row-major, where m breaks the finite-quotient
     condition lambda_{i,j} = lambda_{i,i|>j}."""
     return [(i, j) for i, j, k in ORBIT_TRIPLES if m[i][j] != m[i][k]]
-
-
-def satisfies_s3_condition(lam: LambdaMatrix) -> bool:
-    return not s3_violations(lam.entries)
 
 
 def extend_lambda(lam: LambdaMatrix, word: Iterable[int], j: int):
@@ -330,17 +326,22 @@ def unannihilated_relations(relations: Iterable[NcPoly], images: dict,
 
 
 def check_skew_primitive(pres: FulcrumPresentation, rel: NcPoly, grp: int) -> bool:
-    """Test Delta(rel) = rel (x) 1 + g (x) rel after tensor-factor reduction."""
+    """Test Delta(rel) = rel (x) 1 + g (x) rel after tensor-factor reduction.
+
+    The image of ``apply_algebra_map`` is already normal, so the defect
+    Delta(rel) - NF(rel) (x) 1 - NF(g) (x) NF(rel) is formed in that one
+    coefficient dict by ``add_outer``, and rel is skew-primitive exactly
+    when the defect is empty."""
     if not (0 <= grp < pres.yd.group.order):
         raise ValueError(f"group element {grp} out of range")
     report = pres.complete()
     if report.status != CONFLUENT:
         raise ValueError(f"presentation did not complete: {report.status}")
-    sys_ = report.system
-    delta = letter_images(pres.alphabet, pres.alphabet, pres.field, pres.degree_words())
-    image = apply_algebra_map(rel, delta, sys_, sys_)
-    nf_rel = sys_.normal_form(rel)
-    expected = TensorPoly.of(nf_rel, NcPoly.one(pres.alphabet, pres.field))
-    gword = NcPoly.term(pres.alphabet, pres.field, pres.group_word(grp))
-    expected = expected + reduce_tensor(TensorPoly.of(gword, nf_rel), sys_, sys_)
-    return image == expected
+    sys_, f = report.system, pres.field
+    delta = letter_images(pres.alphabet, pres.alphabet, f, pres.degree_words())
+    defect = apply_algebra_map(rel, delta, sys_, sys_).terms
+    nf_rel = sys_.normal_form(rel).terms
+    minus_one = f.neg(f.one)
+    f.add_outer(defect, nf_rel, {(): f.one}, minus_one)
+    f.add_outer(defect, sys_.nf_word(pres.group_word(grp)), nf_rel, minus_one)
+    return not defect

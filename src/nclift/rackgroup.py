@@ -36,36 +36,18 @@ class RackData:
         return self.table[i][j]
 
 
-@dataclass(frozen=True)
-class RackAutomorphism:
-    """A permutation of rack indices preserving the operation."""
-
-    perm: tuple
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i]
-
-    def inverse(self) -> "RackAutomorphism":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return RackAutomorphism(tuple(inv))
-
-
 def dihedral_rack() -> RackData:
     """The affine rack (Z_3, 2): i |> j = (2i - j) mod 3."""
     table = tuple(tuple((2 * i - j) % 3 for j in range(3)) for i in range(3))
     return RackData(3, table)
 
 
-def rack_automorphisms(r: RackData) -> list[RackAutomorphism]:
-    """All permutations preserving |>, by brute force over the symmetric group."""
-    out = []
-    for perm in permutations(range(r.size)):
-        if all(perm[r.act(i, j)] == r.act(perm[i], perm[j])
-               for i in range(r.size) for j in range(r.size)):
-            out.append(RackAutomorphism(perm))
-    return out
+def rack_automorphisms(r: RackData) -> list[tuple]:
+    """All permutations preserving |>, each as the tuple of images of
+    0 .. size-1, by brute force over the symmetric group."""
+    return [perm for perm in permutations(range(r.size))
+            if all(perm[r.act(i, j)] == r.act(perm[i], perm[j])
+                   for i in range(r.size) for j in range(r.size))]
 
 
 class GroupTable:

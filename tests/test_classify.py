@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_identity_witness(pairs):
     p = _find(pairs, "000000000", "000000000")
     w = iso_related(p, p)
     assert isinstance(w, IsoWitness)
-    assert w.auto.perm == (0, 1, 2) and w.shifts == (0, 0, 0)
+    assert w.auto == (0, 1, 2) and w.shifts == (0, 0, 0)
 
 
 def test_witness_zero_to_all_ones_mu(pairs):
@@ -92,7 +93,7 @@ def test_witness_zero_to_all_ones_mu(pairs):
     q = _find(pairs, "000000000", "111111111")
     w = iso_related(p, q)
     assert w is not None
-    assert w.shifts == (1, 1, 1) or w.auto.perm != (0, 1, 2)
+    assert w.shifts == (1, 1, 1) or w.auto != (0, 1, 2)
 
 
 def test_witness_zero_to_deformed_lambda(pairs):
@@ -102,7 +103,7 @@ def test_witness_zero_to_deformed_lambda(pairs):
     assert w is not None
     # the identity automorphism with shifts (1,0,0) does the job
     direct = iso_related(p, q)
-    assert direct.auto.perm == (0, 1, 2) and direct.shifts == (1, 0, 0)
+    assert direct.auto == (0, 1, 2) and direct.shifts == (1, 0, 0)
 
 
 def test_reverse_witnesses_exist(pairs):
@@ -123,10 +124,10 @@ def _search_witness(p, q):
     def holds(auto, s, i, j):
         ij = r.act(i, j)
         mu_shift = (s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
-        third = (s[i] * lq[auto(i)][auto(j)] + s[ij] * lq[auto(ij)][auto(i)]
-                 + s[j] * lq[auto(j)][auto(ij)]) % 2
-        return (lq[auto(i)][auto(j)] == (lp[i][j] + s[ij] + s[j]) % 2
-                and mq[auto(i)][auto(j)] == (mp[i][j] + mu_shift) % 2 and third == 0)
+        third = (s[i] * lq[auto[i]][auto[j]] + s[ij] * lq[auto[ij]][auto[i]]
+                 + s[j] * lq[auto[j]][auto[ij]]) % 2
+        return (lq[auto[i]][auto[j]] == (lp[i][j] + s[ij] + s[j]) % 2
+                and mq[auto[i]][auto[j]] == (mp[i][j] + mu_shift) % 2 and third == 0)
 
     for auto in rack_automorphisms(r):
         for s in [(s0, s1, s2) for s0 in (0, 1) for s1 in (0, 1) for s2 in (0, 1)]:
@@ -174,6 +175,30 @@ def test_partition_matches_the_candidate_search(mode):
     assert [[p.key for p in cls] for cls in classes] == _search_partition(mode_pairs)
     assert [p.class_id for cls in classes for p in cls] == [
         cid for cid, cls in enumerate(classes) for _ in cls]
+
+
+def test_partition_rejects_images_that_are_not_a_class(monkeypatch, pairs):
+    # drop one image of one pair: that pair's set is then smaller than the
+    # sets of the rest of its class, which the groupoid rules out
+    p = _find(pairs, "000000000", "000000000")
+    dropped = _find(pairs, "000000000", "111111111").key
+    real = classify._witness_images
+
+    def lossy(q):
+        return ((w, key) for w, key in real(q) if q.key != p.key or key != dropped)
+
+    monkeypatch.setattr(classify, "_witness_images", lossy)
+    fresh = enumerate_pairs("gx")
+    with pytest.raises(ValueError, match=re.escape(f"pair {p.key}")):
+        partition_classes(fresh)
+    # without the dropped image's pair in the list, the sets agree again
+    others = [q for q in fresh if q.key != dropped]
+    assert p.key in [q.key for cls in partition_classes(others) for q in cls]
+
+
+def test_partition_rejects_a_repeated_pair(pairs):
+    with pytest.raises(ValueError, match="listed twice"):
+        partition_classes(pairs + [PairRecord(*pairs[5].key, "gx")])
 
 
 def test_pairs_from_different_modes_are_rejected(pairs):
@@ -295,12 +320,12 @@ def test_witness_realizes_an_algebra_isomorphism(pairs):
     # group letters via the group automorphism induced by phi
     images = {}
     for i in range(3):
-        items = [((phi(i),), 1)]
+        items = [((phi[i],), 1)]
         if s[i]:
-            items += [((), 1), (dst_pres.group_word(G.distinguished[phi(i)]), 1)]
+            items += [((), 1), (dst_pres.group_word(G.distinguished[phi[i]]), 1)]
         images[i] = NcPoly.from_terms(alpha, F2, items)
     for e in range(G.order):
-        target = G.element_of_word(tuple(phi(i) for i in G.words[e]))
+        target = G.element_of_word(tuple(phi[i] for i in G.words[e]))
         images[src_pres.group_ordinal(e)] = NcPoly.term(
             alpha, F2, dst_pres.group_word(target))
 

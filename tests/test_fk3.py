@@ -321,6 +321,57 @@ def test_skew_primitivity_sample_pairs():
         assert all(table.values())
 
 
+def _skew_primitive_from_pure_tensors(pres, rel, grp):
+    """check_skew_primitive before it formed one defect dict: the expected
+    value as pure tensors, g (x) NF(rel) reduced by reduce_tensor, and the
+    verdict by tensor equality."""
+    sys_ = pres.complete().system
+    delta = letter_images(pres.alphabet, pres.alphabet, pres.field, pres.degree_words())
+    image = apply_algebra_map(rel, delta, sys_, sys_)
+    nf_rel = sys_.normal_form(rel)
+    expected = TensorPoly.of(nf_rel, NcPoly.one(pres.alphabet, pres.field))
+    gword = NcPoly.term(pres.alphabet, pres.field, pres.group_word(grp))
+    return image == expected + reduce_tensor(TensorPoly.of(gword, nf_rel), sys_, sys_)
+
+
+def test_skew_primitivity_agrees_with_the_pure_tensor_construction():
+    from nclift.classify import enumerate_pairs
+
+    G = standard_yd_data().group
+    cases = []
+    for lam_bits in VALID_LAMBDAS:
+        lam = lambda_from_bits(lam_bits)
+        pres = fk3.flavor_presentation(lam, T_LAMBDA)
+        for i, j in relation_orbit_reps():
+            gij = G.mul(G.distinguished[i], G.distinguished[j])
+            cases.append((pres, fk3.deformed_relation(pres, lam, i, j, F2.zero, True), gij))
+    for p in enumerate_pairs("gx"):
+        lam = lambda_from_bits(p.lam_bits)
+        mu = mu_from_bits(p.mu_bits, lam)
+        pres = fk3.flavor_presentation(lam, T_LAMBDA)
+        for i, j in relation_orbit_reps():
+            gij = G.mul(G.distinguished[i], G.distinguished[j])
+            cases.append((pres, fk3.deformed_relation(pres, lam, i, j, mu[i, j], True), gij))
+    assert len(cases) == 8 * 5 + 32 * 5
+    # random polynomials of degree <= 2 over T_lambda's alphabet, most of
+    # them not skew-primitive for any group element
+    rng = random.Random(28)
+    for _ in range(60):
+        pres = fk3.flavor_presentation(lambda_from_bits(rng.choice(VALID_LAMBDAS)), T_LAMBDA)
+        letters = range(len(pres.alphabet))
+        words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+                 for _ in range(rng.randint(1, 4))]
+        rel = NcPoly.from_terms(pres.alphabet, F2, [(w, 1) for w in words])
+        cases.append((pres, rel, rng.randrange(G.order)))
+    verdicts = []
+    for pres, rel, grp in cases:
+        verdict = fulcrum.check_skew_primitive(pres, rel, grp)
+        assert verdict == _skew_primitive_from_pure_tensors(pres, rel, grp), (rel, grp)
+        verdicts.append(verdict)
+    assert all(verdicts[:200])
+    assert not all(verdicts[200:])
+
+
 # ---------------------------------------------------------------------------
 # mu-necessity over the finite quotient
 # ---------------------------------------------------------------------------
@@ -546,17 +597,18 @@ def test_deformed_relations_match_a_fresh_build(lam_bits):
             assert _term_lists(fk3.deformed_relations(lam, mu, flavor)) == _term_lists(fresh)
 
 
-def test_building_a_quotient_leaves_the_shared_relation_cores_alone():
+def test_building_a_quotient_leaves_the_shared_deformed_relations_alone():
     lam = lambda_from_bits("000101110")
     mu = mu_unchecked(matrix_from_bits("010011001"))
     assert not validate_mu(matrix_from_bits("010011001"), lam).ok
-    alphabet = fk3.flavor_presentation(lam, T_LAMBDA).alphabet
-    cores = [fk3._relation_core(alphabet, lam, i, j) for i in range(3) for j in range(3)]
-    before = _term_lists(cores)
+    # every mu with the same entry at (i, j) shares these relation objects
+    relations = fk3.deformed_relations(lam, mu, T_LAMBDA)
+    before = _term_lists(relations)
     # past the quotient cache, so that the build runs here
     fk3._build_quotient.__wrapped__(lam, mu, T_LAMBDA)
-    assert _term_lists(cores) == before
-    assert [fk3._relation_core(alphabet, lam, i, j) for i in range(3) for j in range(3)] == cores
+    assert _term_lists(relations) == before
+    after = fk3.deformed_relations(lam, mu, T_LAMBDA)
+    assert all(a is b for a, b in zip(after, relations)) and len(after) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ from nclift.fulcrum import (
     T_LAMBDA,
     T_PRIME_LAMBDA,
     FulcrumPresentation,
-    LambdaMatrix,
     apply_algebra_map,
     as_entries,
     check_skew_primitive,
     extend_lambda,
     letter_images,
-    satisfies_s3_condition,
+    s3_violations,
     standard_yd_data,
     unannihilated_relations,
     validate_lambda,
@@ -59,7 +58,7 @@ def test_validate_lambda_s3_mode():
 def test_all_enumerated_lambdas_satisfy_s3_condition():
     for bits in TABLE_LAMBDAS:
         lam = fk3.lambda_from_bits(bits)
-        assert satisfies_s3_condition(lam)
+        assert s3_violations(lam.entries) == []
         assert validate_lambda(fk3.matrix_from_bits(bits), "s3").ok
 
 
@@ -71,7 +70,7 @@ def test_s3_condition_is_one_check_for_every_bit_pattern():
                     if m[i][j] != m[i][rack.act(i, j)]]
         violations = validate_lambda(m, "s3").violations
         assert [v[1:] for v in violations if v[0] == "s3"] == expected
-        assert satisfies_s3_condition(LambdaMatrix(as_entries(m, F2), F2)) == (not expected)
+        assert s3_violations(as_entries(m, F2)) == expected
 
 
 def test_validate_lambda_matches_a_direct_evaluation_for_every_bit_pattern():
