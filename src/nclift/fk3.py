@@ -333,12 +333,14 @@ def skew_primitivity(lam: LambdaMatrix, mu: LambdaMatrix) -> dict:
     """For each representative (i,j): is the full deformed relation
     (1, g_i g_j)-skew-primitive inside T_lambda?  In characteristic 2 the
     constant-plus-group part is itself skew-primitive, so this holds exactly
-    when the quadratic-plus-linear core does."""
+    when the quadratic-plus-linear core does.  The relations are the shared
+    ones of ``deformed_relations``, which the quotient L is built from."""
     pres = flavor_presentation(lam, T_LAMBDA)
+    table = _relation_table(lam, T_LAMBDA)
     G = pres.yd.group
     out = {}
     for i, j in relation_orbit_reps():
-        rel = deformed_relation(pres, lam, i, j, mu[i, j], group_term=True)
+        rel = table[3 * i + j][mu[i, j]]
         gij = G.mul(G.distinguished[i], G.distinguished[j])
         out[(i, j)] = check_skew_primitive(pres, rel, gij)
     return out
@@ -639,7 +641,11 @@ class LiftingCertificate:
 
 def certify(lam_bits: str, mu_bits: str, group_mode: str = "s3",
             galois: bool = False) -> LiftingCertificate:
-    """Full verification pipeline for one parameter pair over the finite group."""
+    """Full verification pipeline for one parameter pair over the finite group.
+
+    ``group_mode`` accepts only ``"s3"`` (anything else raises ValueError):
+    every check runs over the order-6 quotient, and the value only labels
+    the certificate's ``"group"`` field."""
     if group_mode != "s3":
         raise ValueError("dimension verification always runs over the finite quotient")
     lam = lambda_from_bits(lam_bits)

@@ -328,20 +328,34 @@ def unannihilated_relations(relations: Iterable[NcPoly], images: dict,
 def check_skew_primitive(pres: FulcrumPresentation, rel: NcPoly, grp: int) -> bool:
     """Test Delta(rel) = rel (x) 1 + g (x) rel after tensor-factor reduction.
 
-    The image of ``apply_algebra_map`` is already normal, so the defect
-    Delta(rel) - NF(rel) (x) 1 - NF(g) (x) NF(rel) is formed in that one
-    coefficient dict by ``add_outer``, and rel is skew-primitive exactly
-    when the defect is empty."""
+    The defect Delta(rel) - rel (x) 1 - g (x) rel is first formed in the
+    presentation's uncompleted rules (``pres.system()``).  Each fold step
+    replaces a lead by its tail, an identity in the algebra, so a defect
+    that folds to zero proves the identity whether or not those rules are
+    confluent, and no completion is run.  Only a nonzero defect completes
+    the presentation, which raises ValueError unless CONFLUENT, and is
+    formed again in the completed rules, whose normal forms are unique: rel
+    is skew-primitive exactly when it is zero there."""
     if not (0 <= grp < pres.yd.group.order):
         raise ValueError(f"group element {grp} out of range")
+    if not _skew_defect(pres, rel, grp, pres.system()):
+        return True
     report = pres.complete()
     if report.status != CONFLUENT:
         raise ValueError(f"presentation did not complete: {report.status}")
-    sys_, f = report.system, pres.field
+    return not _skew_defect(pres, rel, grp, report.system)
+
+
+def _skew_defect(pres: FulcrumPresentation, rel: NcPoly, grp: int,
+                 sys_: ReductionSystem) -> dict:
+    """Delta(rel) - NF(rel) (x) 1 - NF(g) (x) NF(rel) in ``sys_``.  The
+    image of ``apply_algebra_map`` is already normal, so the defect is
+    formed in that one coefficient dict by ``add_outer``."""
+    f = pres.field
     delta = letter_images(pres.alphabet, pres.alphabet, f, pres.degree_words())
     defect = apply_algebra_map(rel, delta, sys_, sys_).terms
     nf_rel = sys_.normal_form(rel).terms
     minus_one = f.neg(f.one)
     f.add_outer(defect, nf_rel, {(): f.one}, minus_one)
     f.add_outer(defect, sys_.nf_word(pres.group_word(grp)), nf_rel, minus_one)
-    return not defect
+    return defect

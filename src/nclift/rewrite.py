@@ -669,12 +669,41 @@ class _OverlapIndex:
         return out
 
 
-def _ambiguity_order(sys: ReductionSystem, amb: Ambiguity) -> tuple:
-    return (sys._key(amb.word), amb.lead1, amb.lead2, amb.a)
+def _order_text(sys: ReductionSystem) -> Callable[[Ambiguity], str]:
+    """A key function that orders ambiguities as the tuples
+    (sys._key(word), lead1, lead2, a) do, by one string.
+
+    The string is the module degree of the word (under xdeglex only) and
+    its length, one character each, then the word, lead1 and lead2, each as
+    in ``_letters`` and followed by chr(0).  chr(0) is below every letter,
+    so a word sorts below the words it is a proper prefix of, as a tuple
+    does.  a is left out: the word is a followed by lead2, so equal words
+    and lead2 have equal a.  Each lead's letters are made once per key
+    function.
+    """
+    texts: dict = {}            # lead -> _letters(lead) + chr(0)
+    modules = sys.alphabet.module_count if sys.order == "xdeglex" else None
+
+    def key(amb: Ambiguity) -> str:
+        lead1, lead2, a = amb.lead1, amb.lead2, amb.a
+        text1 = texts.get(lead1)
+        if text1 is None:
+            text1 = texts[lead1] = _letters(lead1) + "\0"
+        text2 = texts.get(lead2)
+        if text2 is None:
+            text2 = texts[lead2] = _letters(lead2) + "\0"
+        size = chr(len(a) + len(lead2))
+        if modules is not None:
+            size = chr(sum(o < modules for o in a + lead2)) + size
+        return f"{size}{text1[:len(a)]}{text2}{text1}{text2}"
+
+    return key
 
 
 def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
-    """All overlap ambiguities among the current rules.
+    """All overlap ambiguities among the current rules, in the order of the
+    completion queue (``_order_text``): by ambiguity word in the system's
+    monomial order, then by lead1, lead2 and a.
 
     Overlaps pair lead1 = A+B with lead2 = B+C for nonempty B.  No ambiguity
     is filtered out: every ambiguity word is shorter than twice the longest
@@ -685,7 +714,7 @@ def find_ambiguities(sys: ReductionSystem) -> list[Ambiguity]:
     for lead in sys._rules:
         index.add(lead)
         out += index.ambiguities(lead)
-    out.sort(key=lambda amb: _ambiguity_order(sys, amb))
+    out.sort(key=_order_text(sys))
     return out
 
 
@@ -750,7 +779,9 @@ def _resolve(sys: ReductionSystem, amb: Ambiguity) -> dict:
 def complete(sys: ReductionSystem) -> CompletionReport:
     """Bounded Diamond-Lemma completion over one queue of ambiguities.
 
-    The queue yields the smallest ambiguity word first.  Each entry carries
+    The queue yields the smallest ambiguity word first, in the order of
+    ``find_ambiguities``, keyed by one string per entry (``_order_text``)
+    and then by push order.  Each entry carries
     the versions of its two rules; a rule gets a new version when it is
     adopted or inter-reduction changes it, only the ambiguities of such rules
     against the current leads are queued, and an entry whose rule was removed
@@ -783,9 +814,10 @@ def _complete(work: ReductionSystem) -> CompletionReport:
     version: dict = {}      # lead -> version of its current rule
     index = _OverlapIndex()   # the leads whose ambiguities are queued
     queue: list = []
+    order = _order_text(work)
 
     def push(amb: Ambiguity) -> None:
-        heapq.heappush(queue, (_ambiguity_order(work, amb), next(ticks), amb,
+        heapq.heappush(queue, (order(amb), next(ticks), amb,
                                version[amb.lead1], version[amb.lead2]))
 
     def over_cap(fresh: list) -> bool:

@@ -185,8 +185,37 @@ def test_full_relation_is_skew_primitive_but_bare_word_is_not(yd):
     core = fk3.deformed_relation(pres, lam, 0, 1, mu[0, 1], group_term=True)
     g01 = yd.group.mul(yd.group.distinguished[0], yd.group.distinguished[1])
     assert check_skew_primitive(pres, core, g01)
+    # the defect folds to zero in the uncompleted rules: nothing is completed
+    assert pres._completed is None
     bare = NcPoly.term(pres.alphabet, F2, (0, 1))
     assert not check_skew_primitive(pres, bare, g01)
+    assert pres._completed.status == CONFLUENT
+
+
+def test_every_deformed_relation_is_skew_primitive_without_a_completion(yd):
+    G = yd.group
+    for lam_bits in TABLE_LAMBDAS:
+        lam = fk3.lambda_from_bits(lam_bits)
+        pres = FulcrumPresentation(T_LAMBDA, yd, lam)
+        for i, j in fk3.relation_orbit_reps():
+            gij = G.mul(G.distinguished[i], G.distinguished[j])
+            for mu_ij in (F2.zero, F2.one):
+                rel = fk3.deformed_relation(pres, lam, i, j, mu_ij, group_term=True)
+                assert check_skew_primitive(pres, rel, gij), (lam_bits, i, j, mu_ij)
+        assert pres._completed is None, lam_bits
+
+
+def test_a_nonzero_defect_needs_a_confluent_completion(yd):
+    # every rule's lead is longer than the cap: the completion stops at once
+    lam = fk3.lambda_from_bits("000101110")
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
+    pres.degree_cap = 1
+    g01 = yd.group.mul(yd.group.distinguished[0], yd.group.distinguished[1])
+    core = fk3.deformed_relation(pres, lam, 0, 1, F2.zero, group_term=True)
+    assert check_skew_primitive(pres, core, g01)
+    assert pres._completed is None
+    with pytest.raises(ValueError, match="did not complete: CAP_EXCEEDED"):
+        check_skew_primitive(pres, NcPoly.term(pres.alphabet, F2, (0, 1)), g01)
 
 
 def test_check_skew_primitive_rejects_bad_group_element(yd):

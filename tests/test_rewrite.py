@@ -451,11 +451,15 @@ def restart_complete(sys_):
 
 
 @st.composite
-def small_relations(draw, caps=st.integers(3, 5), fields=(F2, prime_field(5), QQ)):
-    """(alphabet, field, relations, degree cap) of a small system."""
+def small_relations(draw, caps=st.integers(3, 5), fields=(F2, prime_field(5), QQ),
+                    mixed=False):
+    """(alphabet, field, relations, degree cap) of a small system; with
+    ``mixed`` the alphabet has both module and group letters."""
     field = draw(st.sampled_from(fields))
     size = draw(st.integers(2, 3))
-    alpha = Alphabet.from_parts([f"x{i}" for i in range(size)])
+    groups = draw(st.integers(1, size - 1)) if mixed else 0
+    alpha = Alphabet.from_parts([f"x{i}" for i in range(size - groups)],
+                                [f"g{i}" for i in range(groups)])
     letters = st.integers(0, size - 1)
     coeffs = st.integers(-2, 2).filter(bool).map(field.from_int)
     # one term of degree 2 or 3 per relation, so that most systems overlap
@@ -525,11 +529,37 @@ def _sorted_ambiguities(sys_, ambs):
     return sorted(ambs, key=lambda amb: (sys_._key(amb.word), amb.lead1, amb.lead2, amb.a))
 
 
+def _check_ambiguity_order(sys_):
+    """``find_ambiguities`` and a sort by ``_order_text`` both give the
+    all-pairs search in the order of the tuple key; returns that list."""
+    expected = _sorted_ambiguities(sys_, _all_pairs_ambiguities(list(sys_._rules)))
+    assert find_ambiguities(sys_) == expected
+    shuffled = list(expected)
+    random.Random(len(expected)).shuffle(shuffled)
+    assert sorted(shuffled, key=rewrite._order_text(sys_)) == expected
+    return expected
+
+
 @given(small_systems(caps=st.integers(1, 5)))
 @settings(max_examples=200, deadline=None)
 def test_ambiguities_match_an_all_pairs_search(sys_):
-    expected = _sorted_ambiguities(sys_, _all_pairs_ambiguities(list(sys_._rules)))
-    assert find_ambiguities(sys_) == expected
+    _check_ambiguity_order(sys_)
+
+
+@given(small_relations(caps=st.integers(1, 5), mixed=True))
+@settings(max_examples=200, deadline=None)
+def test_xdeglex_ambiguities_match_an_all_pairs_search(drawn):
+    # module degree first: the order of the Jordan systems
+    alpha, field, relations, cap = drawn
+    _check_ambiguity_order(ReductionSystem(alpha, field, relations, cap, order="xdeglex"))
+
+
+@pytest.mark.parametrize("flavor", jordan.FLAVORS)
+def test_ambiguities_of_the_jordan_systems_match_an_all_pairs_search(flavor):
+    pres = jordan.build_jordan(flavor, 6)
+    assert (pres.field, pres.order) == (QQ, "xdeglex")
+    assert _check_ambiguity_order(pres.system())
+    assert _check_ambiguity_order(pres.complete().system)
 
 
 @pytest.mark.parametrize("build", [
