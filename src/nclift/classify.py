@@ -4,12 +4,15 @@ isomorphism relation between the resulting deformations, and table emission.
 A pair is a 3x3 lambda matrix satisfying the cocycle constraints together
 with a 3x3 mu matrix satisfying the orbit and joint constraints.  Two pairs
 give isomorphic deformations exactly when a rack automorphism and three
-shift scalars transform one into the other.  Each of the 48 candidates
-carries a pair to exactly one image, so the witnesses are found by listing a
-pair's images rather than by testing candidates against every other pair.
-Isomorphisms form a groupoid, so a pair's images are its class: the partition
-reads the classes off the images and checks that every member of a class has
-the same images.
+shift scalars transform one into the other.  Over GF(2) the lambda
+conditions and, for fixed shifts, the witness conditions are linear in the
+9 entries, so a matrix is read as a 9-bit int and tested against parity
+masks: all 512 lambda are screened that way before ``validate_lambda`` sees
+them.  Each of the 48 candidates carries a pair to exactly one image, so the
+witnesses are found by listing a pair's images rather than by testing
+candidates against every other pair.  Isomorphisms form a groupoid, so a
+pair's images are its class: the partition reads the classes off the images
+and checks that every member of a class has the same images.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .rackgroup import dihedral_rack, rack_automorphisms
-from .fulcrum import GX_MODE, ORBIT_TRIPLES, S3_MODE, validate_lambda
+from .fulcrum import GX_MODE, ORBIT_TRIPLES, S3_MODE, _LAMBDA_TRIPLES, validate_lambda
 from .fk3 import matrix_from_bits, validate_mu
 
 _AUTOS = tuple(rack_automorphisms(dihedral_rack()))
@@ -54,24 +58,64 @@ def _all_bits():
     return (format(n, "09b") for n in range(512))
 
 
-def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
-    """Brute force over all 512 lambda and the mu that ``validate_mu`` can
-    accept, deterministically ordered by (lambda bits, mu bits).
+# A 3x3 matrix over GF(2) is also the 9-bit int of its row-major bits, entry
+# (i, j) at bit 8 - 3i - j, so that format(n, "09b") is its bit string.  A
+# linear condition on the entries is then a parity mask: the condition holds
+# when n has an even number of bits in the mask.
 
-    Those mu are the 32 of the 512 constant on every orbit,
-    mu_{i,j} = mu_{i|>j,i} = mu_{j,i|>j}, found once for all lambda."""
+def _bit(i: int, j: int) -> int:
+    return 1 << (8 - 3 * i - j)
+
+
+def _masks(conditions) -> tuple:
+    """The distinct nonzero parity masks of ``conditions``, each a sequence
+    of entries (i, j) whose sum must be 0; a repeated entry cancels."""
+    out: list = []
+    for entries in conditions:
+        mask = 0
+        for i, j in entries:
+            mask ^= _bit(i, j)
+        if mask and mask not in out:
+            out.append(mask)
+    return tuple(out)
+
+
+def _even(n: int, masks: tuple) -> bool:
+    """Whether n meets every parity mask in ``masks``."""
+    return not any((n & m).bit_count() & 1 for m in masks)
+
+
+#: the parity masks of ``validate_lambda``'s conditions in each mode
+_LAMBDA_MASKS = {GX_MODE: _masks(((i, jk), (j, k), (ij, ik), (i, k))
+                                 for i, j, k, jk, ij, ik in _LAMBDA_TRIPLES)}
+_LAMBDA_MASKS[S3_MODE] = _LAMBDA_MASKS[GX_MODE] + _masks(
+    ((i, j), (i, k)) for i, j, k in ORBIT_TRIPLES)
+
+
+def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
+    """Every valid pair, deterministically ordered by (lambda bits, mu bits).
+
+    All 512 lambda are tested, each as a 9-bit int against the parity masks
+    of ``validate_lambda``'s conditions in ``mode``; ``validate_lambda``
+    then builds the matrix of each lambda that passes, and stays the one
+    judge of validity.  The mu that ``validate_mu`` is asked about are the
+    32 of the 512 constant on every orbit, mu_{i,j} = mu_{i|>j,i} =
+    mu_{j,i|>j}, found once for all lambda."""
     if mode not in (GX_MODE, S3_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    orbit_constant = [b for b in _all_bits()
+    orbit_constant = [(b, matrix_from_bits(b)) for b in _all_bits()
                       if all(b[3 * i + j] == b[3 * k + i] == b[3 * j + k]
                              for i, j, k in ORBIT_TRIPLES)]
+    lambda_masks = _LAMBDA_MASKS[mode]
     out: list[PairRecord] = []
-    for lam_bits in _all_bits():
+    for n, lam_bits in enumerate(_all_bits()):
+        if not _even(n, lambda_masks):
+            continue
         check = validate_lambda(matrix_from_bits(lam_bits), mode)
         if not check.ok:
             continue
-        for mu_bits in orbit_constant:
-            if validate_mu(matrix_from_bits(mu_bits), check.matrix).ok:
+        for mu_bits, mu in orbit_constant:
+            if validate_mu(mu, check.matrix).ok:
                 out.append(PairRecord(lam_bits, mu_bits, mode))
     return out
 
@@ -81,7 +125,33 @@ _SHIFTS = tuple(product((0, 1), repeat=3))
 
 
 def _bits(m: list) -> str:
+    """The row-major bit string of a 0/1 matrix."""
     return "".join(str(c) for row in m for c in row)
+
+
+@lru_cache(maxsize=None)
+def _witness_table() -> tuple:
+    """Per automorphism phi in search order: the moves (bit of (i, j), bit
+    of (phi(i), phi(j))) of its permutation of the entries, and per shift s
+    in search order the witness, the XOR masks that the first two conditions
+    of ``iso_related`` add to the permuted lambda and mu, and the parity
+    masks of the third condition on the image lambda.  Built on first use."""
+    table = []
+    for a in _AUTOS:
+        moves = tuple((_bit(i, j), _bit(a[i], a[j])) for i, j, _ in ORBIT_TRIPLES)
+        candidates = []
+        for s in _SHIFTS:
+            lam_x = mu_x = 0
+            for i, j, ij in ORBIT_TRIPLES:
+                if (s[ij] + s[j]) % 2:
+                    lam_x ^= _bit(a[i], a[j])
+                if (s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2:
+                    mu_x ^= _bit(a[i], a[j])
+            third = _masks([(a[i], a[j])] * s[i] + [(a[ij], a[i])] * s[ij]
+                           + [(a[j], a[ij])] * s[j] for i, j, ij in ORBIT_TRIPLES)
+            candidates.append((IsoWitness(a, s), lam_x, mu_x, third))
+        table.append((moves, tuple(candidates)))
+    return tuple(table)
 
 
 def _witness_images(p: PairRecord):
@@ -89,20 +159,23 @@ def _witness_images(p: PairRecord):
     (automorphism, then shifts s0 s1 s2 counting up), where key is the
     (lambda, mu) bits of the pair it carries p to.
 
-    The first two conditions of ``iso_related`` fix the image pair; a
-    candidate whose image fails the third condition is skipped.
+    p's lambda and mu are permuted once per automorphism; each shift then
+    fixes the image pair by the XOR masks of the first two conditions of
+    ``iso_related``, and a candidate whose image lambda fails a parity mask
+    of the third condition is skipped.
     """
-    lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
-    for a in _AUTOS:
-        for s in _SHIFTS:
-            lq = [[0] * 3 for _ in range(3)]
-            mq = [[0] * 3 for _ in range(3)]
-            for i, j, ij in ORBIT_TRIPLES:
-                lq[a[i]][a[j]] = (lp[i][j] + s[ij] + s[j]) % 2
-                mq[a[i]][a[j]] = (mp[i][j] + s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
-            if all((s[i] * lq[a[i]][a[j]] + s[ij] * lq[a[ij]][a[i]]
-                    + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in ORBIT_TRIPLES):
-                yield IsoWitness(a, s), (_bits(lq), _bits(mq))
+    lam, mu = int(p.lam_bits, 2), int(p.mu_bits, 2)
+    for moves, candidates in _witness_table():
+        lam_a = mu_a = 0
+        for src, dst in moves:
+            if lam & src:
+                lam_a |= dst
+            if mu & src:
+                mu_a |= dst
+        for witness, lam_x, mu_x, third in candidates:
+            lq = lam_a ^ lam_x
+            if _even(lq, third):
+                yield witness, (format(lq, "09b"), format(mu_a ^ mu_x, "09b"))
 
 
 def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:

@@ -408,10 +408,10 @@ class ReductionSystem:
         generator yields the ``_rewrite`` of u a at that lead to the stack in
         ``_run`` and, resumed, reads the result from the memo.
         NF(pre t suf) is memoized too when ``suf`` is not empty: the words
-        that ``complete`` reduces through ``_nf_terms``, the two resolutions
-        of an ambiguity and the relations ``extend`` inserts, share such
-        rests.  A normal word followed by one letter, as in ``_nf_times``,
-        has none.
+        that ``_resolve`` reduces, the two resolutions of an ambiguity, and
+        the relations that ``extend`` inserts through ``_nf_terms`` share
+        such rests.  A normal word followed by one letter, as in
+        ``_nf_times``, has none.
         """
         self._steps += 1
         if self._steps > STEP_BUDGET:
@@ -451,8 +451,9 @@ class ReductionSystem:
                 f.add_scaled(result, acc, tc)
         memo[word] = result
 
-    # nf_word and _nf_terms are the two entries into _nf_word, and _nf_times
-    # the one fold step taken alone: each starts its own step budget
+    # nf_word, _nf_terms and the module-level _resolve are the entries into
+    # _nf_word, and _nf_times the one fold step taken alone: each starts its
+    # own step budget
 
     def nf_word(self, word: Word) -> dict:
         """Normal form of a single word, as a coefficient dict shared with
@@ -769,11 +770,26 @@ class CompletionReport:
 
 def _resolve(sys: ReductionSystem, amb: Ambiguity) -> dict:
     """Difference of the two one-step resolutions of an ambiguity, reduced:
-    lead1 applied at the left of ABC versus lead2 at the right."""
-    left = {tw + amb.c: tc for tw, tc in sys._rules[amb.lead1].items()}
-    right = {amb.a + tw: tc for tw, tc in sys._rules[amb.lead2].items()}
-    f = sys.field
-    return sys._nf_terms(f.add_scaled(left, right, f.neg(f.one)))
+    lead1 applied at the left of ABC versus lead2 at the right.
+
+    One fold into one fresh coefficient dict: tc NF(tw c) for each term
+    tc tw of lead1's tail, then -tc NF(a tw) for each term of lead2's.  Each
+    NF is read from the memo when it is there, and the resolution runs on
+    one step budget.  A word on both sides is reduced twice and cancels in
+    the sum.
+    """
+    f, memo, nf_word = sys.field, sys._memo, sys._nf_word
+    sys._steps = 0
+    acc: dict = {}
+    for tw, tc in sys._rules[amb.lead1].items():
+        word = tw + amb.c
+        nf = memo.get(word)
+        f.add_scaled(acc, nf_word(word) if nf is None else nf, tc)
+    for tw, tc in sys._rules[amb.lead2].items():
+        word = amb.a + tw
+        nf = memo.get(word)
+        f.add_scaled(acc, nf_word(word) if nf is None else nf, f.neg(tc))
+    return acc
 
 
 def complete(sys: ReductionSystem) -> CompletionReport:

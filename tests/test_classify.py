@@ -77,6 +77,15 @@ def test_only_orbit_constant_mu_are_validated(monkeypatch, pairs, mode):
                        for bits in classify._all_bits() if bits not in validated)
 
 
+@pytest.mark.parametrize("mode", ["gx", "s3"])
+def test_lambda_masks_accept_exactly_the_valid_lambda(mode):
+    masks = classify._LAMBDA_MASKS[mode]
+    passed = [bits for n, bits in enumerate(classify._all_bits()) if classify._even(n, masks)]
+    valid = [bits for bits in classify._all_bits()
+             if validate_lambda(matrix_from_bits(bits), mode).ok]
+    assert passed == valid and len(valid) == 8
+
+
 # ---------------------------------------------------------------------------
 # isomorphism witnesses
 # ---------------------------------------------------------------------------
@@ -111,6 +120,37 @@ def test_reverse_witnesses_exist(pairs):
     assert len(related) >= 100
     for p, q in related:
         assert iso_related(q, p) is not None
+
+
+def _list_witness_images(p):
+    """_witness_images before it read matrices as bits: per (automorphism,
+    shifts) in search order, the image matrices built entry by entry as
+    lists, kept when the image lambda meets the third condition."""
+    from nclift.fulcrum import ORBIT_TRIPLES
+    from nclift.rackgroup import dihedral_rack, rack_automorphisms
+    lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
+    for a in rack_automorphisms(dihedral_rack()):
+        for s in [(s0, s1, s2) for s0 in (0, 1) for s1 in (0, 1) for s2 in (0, 1)]:
+            lq = [[0] * 3 for _ in range(3)]
+            mq = [[0] * 3 for _ in range(3)]
+            for i, j, ij in ORBIT_TRIPLES:
+                lq[a[i]][a[j]] = (lp[i][j] + s[ij] + s[j]) % 2
+                mq[a[i]][a[j]] = (mp[i][j] + s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
+            if all((s[i] * lq[a[i]][a[j]] + s[ij] * lq[a[ij]][a[i]]
+                    + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in ORBIT_TRIPLES):
+                yield IsoWitness(a, s), ("".join(map(str, lq[0] + lq[1] + lq[2])),
+                                         "".join(map(str, mq[0] + mq[1] + mq[2])))
+
+
+@pytest.mark.parametrize("mode", ["gx", "s3"])
+def test_witness_images_match_the_list_construction(mode):
+    for p in enumerate_pairs(mode):
+        assert list(classify._witness_images(p)) == list(_list_witness_images(p)), p.key
+    # the masks do not rely on the pair being valid
+    rng = random.Random(5)
+    for _ in range(200):
+        p = PairRecord(format(rng.randrange(512), "09b"), format(rng.randrange(512), "09b"), mode)
+        assert list(classify._witness_images(p)) == list(_list_witness_images(p)), p.key
 
 
 def _search_witness(p, q):

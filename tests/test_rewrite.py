@@ -33,7 +33,8 @@ from nclift.rewrite import (
     verify_confluent,
 )
 from nclift import fk3, jordan
-from nclift.fulcrum import T_LAMBDA, FulcrumPresentation, standard_yd_data, validate_lambda
+from nclift.fulcrum import (T_LAMBDA, T_PRIME_LAMBDA, FulcrumPresentation, standard_yd_data,
+                            validate_lambda)
 from nclift.rackgroup import s3_quotient
 
 ALPHA = Alphabet.from_parts(["x0", "x1", "x2"])
@@ -971,14 +972,124 @@ def test_fomin_kirillov_e5_breaks_cap_7(field):
     assert report.status == CAP_EXCEEDED
     assert (report.system.rule_count(), len(report.new_rules)) == (102, 57)
     assert len(report.cap_lead) == 8
-    # the restart engine resolved 17,111 ambiguities here
-    assert report.ambiguities_checked < 17_111
+    # the restart engine resolved 17,111 ambiguities here; the queue resolves
+    # 622 on every field
+    assert report.ambiguities_checked == 622
     # the same stop as over F2: the same leads in table order, the same new
     # leads, and the same ambiguity and lead at the cap
     over_f2 = _e5_cap_7(F2)
     assert list(report.system._rules) == list(over_f2.system._rules)
     assert [rule.lead for rule in report.new_rules] == [rule.lead for rule in over_f2.new_rules]
     assert (report.cap_word, report.cap_lead) == (over_f2.cap_word, over_f2.cap_lead)
+
+
+def _two_dict_resolve(sys_, amb):
+    """``_resolve`` before it folded both sides into one dict: the two
+    one-step resolutions as dicts, their difference reduced by ``_nf_terms``."""
+    left = {tw + amb.c: tc for tw, tc in sys_._rules[amb.lead1].items()}
+    right = {amb.a + tw: tc for tw, tc in sys_._rules[amb.lead2].items()}
+    f = sys_.field
+    return sys_._nf_terms(f.add_scaled(left, right, f.neg(f.one)))
+
+
+def _check_resolve(sys_):
+    """Check ``_resolve`` against the two-dict form on every ambiguity of
+    sys_, the reference on a copy with a memo of its own; the number of
+    ambiguities."""
+    ref = sys_.copy()
+    ambs = find_ambiguities(sys_)
+    for amb in ambs:
+        assert _resolve(sys_, amb) == _two_dict_resolve(ref, amb), amb
+    return len(ambs)
+
+
+_PAIR = ("000101110", "100000000")
+
+
+def _quotient_rules(flavor, lam_bits, mu):
+    """The uncompleted rules of a flavor's quotient: its frozen base rules
+    extended by the nine deformed relations of mu, a matrix taken as-is."""
+    lam = fk3.lambda_from_bits(lam_bits)
+    work = fk3.flavor_presentation(lam, flavor).system().copy()
+    work.extend(fk3.deformed_relations(lam, mu, flavor))
+    return work
+
+
+def _pair_mu():
+    return fk3.mu_from_bits(_PAIR[1], fk3.lambda_from_bits(_PAIR[0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete(fomin_kirillov(4, F2, 6)).system,
+    lambda: complete(fomin_kirillov(4, prime_field(32003), 6)).system,
+    lambda: complete(fomin_kirillov(4, QQ, 6)).system,
+    lambda: fk3.build_lifting(fk3.lambda_from_bits(_PAIR[0]), _pair_mu()).system,
+    lambda: fk3.build_cleft(fk3.lambda_from_bits(_PAIR[0]), _pair_mu()).system,
+], ids=["completed-E4-f2", "completed-E4-fp", "completed-E4-qq", "fk3-lifting", "fk3-cleft"])
+def test_resolve_matches_the_two_dict_form(build):
+    assert _check_resolve(build()) > 100
+
+
+def test_resolve_matches_the_two_dict_form_through_a_collapse(monkeypatch):
+    # an invalid mu collapses this cleft quotient in its completion: every
+    # ambiguity of its input, and every resolution on the way, agree
+    work = _quotient_rules(T_PRIME_LAMBDA, _PAIR[0],
+                           fk3.mu_unchecked(fk3.matrix_from_bits("100000001")))
+    assert _check_resolve(work) > 100
+    real = rewrite._resolve
+    checked = []
+
+    def checking(sys_, amb):
+        expected = _two_dict_resolve(sys_.copy(), amb)
+        got = real(sys_, amb)
+        assert got == expected, amb
+        checked.append(amb)
+        return got
+
+    monkeypatch.setattr(rewrite, "_resolve", checking)
+    report = complete(work)
+    assert report.status == COLLAPSED_TO_ZERO
+    assert len(checked) == report.ambiguities_checked > 0
+
+
+@given(small_systems())
+@settings(max_examples=200, deadline=None)
+def test_resolve_matches_the_two_dict_form_on_small_systems(sys_):
+    # uncompleted systems only: no completion runs here
+    _check_resolve(sys_)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fomin_kirillov(4, F2, 6),
+    lambda: _quotient_rules(T_PRIME_LAMBDA, _PAIR[0], _pair_mu()),
+], ids=["E4-f2", "fk3-cleft"])
+def test_the_closing_pass_resolves_exactly_the_final_ambiguities(monkeypatch, build):
+    work = build()
+    log = []
+    passes = []
+    real_resolve, real_find = rewrite._resolve, rewrite.find_ambiguities
+
+    def recording_resolve(sys_, amb):
+        log.append(amb)
+        return real_resolve(sys_, amb)
+
+    def marking_find(sys_):
+        found = real_find(sys_)
+        passes.append((len(log), found))
+        return found
+
+    monkeypatch.setattr(rewrite, "_resolve", recording_resolve)
+    monkeypatch.setattr(rewrite, "find_ambiguities", marking_find)
+    report = complete(work)
+    assert report.status == CONFLUENT and report.new_rules
+    assert passes and len(log) == report.ambiguities_checked
+    # each full pass resolves every ambiguity it found, in order; after the
+    # last one the queue stays empty, so its resolutions end the log and are
+    # exactly the ambiguities of the final rules
+    for start, found in passes:
+        assert log[start:start + len(found)] == found
+    start, found = passes[-1]
+    assert log[start:] == found == real_find(report.system)
 
 
 @pytest.mark.parametrize("build", [
