@@ -31,10 +31,10 @@ def census(lam_bits: str) -> tuple[Counter, Counter]:
     lam = fk3.lambda_from_bits(lam_bits)
     res_l: Counter = Counter()
     res_a: Counter = Counter()
-    for n in range(512):
-        mu_bits = format(n, "09b")
-        valid = fk3.validate_mu(fk3.matrix_from_bits(mu_bits), lam).ok
-        mu = fk3.mu_unchecked(fk3.matrix_from_bits(mu_bits))
+    for mu_bits in fk3.all_bits():
+        entries = fk3.matrix_from_bits(mu_bits)
+        valid = fk3.validate_mu(entries, lam).ok
+        mu = fk3.mu_unchecked(entries)
         L = fk3.build_lifting(lam, mu)
         A = fk3.build_cleft(lam, mu)
         res_l[(valid, L.status, L.dimension())] += 1

@@ -32,6 +32,7 @@ from .rackgroup import (
     dihedral_rack,
     rack_automorphisms,
     s3_quotient,
+    translation_group,
 )
 
 __all__ = [
@@ -40,6 +41,6 @@ __all__ = [
     "CompletionReport", "Presentation", "ReductionSystem", "RewriteRule", "complete",
     "count_irreducible", "find_ambiguities", "rank_f2",
     "GroupTable", "RackData", "conjugation_action", "dihedral_rack",
-    "rack_automorphisms", "s3_quotient",
+    "rack_automorphisms", "s3_quotient", "translation_group",
     "__version__",
 ]

@@ -6,13 +6,14 @@ with a 3x3 mu matrix satisfying the orbit and joint constraints.  Two pairs
 give isomorphic deformations exactly when a rack automorphism and three
 shift scalars transform one into the other.  Over GF(2) the lambda
 conditions and, for fixed shifts, the witness conditions are linear in the
-9 entries, so a matrix is read as a 9-bit int and tested against parity
-masks: all 512 lambda are screened that way before ``validate_lambda`` sees
-them.  Each of the 48 candidates carries a pair to exactly one image, so the
-witnesses are found by listing a pair's images rather than by testing
-candidates against every other pair.  Isomorphisms form a groupoid, so a
-pair's images are its class: the partition reads the classes off the images
-and checks that every member of a class has the same images.
+9 entries, so a matrix is read as the int of its bit string and tested
+against parity masks read off the rack: all 512 lambda are screened that way
+before ``validate_lambda`` sees them.  Each of the 48 candidates carries a
+pair to exactly one image, so the witnesses are found by listing a pair's
+images rather than by testing candidates against every other pair.
+Isomorphisms form a groupoid, so a pair's images are its class: the partition
+reads the classes off the images and checks that every member of a class has
+the same images.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from functools import lru_cache
 from itertools import product
 
 from .rackgroup import dihedral_rack, rack_automorphisms
-from .fulcrum import GX_MODE, ORBIT_TRIPLES, S3_MODE, _LAMBDA_TRIPLES, validate_lambda
-from .fk3 import matrix_from_bits, validate_mu
-
-_AUTOS = tuple(rack_automorphisms(dihedral_rack()))
+from .fulcrum import GX_MODE, S3_MODE, validate_lambda
+from .fk3 import all_bits, matrix_from_bits, pair_orbits, validate_mu
 
 
 @dataclass
@@ -54,27 +53,22 @@ class IsoWitness:
     shifts: tuple
 
 
-def _all_bits():
-    return (format(n, "09b") for n in range(512))
+# A matrix is the int of its bit string (see ``fk3.all_bits``).  A linear
+# condition on the entries is then a parity mask: it holds when the int has
+# an even number of bits in the mask.
+
+def _bit(n: int, i: int, j: int) -> int:
+    return 1 << (n * (n - i) - 1 - j)
 
 
-# A 3x3 matrix over GF(2) is also the 9-bit int of its row-major bits, entry
-# (i, j) at bit 8 - 3i - j, so that format(n, "09b") is its bit string.  A
-# linear condition on the entries is then a parity mask: the condition holds
-# when n has an even number of bits in the mask.
-
-def _bit(i: int, j: int) -> int:
-    return 1 << (8 - 3 * i - j)
-
-
-def _masks(conditions) -> tuple:
+def _masks(n: int, conditions) -> tuple:
     """The distinct nonzero parity masks of ``conditions``, each a sequence
     of entries (i, j) whose sum must be 0; a repeated entry cancels."""
     out: list = []
     for entries in conditions:
         mask = 0
         for i, j in entries:
-            mask ^= _bit(i, j)
+            mask ^= _bit(n, i, j)
         if mask and mask not in out:
             out.append(mask)
     return tuple(out)
@@ -85,11 +79,16 @@ def _even(n: int, masks: tuple) -> bool:
     return not any((n & m).bit_count() & 1 for m in masks)
 
 
-#: the parity masks of ``validate_lambda``'s conditions in each mode
-_LAMBDA_MASKS = {GX_MODE: _masks(((i, jk), (j, k), (ij, ik), (i, k))
-                                 for i, j, k, jk, ij, ik in _LAMBDA_TRIPLES)}
-_LAMBDA_MASKS[S3_MODE] = _LAMBDA_MASKS[GX_MODE] + _masks(
-    ((i, j), (i, k)) for i, j, k in ORBIT_TRIPLES)
+@lru_cache(maxsize=None)
+def _lambda_masks(mode: str) -> tuple:
+    """The parity masks of ``validate_lambda``'s conditions in ``mode``."""
+    rack = dihedral_rack()
+    n, act = rack.size, rack.act
+    masks = _masks(n, (((i, act(j, k)), (j, k), (act(i, j), act(i, k)), (i, k))
+                       for i, j, k in product(range(n), repeat=3)))
+    if mode == S3_MODE:
+        masks += _masks(n, (((i, j), (i, act(i, j))) for i, j in product(range(n), repeat=2)))
+    return masks
 
 
 def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
@@ -100,15 +99,18 @@ def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
     then builds the matrix of each lambda that passes, and stays the one
     judge of validity.  The mu that ``validate_mu`` is asked about are the
     32 of the 512 constant on every orbit, mu_{i,j} = mu_{i|>j,i} =
-    mu_{j,i|>j}, found once for all lambda."""
+    mu_{j,i|>j}, found once for all lambda by the parity masks of each pair
+    and the next pair of its orbit."""
     if mode not in (GX_MODE, S3_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    orbit_constant = [(b, matrix_from_bits(b)) for b in _all_bits()
-                      if all(b[3 * i + j] == b[3 * k + i] == b[3 * j + k]
-                             for i, j, k in ORBIT_TRIPLES)]
-    lambda_masks = _LAMBDA_MASKS[mode]
+    rack = dihedral_rack()
+    orbit_masks = _masks(rack.size, ((ij, orbit[1 % len(orbit)])
+                                     for ij, orbit in pair_orbits(rack)))
+    orbit_constant = [(b, matrix_from_bits(b)) for n, b in enumerate(all_bits())
+                      if _even(n, orbit_masks)]
+    lambda_masks = _lambda_masks(mode)
     out: list[PairRecord] = []
-    for n, lam_bits in enumerate(_all_bits()):
+    for n, lam_bits in enumerate(all_bits()):
         if not _even(n, lambda_masks):
             continue
         check = validate_lambda(matrix_from_bits(lam_bits), mode)
@@ -120,38 +122,31 @@ def enumerate_pairs(mode: str = GX_MODE) -> list[PairRecord]:
     return out
 
 
-#: the shifts in search order
-_SHIFTS = tuple(product((0, 1), repeat=3))
-
-
-def _bits(m: list) -> str:
-    """The row-major bit string of a 0/1 matrix."""
-    return "".join(str(c) for row in m for c in row)
-
-
 @lru_cache(maxsize=None)
 def _witness_table() -> tuple:
-    """Per automorphism phi in search order: the moves (bit of (i, j), bit
-    of (phi(i), phi(j))) of its permutation of the entries, and per shift s
-    in search order the witness, the XOR masks that the first two conditions
-    of ``iso_related`` add to the permuted lambda and mu, and the parity
-    masks of the third condition on the image lambda.  Built on first use."""
+    """The format of a key's bit strings, then per automorphism phi in search
+    order: the moves (bit of (i, j), bit of (phi(i), phi(j))) of its
+    permutation of the entries, and per shift s in search order the witness,
+    the XOR masks that the first two conditions of ``iso_related`` add to the
+    permuted lambda and mu, and the parity masks of the third condition on
+    the image lambda.  Read off the dihedral rack on first use."""
+    rack = dihedral_rack()
+    n, act, orbits = rack.size, rack.act, pair_orbits(rack)
     table = []
-    for a in _AUTOS:
-        moves = tuple((_bit(i, j), _bit(a[i], a[j])) for i, j, _ in ORBIT_TRIPLES)
+    for a in rack_automorphisms(rack):
+        moves = tuple((_bit(n, i, j), _bit(n, a[i], a[j])) for (i, j), _ in orbits)
         candidates = []
-        for s in _SHIFTS:
+        for s in product((0, 1), repeat=n):
             lam_x = mu_x = 0
-            for i, j, ij in ORBIT_TRIPLES:
-                if (s[ij] + s[j]) % 2:
-                    lam_x ^= _bit(a[i], a[j])
-                if (s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2:
-                    mu_x ^= _bit(a[i], a[j])
-            third = _masks([(a[i], a[j])] * s[i] + [(a[ij], a[i])] * s[ij]
-                           + [(a[j], a[ij])] * s[j] for i, j, ij in ORBIT_TRIPLES)
+            for (i, j), orbit in orbits:
+                if (s[act(i, j)] + s[j]) % 2:
+                    lam_x ^= _bit(n, a[i], a[j])
+                if sum(s[c] * s[d] for c, d in orbit) % 2:
+                    mu_x ^= _bit(n, a[i], a[j])
+            third = _masks(n, ([(a[c], a[d]) for c, d in orbit if s[c]] for _, orbit in orbits))
             candidates.append((IsoWitness(a, s), lam_x, mu_x, third))
         table.append((moves, tuple(candidates)))
-    return tuple(table)
+    return f"0{n * n}b", tuple(table)
 
 
 def _witness_images(p: PairRecord):
@@ -165,7 +160,8 @@ def _witness_images(p: PairRecord):
     of the third condition is skipped.
     """
     lam, mu = int(p.lam_bits, 2), int(p.mu_bits, 2)
-    for moves, candidates in _witness_table():
+    spec, table = _witness_table()
+    for moves, candidates in table:
         lam_a = mu_a = 0
         for src, dst in moves:
             if lam & src:
@@ -175,18 +171,17 @@ def _witness_images(p: PairRecord):
         for witness, lam_x, mu_x, third in candidates:
             lq = lam_a ^ lam_x
             if _even(lq, third):
-                yield witness, (format(lq, "09b"), format(mu_a ^ mu_x, "09b"))
+                yield witness, (format(lq, spec), format(mu_a ^ mu_x, spec))
 
 
 def iso_related(p: PairRecord, q: PairRecord) -> IsoWitness | None:
     """First witness (automorphism, shifts) mapping p to q, or None.
 
-    The three conditions, with phi the automorphism, s the shifts and the
-    scale pinned to 1 over GF(2):
+    The three conditions, with phi the automorphism, s the shifts, the
+    scale pinned to 1 over GF(2), and O the orbit of (i, j):
       q.lambda[phi(i),phi(j)] = p.lambda[i,j] + s[i|>j] + s[j]
-      q.mu[phi(i),phi(j)]     = p.mu[i,j] + s[i]s[j] + s[i|>j]s[i] + s[j]s[i|>j]
-      0 = s[i] q.lambda[phi(i),phi(j)] + s[i|>j] q.lambda[phi(i|>j),phi(i)]
-            + s[j] q.lambda[phi(j),phi(i|>j)]
+      q.mu[phi(i),phi(j)]     = p.mu[i,j] + sum over (a, b) in O of s[a]s[b]
+      0 = sum over (a, b) in O of s[a] q.lambda[phi(a),phi(b)]
     """
     if p.mode != q.mode:
         raise ValueError("pairs from different modes")

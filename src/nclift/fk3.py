@@ -3,17 +3,20 @@
 Builds the quadratic relation ideal on three generators indexed by (Z_3, 2),
 the deformed quotients L (group-term deformation) and A (constant-term
 deformation) over the order-6 group, the completion-derived cubic rule, and
-bijectivity certificates for the two Galois maps between them.
+bijectivity certificates for the two Galois maps between them.  The builders
+read the rack that lambda is indexed by, so they serve any rack as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
+from itertools import product
 from operator import xor
 from typing import Callable, Sequence
 
 from .ncpoly import Alphabet, F2, Field, NcPoly, xdeglex_key
+from .rackgroup import RackData, dihedral_rack
 from .rewrite import (
     CONFLUENT,
     CompletionReport,
@@ -23,7 +26,6 @@ from .rewrite import (
 )
 from .fulcrum import (
     BOSONIZATION,
-    ORBIT_TRIPLES,
     FulcrumPresentation,
     LambdaCheck,
     LambdaMatrix,
@@ -48,149 +50,127 @@ CONVENTIONS = (ONE_BASED, THREE_AS_ZERO)
 QUOTIENT_DIM = 72
 
 
-def relation_orbit_reps() -> tuple:
-    """Representatives of the index pairs under (i,j) ~ (i|>j, i) ~ (j, i|>j):
-    the least pair of each orbit, row-major."""
-    return tuple((i, j) for i, j, k in ORBIT_TRIPLES if (i, j) <= min((k, i), (j, k)))
+@lru_cache(maxsize=None)
+def pair_orbits(rack: RackData) -> tuple:
+    """Each index pair of ``rack`` with its orbit, row-major; once per rack."""
+    return tuple((ij, rack.orbit(*ij)) for ij in product(range(rack.size), repeat=2))
 
 
-def quadratic_relation_terms(i: int, j: int) -> list:
-    """Word list of x_i x_j + x_{i|>j} x_i + x_j x_{i|>j}: the orbit of (i, j)
-    in order."""
-    k = ORBIT_TRIPLES[3 * i + j][2]
-    return [(i, j), (k, i), (j, k)]
+def relation_orbit_reps(rack: RackData | None = None) -> tuple:
+    """The least pair of each orbit, row-major; the dihedral rack by default."""
+    return tuple(ij for ij, orbit in pair_orbits(rack or dihedral_rack()) if ij == min(orbit))
 
 
-def module_alphabet() -> Alphabet:
-    return Alphabet.from_parts([f"x{i}" for i in range(3)])
+def module_alphabet(rack: RackData | None = None) -> Alphabet:
+    return Alphabet.from_parts([f"x{i}" for i in range((rack or dihedral_rack()).size)])
 
 
-def quadratic_relation(alphabet: Alphabet, field: Field, i: int, j: int) -> NcPoly:
-    """R_{i,j}: the square x_i x_i when i = j, else the sum of the words of
-    the orbit of (i, j)."""
-    if i == j:
-        return NcPoly.term(alphabet, field, (i, i))
-    return NcPoly.from_terms(alphabet, field,
-                             [(w, field.one) for w in quadratic_relation_terms(i, j)])
+def quadratic_relation(alphabet: Alphabet, field: Field, rack: RackData, i: int, j: int) -> NcPoly:
+    """R_{i,j}: x_a x_b summed over the orbit of (i, j) in order, x_i x_i for i = j."""
+    return NcPoly.from_terms(alphabet, field, [(ab, field.one) for ab in rack.orbit(i, j)])
 
 
-def fk3_relations() -> list[NcPoly]:
-    """The five quadratic relations over F2 (three squares, two mixed orbits)."""
-    alpha = module_alphabet()
-    return [quadratic_relation(alpha, F2, i, j) for i, j in relation_orbit_reps()]
+def fk3_relations(rack: RackData | None = None) -> list[NcPoly]:
+    """The quadratic relations over F2, one per orbit: five for the dihedral rack."""
+    rack = rack or dihedral_rack()
+    alpha = module_alphabet(rack)
+    return [quadratic_relation(alpha, F2, rack, i, j) for i, j in relation_orbit_reps(rack)]
 
 
 @lru_cache(maxsize=None)
-def nichols_report() -> CompletionReport:
-    """The completed quadratic ideal; its ``dimension()`` must be 12."""
-    return Presentation(module_alphabet(), F2, fk3_relations()).complete()
+def nichols_report(rack: RackData | None = None) -> CompletionReport:
+    """The completed quadratic ideal, of dimension 12 for the dihedral rack."""
+    return Presentation(module_alphabet(rack), F2, fk3_relations(rack)).complete()
 
 
 # ---------------------------------------------------------------------------
 # mu matrices
 # ---------------------------------------------------------------------------
 
-#: (i, j, k, k|>i, k|>j) for every index triple, row-major: the joint constraints
-_JOINT = tuple((i, j, k, ORBIT_TRIPLES[3 * k + i][2], ORBIT_TRIPLES[3 * k + j][2])
-               for i in range(3) for j in range(3) for k in range(3))
-
-
 @lru_cache(maxsize=None)
-def _joint_rhs(lam: LambdaMatrix) -> tuple:
-    """lambda's side of the joint constraint, one value per index triple
-    (i, j, k) in row-major order."""
-    f = lam.field
-    lamv = lam.entries
+def _joint_conditions(lam: LambdaMatrix) -> tuple:
+    """The joint constraints of ``validate_mu`` for lambda, one per index
+    triple (i, j, k), row-major: (i, j, k, k|>i, k|>j, lambda's side)."""
+    f, act, lamv = lam.field, lam.rack.act, lam.entries
     out = []
-    for i, j, ij in ORBIT_TRIPLES:
-        for k in range(3):
-            out.append(f.add(
-                f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
-                f.add(
-                    f.mul(lamv[k][j], f.add(lamv[k][i], lamv[j][ij])),
-                    f.mul(lamv[k][ij], f.add(lamv[k][j], lamv[ij][i])),
-                ),
-            ))
+    for i, j, k in product(range(lam.rack.size), repeat=3):
+        ij = act(i, j)
+        rhs = f.add(f.mul(lamv[k][i], f.add(lamv[k][ij], lamv[i][j])),
+                    f.add(f.mul(lamv[k][j], f.add(lamv[k][i], lamv[j][ij])),
+                          f.mul(lamv[k][ij], f.add(lamv[k][j], lamv[ij][i]))))
+        out.append((i, j, k, act(k, i), act(k, j), rhs))
     return tuple(out)
 
 
 def validate_mu(m: Sequence[Sequence], lam: LambdaMatrix) -> LambdaCheck:
-    """Accept m iff the orbit identities mu_{i,j} = mu_{i|>j,i} = mu_{j,i|>j}
-    and all 27 instances of the joint constraint with lambda hold.
+    """Accept m iff mu is constant on every orbit of index pairs (for the
+    dihedral rack, mu_{i,j} = mu_{i|>j,i} = mu_{j,i|>j}) and every instance
+    of the joint constraint with lambda holds, over lambda's rack.
     Violations list the orbit pairs, then the joint triples, row-major."""
     f = lam.field
-    e = as_entries(m, f)
-    violations = [("orbit", i, j) for i, j, k in ORBIT_TRIPLES
-                  if not (e[i][j] == e[k][i] == e[j][k])]
-    violations += [("joint", i, j, k)
-                   for (i, j, k, ki, kj), rhs in zip(_JOINT, _joint_rhs(lam))
+    e = as_entries(m, f, lam.rack)
+    violations = [("orbit", i, j) for (i, j), orbit in pair_orbits(lam.rack)
+                  if len({e[a][b] for a, b in orbit}) > 1]
+    violations += [("joint", i, j, k) for i, j, k, ki, kj, rhs in _joint_conditions(lam)
                    if f.add(e[i][j], e[ki][kj]) != rhs]
     if violations:
         return LambdaCheck(False, None, violations)
-    return LambdaCheck(True, LambdaMatrix(e, f), [])
+    return LambdaCheck(True, LambdaMatrix(e, f, lam.rack), [])
 
 
 # ---------------------------------------------------------------------------
 # deformed quotients
 # ---------------------------------------------------------------------------
 
-def linear_correction(alphabet: Alphabet, lam: LambdaMatrix, i: int, j: int) -> NcPoly:
-    """r_{i,j} = lambda_{i,j} x_i + lambda_{i|>j,i} x_{i|>j} + lambda_{j,i|>j} x_j:
-    lambda_{a,b} x_a over the orbit of (i, j) in order."""
-    items = [((a,), lam[a, b]) for a, b in quadratic_relation_terms(i, j)]
-    return NcPoly.from_terms(alphabet, lam.field, items)
-
-
 def deformed_relation(pres: FulcrumPresentation, lam: LambdaMatrix, i: int, j: int,
                       mu_ij, group_term: bool) -> NcPoly:
     """R_{i,j} + r_{i,j} + mu_{i,j} (1 + g_i g_j), or with constant mu term
-    only, for the value mu_ij of mu_{i,j}."""
+    only, for the value mu_ij of mu_{i,j}: R + r is the sum of
+    x_a x_b + lambda_{a,b} x_a over the orbit of (i, j) in order."""
     f = lam.field
-    rel = (quadratic_relation(pres.alphabet, f, i, j)
-           + linear_correction(pres.alphabet, lam, i, j))
+    orbit = pres.yd.rack.orbit(i, j)
+    items = [(ab, f.one) for ab in orbit] + [((a,), lam[a, b]) for a, b in orbit]
     if mu_ij != f.zero:
-        rel = rel + NcPoly.term(pres.alphabet, f, (), mu_ij)
+        items.append(((), mu_ij))
         if group_term:
             G = pres.yd.group
             gij = G.mul(G.distinguished[i], G.distinguished[j])
-            rel = rel + NcPoly.term(pres.alphabet, f, pres.group_word(gij), mu_ij)
-    return rel
+            items.append((pres.group_word(gij), mu_ij))
+    return NcPoly.from_terms(pres.alphabet, f, items)
 
 
 @lru_cache(maxsize=None)
 def flavor_presentation(lam: LambdaMatrix, flavor: str) -> FulcrumPresentation:
-    """The flavor's presentation for lambda: the algebra every deformed
-    quotient of that flavor is taken of.  Cached, so that its frozen rules
-    (``system()``) and its completion are each built once."""
-    return FulcrumPresentation(flavor, standard_yd_data(), lam)
+    """The flavor's presentation for lambda, over lambda's rack: the algebra
+    every deformed quotient of that flavor is taken of.  Cached, so that its
+    frozen rules (``system()``) and its completion are each built once."""
+    return FulcrumPresentation(flavor, standard_yd_data(lam.rack), lam)
 
 
 @lru_cache(maxsize=None)
 def _relation_table(lam: LambdaMatrix, flavor: str) -> tuple:
-    """The flavor's deformed relations for lambda, one pair per index pair
-    (i, j), row-major: the relation for mu_{i,j} = 0, then for mu_{i,j} = 1.
-    Built once per (lambda, flavor) and shared, so never changed in place."""
-    pres = flavor_presentation(lam, flavor)
-    f = lam.field
-    return tuple(tuple(deformed_relation(pres, lam, i, j, v, flavor == T_LAMBDA)
-                       for v in (f.zero, f.one))
-                 for i in range(3) for j in range(3))
+    """The flavor's deformed relations for lambda: entry [i][j] holds the
+    relation for mu_{i,j} = 0, then for mu_{i,j} = 1.  Built once per
+    (lambda, flavor) and shared, so never changed in place."""
+    pres, f, n = flavor_presentation(lam, flavor), lam.field, lam.rack.size
+    return tuple(tuple(tuple(deformed_relation(pres, lam, i, j, v, flavor == T_LAMBDA)
+                             for v in (f.zero, f.one)) for j in range(n)) for i in range(n))
 
 
 def deformed_relations(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> list[NcPoly]:
-    """The nine deformed relations of the flavor's quotient, one per index
-    pair, row-major.  All nine generate the ideal: for valid mu the three
-    relations of an orbit coincide, for invalid mu their differences are
-    exactly what collapses the quotient.  Each relation is built once per
-    (lambda, flavor, i, j, mu_{i,j}) and shared by every mu with that entry;
-    an F2 value of mu_{i,j}, 0 or 1, indexes its pair in the table."""
-    e = mu.entries
-    return [pair[v] for pair, v in zip(_relation_table(lam, flavor), e[0] + e[1] + e[2])]
+    """The deformed relations of the flavor's quotient, one per index pair,
+    row-major.  All of them generate the ideal: for valid mu the relations
+    of an orbit coincide, for invalid mu their differences are exactly what
+    collapses the quotient.  Each relation is built once per (lambda, flavor,
+    i, j, mu_{i,j}) and shared by every mu with that entry; an F2 value of
+    mu_{i,j}, 0 or 1, indexes its pair in the table."""
+    return [pair[v] for row, values in zip(_relation_table(lam, flavor), mu.entries)
+            for pair, v in zip(row, values)]
 
 
 @lru_cache(maxsize=None)
 def _build_quotient(lam: LambdaMatrix, mu: LambdaMatrix, flavor: str) -> CompletionReport:
-    """The flavor's presentation followed by the nine deformed relations,
+    """The flavor's presentation followed by its deformed relations,
     completed.  lambda must be valid for the presentation to exist at all;
     mu is taken as-is, so that invalid choices can be seen to collapse the
     quotient.
@@ -217,20 +197,29 @@ def build_cleft(lam: LambdaMatrix, mu: LambdaMatrix) -> CompletionReport:
     return _build_quotient(lam, mu, T_PRIME_LAMBDA)
 
 
-def bosonization_build() -> CompletionReport:
-    """The undeformed quotient (zero lambda and mu over the bosonization rules)."""
-    return _build_quotient(zero_lambda(), zero_mu(), BOSONIZATION)
+def bosonization_build(rack: RackData | None = None) -> CompletionReport:
+    """The undeformed quotient (zero lambda and mu), the dihedral rack's by default."""
+    return _build_quotient(zero_lambda(rack), zero_mu(rack), BOSONIZATION)
 
 
 # ---------------------------------------------------------------------------
 # bitstring codecs (row-major, 0/1 characters)
 # ---------------------------------------------------------------------------
 
+# A 0/1 matrix over the dihedral rack's n elements is its row-major bit
+# string, an int in binary with entry (i, j) at bit n^2-1-(ni+j).
+
 def matrix_from_bits(bits: str) -> list:
-    if len(bits) != 9 or any(c not in "01" for c in bits):
-        raise ValueError(f"expected 9 bits, got {bits!r}")
-    vals = [int(c) for c in bits]
-    return [vals[0:3], vals[3:6], vals[6:9]]
+    n = dihedral_rack().size
+    if len(bits) != n * n or any(c not in "01" for c in bits):
+        raise ValueError(f"expected {n * n} bits, got {bits!r}")
+    return [[int(c) for c in bits[k:k + n]] for k in range(0, n * n, n)]
+
+
+def all_bits():
+    """Every bit string of those matrices, in counting order."""
+    width = dihedral_rack().size ** 2
+    return (format(k, f"0{width}b") for k in range(1 << width))
 
 
 def lambda_from_bits(bits: str) -> LambdaMatrix:
@@ -248,16 +237,18 @@ def mu_from_bits(bits: str, lam: LambdaMatrix) -> LambdaMatrix:
 
 
 def mu_unchecked(entries: Sequence[Sequence]) -> LambdaMatrix:
-    """A mu matrix over F2 without constraint checking, for collapse experiments."""
-    return LambdaMatrix(as_entries(entries, F2), F2)
+    """A dihedral-rack mu over F2, unchecked, for collapse experiments."""
+    return LambdaMatrix(as_entries(entries, F2), F2, dihedral_rack())
 
 
-def zero_lambda() -> LambdaMatrix:
-    return validate_lambda([[0] * 3] * 3).matrix
+def zero_lambda(rack: RackData | None = None) -> LambdaMatrix:
+    rack = rack or dihedral_rack()
+    return validate_lambda([[0] * rack.size] * rack.size, rack=rack).matrix
 
 
-def zero_mu() -> LambdaMatrix:
-    return validate_mu([[0] * 3] * 3, zero_lambda()).matrix
+def zero_mu(rack: RackData | None = None) -> LambdaMatrix:
+    lam = zero_lambda(rack)
+    return validate_mu(lam.entries, lam).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +330,8 @@ def skew_primitivity(lam: LambdaMatrix, mu: LambdaMatrix) -> dict:
     table = _relation_table(lam, T_LAMBDA)
     G = pres.yd.group
     out = {}
-    for i, j in relation_orbit_reps():
-        rel = table[3 * i + j][mu[i, j]]
+    for i, j in relation_orbit_reps(lam.rack):
+        rel = table[i][j][mu[i, j]]
         gij = G.mul(G.distinguished[i], G.distinguished[j])
         out[(i, j)] = check_skew_primitive(pres, rel, gij)
     return out
@@ -650,7 +641,7 @@ def certify(lam_bits: str, mu_bits: str, group_mode: str = "s3",
         raise ValueError("dimension verification always runs over the finite quotient")
     lam = lambda_from_bits(lam_bits)
     mu = mu_from_bits(mu_bits, lam)
-    if s3_violations(lam.entries):
+    if s3_violations(lam.entries, lam.rack):
         raise ValueError("lambda does not satisfy the finite-quotient condition")
     L = build_lifting(lam, mu)
     A = build_cleft(lam, mu)

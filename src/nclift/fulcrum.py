@@ -1,8 +1,8 @@
 """Builders and validators for the pointed smash-product algebras.
 
-Three flavors of presentation are generated from a rack, a finite quotient
-group and a 3x3 cocycle matrix: the deformed product T_lambda where group
-letters commute past module letters with a correction supported on group
+Three flavors of presentation are generated from a rack realized in a finite
+group and a cocycle matrix indexed by the rack: the deformed product T_lambda
+where group letters commute past module letters with a correction supported on group
 terms, its primed companion T'_lambda whose correction is a plain scalar, and
 the undeformed bosonization.  The module also hosts the letter maps into
 tensor products: one function gives the letter images of the comultiplication
@@ -14,10 +14,11 @@ the former.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .ncpoly import Alphabet, F2, Field, NcPoly, TensorPoly, Word
-from .rackgroup import GroupTable, RackData, conjugation_action, dihedral_rack, s3_quotient
+from .rackgroup import GroupTable, RackData, conjugation_action, dihedral_rack, translation_group
 from .rewrite import CONFLUENT, Presentation, ReductionSystem
 
 T_LAMBDA = "t_lambda"
@@ -28,36 +29,19 @@ FLAVORS = (T_LAMBDA, T_PRIME_LAMBDA, BOSONIZATION)
 GX_MODE = "gx"
 S3_MODE = "s3"
 
-_RACK = dihedral_rack()
-#: (i, j, i|>j) for every index pair, row-major.  The orbit of (i, j) under
-#: (i, j) ~ (i|>j, i) ~ (j, i|>j) is {(i, j), (i|>j, i), (j, i|>j)}, since
-#: (i|>j)|>i = j in (Z_3, 2); the quadratic relations, their linear
-#: corrections, the mu orbit identities and the isomorphism witnesses all
-#: read their orbits from here
-ORBIT_TRIPLES = tuple((i, j, _RACK.act(i, j)) for i in range(3) for j in range(3))
-#: (i, j, k, j|>k, i|>j, i|>k) for every index triple, row-major: the
-#: constraints of ``validate_lambda``
-_LAMBDA_TRIPLES = tuple((i, j, k, ORBIT_TRIPLES[3 * j + k][2], ORBIT_TRIPLES[3 * i + j][2],
-                         ORBIT_TRIPLES[3 * i + k][2])
-                        for i in range(3) for j in range(3) for k in range(3))
-
 
 @dataclass(frozen=True)
 class PointedYDData:
     """A rack realized as a conjugacy class of a finite group.
 
     The degree of the generator x_i is the distinguished element g_i, and the
-    module action of a group element on indices is conjugation.
+    module action of a group element on indices is conjugation.  The group's
+    own checks (every element a word in the g_i, g_i g_j g_i^{-1} = g_{i|>j})
+    make every conjugate g g_i g^{-1} some g_j.
     """
 
     rack: RackData
     group: GroupTable
-
-    def __post_init__(self):
-        for i in range(self.rack.size):
-            for g in range(self.group.order):
-                # degree compatibility: raises unless g g_i g^{-1} is some g_j
-                conjugation_action(g, i, self.group)
 
     def degree(self, i: int) -> int:
         return self.group.distinguished[i]
@@ -66,8 +50,10 @@ class PointedYDData:
         return conjugation_action(g, i, self.group)
 
 
-def standard_yd_data() -> PointedYDData:
-    return PointedYDData(_RACK, s3_quotient())
+def standard_yd_data(rack: RackData | None = None) -> PointedYDData:
+    """``rack``, the dihedral rack by default, in its translation group."""
+    rack = rack or dihedral_rack()
+    return PointedYDData(rack, translation_group(rack))
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +62,13 @@ def standard_yd_data() -> PointedYDData:
 
 @dataclass(frozen=True)
 class LambdaMatrix:
-    """A 3x3 matrix of scalars: the cocycle lambda_{i,j} = lambda(g_i, x_j),
-    or the constant terms mu_{i,j} of the deformed relations.  Frozen and
-    hashable, so it can key a cache."""
+    """A matrix of scalars indexed by the elements of ``rack``: the cocycle
+    lambda_{i,j} = lambda(g_i, x_j), or the constant terms mu_{i,j} of the
+    deformed relations.  Frozen and hashable, so it can key a cache."""
 
     entries: tuple
     field: Field
+    rack: RackData
 
     def __getitem__(self, ij) -> object:
         i, j = ij
@@ -95,50 +82,56 @@ class LambdaCheck:
     violations: list
 
 
-def as_entries(m: Sequence[Sequence], field: Field) -> tuple:
+def as_entries(m: Sequence[Sequence], field: Field, rack: RackData | None = None) -> tuple:
+    """m's rows as field elements; ValueError unless m is n x n for the n
+    elements of ``rack``, the dihedral rack by default."""
+    n = (rack or dihedral_rack()).size
     rows = tuple(tuple(field.from_int(c) if isinstance(c, int) else c for c in row)
                  for row in m)
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError("expected a 3x3 matrix")
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError(f"expected a {n}x{n} matrix")
     return rows
 
 
 def validate_lambda(m: Sequence[Sequence], mode: str = GX_MODE,
-                    field: Field = F2) -> LambdaCheck:
+                    field: Field = F2, rack: RackData | None = None) -> LambdaCheck:
     """Accept m iff lambda_{i,j|>k} + lambda_{j,k} = lambda_{i|>j,i|>k} + lambda_{i,k}
-    for all index triples; in S3 mode additionally lambda_{i,j} = lambda_{i,i|>j}."""
-    e = as_entries(m, field)
-    f = field
-    violations = [(i, j, k) for i, j, k, jk, ij, ik in _LAMBDA_TRIPLES
-                  if f.add(e[i][jk], e[j][k]) != f.add(e[ij][ik], e[i][k])]
+    for all index triples of ``rack`` (the dihedral rack by default); in S3
+    mode additionally lambda_{i,j} = lambda_{i,i|>j}."""
+    rack = rack or dihedral_rack()
+    e = as_entries(m, field, rack)
+    f, act = field, rack.act
+    violations = [(i, j, k) for i, j, k in product(range(rack.size), repeat=3)
+                  if f.add(e[i][act(j, k)], e[j][k]) != f.add(e[act(i, j)][act(i, k)], e[i][k])]
     if mode == S3_MODE:
-        violations += [("s3", i, j) for i, j in s3_violations(e)]
+        violations += [("s3", i, j) for i, j in s3_violations(e, rack)]
     elif mode != GX_MODE:
         raise ValueError(f"unknown mode {mode!r}")
     if violations:
         return LambdaCheck(False, None, violations)
-    return LambdaCheck(True, LambdaMatrix(e, field), [])
+    return LambdaCheck(True, LambdaMatrix(e, field, rack), [])
 
 
-def s3_violations(m: Sequence[Sequence]) -> list:
+def s3_violations(m: Sequence[Sequence], rack: RackData | None = None) -> list:
     """The pairs (i, j), row-major, where m breaks the finite-quotient
-    condition lambda_{i,j} = lambda_{i,i|>j}."""
-    return [(i, j) for i, j, k in ORBIT_TRIPLES if m[i][j] != m[i][k]]
+    condition lambda_{i,j} = lambda_{i,i|>j}; the dihedral rack by default."""
+    act = (rack or dihedral_rack()).act
+    return [(i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v != row[act(i, j)]]
 
 
 def extend_lambda(lam: LambdaMatrix, word: Iterable[int], j: int):
     """lambda(g, x_j) for g given as a word in the rack generators.
 
-    Folds the cocycle law lambda(gh, x) = lambda(g, h . x) + lambda(h, x);
-    the value is independent of the chosen word for a fixed group element
-    whenever the matrix is valid.
+    Folds the cocycle law lambda(gh, x) = lambda(g, h . x) + lambda(h, x)
+    over lambda's rack; the value is independent of the chosen word for a
+    fixed group element whenever the matrix is valid.
     """
     f = lam.field
     total = f.zero
     target = j
     for i in reversed(tuple(word)):
         total = f.add(total, lam[i, target])
-        target = _RACK.act(i, target)
+        target = lam.rack.act(i, target)
     return total
 
 
@@ -159,11 +152,14 @@ class FulcrumPresentation(Presentation):
     Rules: identity-letter elimination, the full group multiplication table,
     and one commutation rule per (non-identity group element, module letter).
     A deformed quotient in ``fk3`` appends its deformed relations after these.
+    ``lam`` must be indexed by the rack of ``yd`` (ValueError).
     """
 
     def __init__(self, flavor: str, yd: PointedYDData, lam: LambdaMatrix):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
+        if lam.rack != yd.rack:
+            raise ValueError("lambda is indexed by another rack than the presentation's")
         self.yd = yd
         self.lam = lam
         prefix = "y" if flavor == T_PRIME_LAMBDA else "x"

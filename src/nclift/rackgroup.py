@@ -1,10 +1,10 @@
-"""Racks, their automorphisms, enveloping-group quotients and conjugation.
+"""Racks, their automorphisms, the groups they generate and conjugation.
 
-The only rack that matters downstream is the affine rack (Z_3, 2) with
-i |> j = 2i - j, realized in S_3 as the conjugation action on transpositions.
-The finite quotient group is generated by the rack's own left translations
-rather than hand-coded, and every group axiom, the rack compatibility and
-every canonical word are checked exhaustively at construction time.
+A rack is realized by conjugation in the group its own left translations
+generate.  The paper's rack is the affine rack (Z_3, 2) with i |> j = 2i - j,
+realized in S_3 as the conjugation action on transpositions.  Every group
+axiom, the rack compatibility and every canonical word are checked
+exhaustively at construction time.
 """
 
 from __future__ import annotations
@@ -35,9 +35,20 @@ class RackData:
     def act(self, i: int, j: int) -> int:
         return self.table[i][j]
 
+    def orbit(self, i: int, j: int) -> tuple:
+        """The orbit of (i, j) under the bijection (a, b) -> (a |> b, a) of
+        index pairs, walked from (i, j): in (Z_3, 2), (i, j), (i |> j, i),
+        (j, i |> j) for i != j, and (i, i) alone."""
+        walk, (a, b) = [(i, j)], (self.table[i][j], i)
+        while (a, b) != (i, j):
+            walk.append((a, b))
+            a, b = self.table[a][b], a
+        return tuple(walk)
 
+
+@lru_cache(maxsize=None)
 def dihedral_rack() -> RackData:
-    """The affine rack (Z_3, 2): i |> j = (2i - j) mod 3."""
+    """The affine rack (Z_3, 2): i |> j = (2i - j) mod 3, one cached instance."""
     table = tuple(tuple((2 * i - j) % 3 for j in range(3)) for i in range(3))
     return RackData(3, table)
 
@@ -128,30 +139,21 @@ class GroupTable:
 
 
 @lru_cache(maxsize=None)
-def s3_quotient() -> GroupTable:
-    """The order-6 quotient < g_i | g_i g_j = g_{i |> j} g_i, g_0^2 = 1 >
-    of the enveloping group of (Z_3, 2), as the group generated by the left
-    translations phi_i: j -> i |> j.
-
-    Every g_i is conjugate to g_0 (g_2 g_0 g_2^{-1} = g_1, and
-    g_1 g_0 g_1^{-1} = g_2), so every g_i is an involution.  With a = g_0 and
-    b = g_2, g_0 g_2 g_0 = g_1 = g_2 g_0 g_2 gives (ab)^3 = 1, so the
-    presented group is a quotient of < a, b | a^2, b^2, (ab)^3 > = S_3.  The
-    translations satisfy the relations (self-distributivity) and generate a
-    group of order 6, so g_i -> phi_i is an isomorphism.
-
-    Elements are numbered breadth-first from the identity, right-multiplying
-    by phi_0, phi_1, phi_2; each element's canonical word is its parent's
-    word plus the generator, which is already shortlex order.
+def translation_group(rack: RackData) -> GroupTable:
+    """The group generated by the left translations g_i = phi_i: j -> i |> j,
+    built once per rack; g_i g_j g_i^{-1} = g_{i |> j} is self-distributivity.
+    Two equal translations raise ValueError.  Elements are numbered
+    breadth-first from the identity, right-multiplying by phi_0, phi_1, ...;
+    an element's word is its parent's plus the generator: already shortlex.
     """
-    rack = dihedral_rack()
     gens = rack.table
+    if len(set(gens)) != rack.size:
+        raise ValueError("two left translations coincide")
 
     def compose(p, q):
         return tuple(p[k] for k in q)
 
-    elements = [tuple(range(rack.size))]
-    words = [()]
+    elements, words = [tuple(range(rack.size))], [()]
     index = {elements[0]: 0}
     for p, word in zip(elements, words):
         for i, phi in enumerate(gens):
@@ -165,10 +167,21 @@ def s3_quotient() -> GroupTable:
     return GroupTable(len(elements), table, distinguished, words, rack)
 
 
+def s3_quotient() -> GroupTable:
+    """The order-6 quotient < g_i | g_i g_j = g_{i |> j} g_i, g_0^2 = 1 > of
+    the enveloping group of (Z_3, 2), as the translation group of that rack.
+
+    Every g_i is conjugate to the involution g_0 (g_2 g_0 g_2^{-1} = g_1,
+    g_1 g_0 g_1^{-1} = g_2), and with a = g_0, b = g_2, g_0 g_2 g_0 = g_1 =
+    g_2 g_0 g_2 gives (ab)^3 = 1: a quotient of S_3.  The translations meet
+    the relations and generate 6 elements, so g_i -> phi_i is an isomorphism.
+    """
+    return translation_group(dihedral_rack())
+
+
 def conjugation_action(g: int, i: int, group: GroupTable) -> int:
     """The unique j with g g_i g^{-1} = g_j."""
     conj = group.mul(group.mul(g, group.distinguished[i]), group.inv(g))
-    for j in range(group.rack.size):
-        if group.distinguished[j] == conj:
-            return j
-    raise ValueError(f"conjugate of g_{i} by element {g} leaves the distinguished class")
+    if conj not in group.distinguished:
+        raise ValueError(f"conjugate of g_{i} by element {g} leaves the distinguished class")
+    return group.distinguished.index(conj)

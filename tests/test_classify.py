@@ -15,7 +15,7 @@ from nclift.classify import (
     iso_related,
     partition_classes,
 )
-from nclift.fk3 import matrix_from_bits
+from nclift.fk3 import all_bits, matrix_from_bits
 from nclift.fulcrum import validate_lambda
 
 
@@ -63,7 +63,7 @@ def test_only_orbit_constant_mu_are_validated(monkeypatch, pairs, mode):
     real = classify.validate_mu
 
     def recording(m, lam):
-        validated.append(classify._bits(m))
+        validated.append(tuple(map(tuple, m)))
         return real(m, lam)
 
     monkeypatch.setattr(classify, "validate_mu", recording)
@@ -74,14 +74,15 @@ def test_only_orbit_constant_mu_are_validated(monkeypatch, pairs, mode):
     for lam_bits in {p.lam_bits for p in pairs}:
         lam = validate_lambda(matrix_from_bits(lam_bits), mode).matrix
         assert not any(real(matrix_from_bits(bits), lam).ok
-                       for bits in classify._all_bits() if bits not in validated)
+                       for bits in all_bits()
+                       if tuple(map(tuple, matrix_from_bits(bits))) not in validated)
 
 
 @pytest.mark.parametrize("mode", ["gx", "s3"])
 def test_lambda_masks_accept_exactly_the_valid_lambda(mode):
-    masks = classify._LAMBDA_MASKS[mode]
-    passed = [bits for n, bits in enumerate(classify._all_bits()) if classify._even(n, masks)]
-    valid = [bits for bits in classify._all_bits()
+    masks = classify._lambda_masks(mode)
+    passed = [bits for n, bits in enumerate(all_bits()) if classify._even(n, masks)]
+    valid = [bits for bits in all_bits()
              if validate_lambda(matrix_from_bits(bits), mode).ok]
     assert passed == valid and len(valid) == 8
 
@@ -126,18 +127,19 @@ def _list_witness_images(p):
     """_witness_images before it read matrices as bits: per (automorphism,
     shifts) in search order, the image matrices built entry by entry as
     lists, kept when the image lambda meets the third condition."""
-    from nclift.fulcrum import ORBIT_TRIPLES
     from nclift.rackgroup import dihedral_rack, rack_automorphisms
+    r = dihedral_rack()
+    triples = [(i, j, r.act(i, j)) for i in range(3) for j in range(3)]
     lp, mp = matrix_from_bits(p.lam_bits), matrix_from_bits(p.mu_bits)
-    for a in rack_automorphisms(dihedral_rack()):
+    for a in rack_automorphisms(r):
         for s in [(s0, s1, s2) for s0 in (0, 1) for s1 in (0, 1) for s2 in (0, 1)]:
             lq = [[0] * 3 for _ in range(3)]
             mq = [[0] * 3 for _ in range(3)]
-            for i, j, ij in ORBIT_TRIPLES:
+            for i, j, ij in triples:
                 lq[a[i]][a[j]] = (lp[i][j] + s[ij] + s[j]) % 2
                 mq[a[i]][a[j]] = (mp[i][j] + s[i] * s[j] + s[ij] * s[i] + s[j] * s[ij]) % 2
             if all((s[i] * lq[a[i]][a[j]] + s[ij] * lq[a[ij]][a[i]]
-                    + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in ORBIT_TRIPLES):
+                    + s[j] * lq[a[j]][a[ij]]) % 2 == 0 for i, j, ij in triples):
                 yield IsoWitness(a, s), ("".join(map(str, lq[0] + lq[1] + lq[2])),
                                          "".join(map(str, mq[0] + mq[1] + mq[2])))
 

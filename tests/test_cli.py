@@ -220,8 +220,10 @@ def test_importing_the_cli_loads_no_pool_and_no_csv():
         assert name not in added, name
 
 
-#: sha256 of four artifacts as the engine wrote them before its reduction
-#: code was restructured; a change to any byte of them must be deliberate
+#: sha256 of six artifacts: the first four as the engine wrote them before its
+#: reduction code was restructured, the two certified classification tables
+#: as written before the rank-3 index tables gave way to the rack's orbits; a
+#: change to any byte of them must be deliberate
 @pytest.mark.parametrize("argv, digest", [
     (["fulcrum", "complete", "{pres}", "--max-len", "6", "--json", "{out}"],
      "f01f43b5602eecf8f69117c3c1c65babaca4422339c43b7f6c0204d0b60c1158"),
@@ -232,7 +234,12 @@ def test_importing_the_cli_loads_no_pool_and_no_csv():
      "e390312315a555d5ff126712bb233e9ddde851bf390f253dd4d36bb4bdae7972"),
     (["fk3", "classify", "--group", "gx", "--out", "{out}"],
      "79dec00cb19b7845e0a5328a253c67d3f27aa85f1a8e2f2e52f8fd373111ebf1"),
-], ids=["fulcrum-complete", "fk3-verify", "jordan-verify", "fk3-classify"])
+    (["fk3", "classify", "--group", "gx", "--certify", "--format", "json", "--out", "{out}"],
+     "d3ee6a6082f32c24a7a57cb4865f4b0f05e988c48650b946bf608f09465fb970"),
+    (["fk3", "classify", "--group", "s3", "--certify", "--format", "json", "--out", "{out}"],
+     "54378386bca691bc6dbb21827abb046975c0f64a0f603e6fb375b28e4e51027f"),
+], ids=["fulcrum-complete", "fk3-verify", "jordan-verify", "fk3-classify",
+        "fk3-classify-certify-gx", "fk3-classify-certify-s3"])
 def test_artifacts_match_pinned_digests(tmp_path, argv, digest):
     pres, out = tmp_path / "pres.json", tmp_path / "artifact"
     pres.write_text(json.dumps(PRESENTATION))

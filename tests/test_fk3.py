@@ -30,12 +30,10 @@ from nclift.fk3 import (
     derived_cubic_relation,
     galois_certificate,
     lambda_from_bits,
-    linear_correction,
     matrix_from_bits,
     mu_from_bits,
     mu_unchecked,
     nichols_report,
-    quadratic_relation_terms,
     relation_orbit_reps,
     resolve_cubic_convention,
     skew_primitivity,
@@ -73,22 +71,25 @@ def test_relation_list():
 
 
 def test_quadratic_relation_closes_cyclically():
+    rack = dihedral_rack()
     for i in range(3):
         for j in range(3):
+            words = list(rack.orbit(i, j))
             if i == j:
+                assert words == [(i, i)]
                 continue
-            words = quadratic_relation_terms(i, j)
             assert len(set(words)) == 3
             # (i|>j)|>i = j makes the three-term window slide back to start
             assert words[2][0] == words[0][1]
             k = (2 * i - j) % 3
-            assert set(quadratic_relation_terms(k, i)) == set(words)
+            assert set(rack.orbit(k, i)) == set(words)
 
 
 def _orbit_walk(rack):
-    """Each index pair's orbit walked under (a, b) -> (a|>b, a) from the pair
-    itself, and the first pair met of each orbit, row-major: the reference
-    that the orbit table's order must reproduce."""
+    """Each index pair's orbit walked three steps under (a, b) -> (a|>b, a)
+    from the pair itself, each pair kept once, and the first pair met of
+    each orbit, row-major: the reference that ``RackData.orbit`` must
+    reproduce."""
     orbits, reps, seen = {}, [], set()
     for i in range(rack.size):
         for j in range(rack.size):
@@ -97,7 +98,7 @@ def _orbit_walk(rack):
                 walk.append((a, b))
                 a, b = rack.act(a, b), a
             assert (a, b) == (i, j)
-            orbits[i, j] = walk
+            orbits[i, j] = list(dict.fromkeys(walk))
             if (i, j) not in seen:
                 reps.append((i, j))
                 seen.update(walk)
@@ -105,7 +106,8 @@ def _orbit_walk(rack):
 
 
 def test_orbit_order_matches_the_rack_walk(monkeypatch):
-    orbits, reps = _orbit_walk(dihedral_rack())
+    rack = dihedral_rack()
+    orbits, reps = _orbit_walk(rack)
     assert relation_orbit_reps() == reps == ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2))
     # the (word, coefficient) items of every NcPoly.from_terms call, in order
     items = []
@@ -120,10 +122,11 @@ def test_orbit_order_matches_the_rack_walk(monkeypatch):
         lam = lambda_from_bits(bits)
         pres = fk3.flavor_presentation(lam, T_LAMBDA)
         for (i, j), orbit in orbits.items():
-            assert quadratic_relation_terms(i, j) == orbit
+            assert list(rack.orbit(i, j)) == orbit
             items.clear()
-            linear_correction(pres.alphabet, lam, i, j)
-            assert items == [[((a,), lam[a, b]) for a, b in orbit]]
+            fk3.deformed_relation(pres, lam, i, j, F2.zero, True)
+            assert items == [[(ab, F2.one) for ab in orbit]
+                             + [((a,), lam[a, b]) for a, b in orbit]]
 
 
 def test_nichols_dimension_and_profile():
@@ -131,6 +134,37 @@ def test_nichols_dimension_and_profile():
     assert report.dimension() == 12
     profile = Counter(len(w) for w in report.basis())
     assert [profile[n] for n in range(max(profile) + 1)] == [1, 3, 4, 3, 1]
+
+
+def _generator_rule_leads(lam_bits):
+    """Complete T_lambda presented by the identity rule, the group table and
+    only the nine generator rules g_a x_i = x_{a|>i} g_a
+    + lambda_{a,i} (g_a + g_{a|>i} g_a), for any lambda, at cap 4: its status
+    and its sorted leads."""
+    yd = standard_yd_data()
+    G = yd.group
+    lam = fulcrum.LambdaMatrix(fulcrum.as_entries(matrix_from_bits(lam_bits), F2), F2, yd.rack)
+    pres = FulcrumPresentation(T_LAMBDA, yd, lam)
+    base = 1 + (G.order - 1) ** 2
+    generator_rules = [rel for rel, (g, i) in zip(pres.relations[base:],
+                                                  itertools.product(range(1, G.order), range(3)))
+                       if g in G.distinguished]
+    assert len(generator_rules) == 9
+    report = rewrite.Presentation(pres.alphabet, F2, pres.relations[:base] + generator_rules,
+                                  degree_cap=4).complete()
+    return report.status, sorted(rule.lead for rule in report.system.rules())
+
+
+def test_lambda_census_by_completion_finds_the_valid_lambda():
+    """Of the 512 lambda, exactly those that ``validate_lambda`` accepts give
+    T_lambda the 41 leads of lambda = 0; every one completes."""
+    status, leads = _generator_rule_leads("000000000")
+    assert status == CONFLUENT and len(leads) == 41
+    census = {bits: _generator_rule_leads(bits) for bits in ALL_BITS}
+    assert {status for status, _ in census.values()} == {CONFLUENT}
+    assert [bits for bits, result in census.items() if result == (CONFLUENT, leads)] \
+        == VALID_LAMBDAS
+    assert len(VALID_LAMBDAS) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +284,17 @@ def test_linear_correction_orbit_symmetry():
         lam = lambda_from_bits(bits)
         pres = FulcrumPresentation(T_LAMBDA, yd, lam)
         rhd = lambda a, b: (2 * a - b) % 3
+
+        def correction(i, j):
+            """r_{i,j}: the deformed relation for mu_{i,j} = 0 less R_{i,j}."""
+            return (fk3.deformed_relation(pres, lam, i, j, F2.zero, True)
+                    - fk3.quadratic_relation(pres.alphabet, F2, yd.rack, i, j))
+
         for i in range(3):
             for j in range(3):
-                r1 = linear_correction(pres.alphabet, lam, i, j)
-                r2 = linear_correction(pres.alphabet, lam, rhd(i, j), i)
-                r3 = linear_correction(pres.alphabet, lam, j, rhd(i, j))
+                r1 = correction(i, j)
+                r2 = correction(rhd(i, j), i)
+                r3 = correction(j, rhd(i, j))
                 assert r1 == r2 == r3
 
 
@@ -569,9 +609,15 @@ def test_bosonization_on_the_shared_base_matches_a_from_scratch_build():
 
 
 def _relation_from_parts(pres, lam, mu, i, j, group_term):
-    """R_{i,j} + r_{i,j}, then mu_{i,j} and mu_{i,j} g_i g_j, built afresh."""
+    """R_{i,j} + r_{i,j}, then mu_{i,j} and mu_{i,j} g_i g_j, built afresh;
+    r_{i,j} = lambda_{i,j} x_i + lambda_{i|>j,i} x_{i|>j} + lambda_{j,i|>j} x_j
+    summed over the three-step walk, so three times lambda_{i,i} x_i for
+    i = j, which is lambda_{i,i} x_i over F2."""
     f, alphabet = lam.field, pres.alphabet
-    rel = fk3.quadratic_relation(alphabet, f, i, j) + linear_correction(alphabet, lam, i, j)
+    k = pres.yd.rack.act(i, j)
+    linear = NcPoly.from_terms(alphabet, f, [((a,), lam[a, b])
+                                             for a, b in ((i, j), (k, i), (j, k))])
+    rel = fk3.quadratic_relation(alphabet, f, pres.yd.rack, i, j) + linear
     if mu[i, j] != f.zero:
         rel = rel + NcPoly.term(alphabet, f, (), mu[i, j])
         if group_term:

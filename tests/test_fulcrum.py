@@ -48,6 +48,15 @@ def test_validate_lambda_examples():
     assert (0, 1, 0) in bad.violations
 
 
+@pytest.mark.parametrize("m", [[[0] * 4] * 3, [[0] * 3, [0] * 3, [0] * 2], [[0] * 4] * 4],
+                         ids=["3x4", "ragged", "4x4"])
+def test_rank_3_matrices_must_be_3x3(m):
+    for check in (lambda: as_entries(m, F2), lambda: validate_lambda(m),
+                  lambda: fk3.validate_mu(m, fk3.zero_lambda())):
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            check()
+
+
 def test_validate_lambda_s3_mode():
     # rows must be constant off the diagonal position
     check = validate_lambda([[0, 1, 0], [0, 0, 0], [0, 0, 0]], "s3")

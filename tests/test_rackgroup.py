@@ -1,5 +1,8 @@
 """Rack axioms, automorphism enumeration, and the order-6 quotient."""
 
+import hashlib
+import json
+
 import pytest
 
 from nclift.ncpoly import F2, Alphabet, parse_poly
@@ -10,6 +13,7 @@ from nclift.rackgroup import (
     dihedral_rack,
     rack_automorphisms,
     s3_quotient,
+    translation_group,
 )
 from nclift.rewrite import CONFLUENT, Presentation
 
@@ -31,6 +35,34 @@ def test_rack_values(rack):
     for i in range(3):
         for j in range(3):
             assert rack.act(rack.act(i, j), i) == j
+
+
+def test_orbit_walks_each_pair_back_to_itself(rack):
+    for i in range(3):
+        for j in range(3):
+            orbit = rack.orbit(i, j)
+            assert orbit[0] == (i, j) and len(set(orbit)) == len(orbit)
+            assert orbit == (((i, i),) if i == j
+                             else ((i, j), (rack.act(i, j), i), (j, rack.act(i, j))))
+            for a, b in orbit:
+                assert set(rack.orbit(a, b)) == set(orbit)
+
+
+def test_the_order_6_group_is_the_translation_group(group):
+    """``s3_quotient`` is the cached translation group of the cached
+    dihedral rack, and its table is the one pinned before the group was
+    built for any rack."""
+    assert translation_group(dihedral_rack()) is group is s3_quotient()
+    assert group.rack is dihedral_rack()
+    text = json.dumps(group.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == ("a4e52754a4270d839f171f7d7c88d535"
+                                                "c823d4447848389106a20760831b519c")
+
+
+def test_translation_group_refuses_equal_translations():
+    trivial = RackData(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="coincide"):
+        translation_group(trivial)
 
 
 def test_rack_validation_rejects_bad_tables():
